@@ -9,7 +9,7 @@ The package is organized as a small numpy/scipy library:
 * :mod:`newsciv.linmodel` — logistic regression and evaluation metrics
 * :mod:`newsciv.incivility` — comment scoring, article weights, labeling,
   and the provoking-article classifier
-* :mod:`newsciv.lda` — collapsed-Gibbs latent Dirichlet allocation
+* :mod:`newsciv.lda` — latent Dirichlet allocation by blocked Gibbs sampling
 * :mod:`newsciv.subtext` — two-phase content/comment phrase mining
 * :mod:`newsciv.synthetic` — seeded planted-signal corpus generator
 * :mod:`newsciv.cli` — the ``newsciv`` batch command-line interface

@@ -1,19 +1,26 @@
-"""Latent Dirichlet allocation by collapsed Gibbs sampling over bags of
+"""Latent Dirichlet allocation by blocked Gibbs sampling over bags of
 n-gram phrases, with deterministic top-term extraction.
 
-The sampler keeps the usual count matrices (document x topic, term x topic,
-topic totals) and resamples every token's topic once per sweep using
-leave-one-out counts. One shared pseudorandom stream drives both the
-initialization and the sweeps, consumed in document order and token order,
+The sampler is uncollapsed. Each sweep draws every topic's term
+distribution phi ~ Dir(beta + term counts) and every document's topic
+distribution theta ~ Dir(alpha + document counts), then redraws all token
+topics at once from p(k) proportional to theta[d, k] * phi[w, k] and
+recounts. It has the same model and the same posterior over topic
+assignments as the collapsed sampler of Griffiths & Steyvers (2004), but a
+sweep is a few numpy array operations rather than a Python loop over
+tokens. One pseudorandom stream drives the initialization and the sweeps,
 so a fixed seed reproduces the final state bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from .textproc import Vocabulary, build_vocabulary
 
@@ -29,12 +36,19 @@ class LdaConfig:
     n_max: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("n_topics", "iterations", "seed", "n_min", "n_max", "alpha", "beta"):
+            value = getattr(self, name)
+            integral = name not in ("alpha", "beta")
+            kind = numbers.Integral if integral else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if integral else "a number"
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.n_topics < 1:
             raise ValueError(f"n_topics must be >= 1, got {self.n_topics}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be > 0")
+        if not all(0 < p < math.inf for p in (self.alpha, self.beta)):
+            raise ValueError("alpha and beta must be finite and > 0")
         if self.n_min < 1 or self.n_min > self.n_max:
             raise ValueError(f"invalid n-gram range [{self.n_min}, {self.n_max}]")
 
@@ -46,12 +60,15 @@ class TopicSummary:
 
 
 class LdaModel:
-    """Gibbs-sampler state: token assignments and the three count arrays.
+    """Sampler state: the tokens, their topics and the three count arrays.
 
-    ``doc_topic[d, k]`` counts tokens of document d assigned to topic k,
-    ``term_topic[w, k]`` counts assignments of term w to topic k, and
-    ``topic_totals[k]`` is the column sum of ``term_topic``. The state is
-    mutated by :meth:`sweep` and should be treated as read-only once fitted.
+    Token i is term ``words[i]`` of document ``docs[i]`` and has topic
+    ``z[i]``; tokens are stored in document order. ``doc_topic[d, k]``
+    counts tokens of document d assigned to topic k, ``term_topic[w, k]``
+    counts assignments of term w to topic k, and ``topic_totals[k]`` is the
+    column sum of ``term_topic``. ``log_likelihoods`` holds log p(w | z)
+    after each sweep. The state is mutated by :meth:`sweep` and should be
+    treated as read-only once fitted.
     """
 
     def __init__(
@@ -64,93 +81,87 @@ class LdaModel:
         self.config = config
         self.vocabulary: Vocabulary = build_vocabulary(documents, min_df=1)
         index = self.vocabulary.index
-        self.doc_words: list[np.ndarray] = [
-            np.array([index[t] for t in doc], dtype=np.int64) for doc in documents
-        ]
-        self.n_tokens = int(sum(len(w) for w in self.doc_words))
+        lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
+        self.n_tokens = int(lengths.sum())
         if self.n_tokens == 0:
             raise ValueError("all documents are empty")
-
-        k = config.n_topics
-        v = len(self.vocabulary)
-        self.doc_topic = np.zeros((len(documents), k), dtype=np.int64)
-        self.term_topic = np.zeros((v, k), dtype=np.int64)
-        self.topic_totals = np.zeros(k, dtype=np.int64)
-        self.assignments: list[np.ndarray] = []
+        self.words = np.fromiter(
+            (index[t] for doc in documents for t in doc), dtype=np.int64, count=self.n_tokens
+        )
+        self.docs = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
+        self._doc_ends = np.cumsum(lengths)[:-1]
         self._rng = np.random.default_rng(config.seed)
-
-        # Random initial assignment, consuming the stream token by token.
-        for d, words in enumerate(self.doc_words):
-            zs = self._rng.integers(0, k, size=len(words))
-            self.assignments.append(zs)
-            for w, z in zip(words, zs):
-                self.doc_topic[d, z] += 1
-                self.term_topic[w, z] += 1
-                self.topic_totals[z] += 1
+        self.z = self._rng.integers(0, config.n_topics, size=self.n_tokens)
+        self.log_likelihoods: list[float] = []
+        self._recount()
 
     @property
     def n_topics(self) -> int:
         return self.config.n_topics
 
+    @property
+    def assignments(self) -> list[np.ndarray]:
+        """Topic of every token, one array per document."""
+        return np.split(self.z, self._doc_ends)
+
+    def _recount(self) -> None:
+        k = self.n_topics
+        n_docs, n_terms = len(self._doc_ends) + 1, len(self.vocabulary)
+        self.doc_topic = np.bincount(self.docs * k + self.z, minlength=n_docs * k).reshape(n_docs, k)
+        self.term_topic = np.bincount(self.words * k + self.z, minlength=n_terms * k).reshape(n_terms, k)
+        self.topic_totals = np.bincount(self.z, minlength=k)
+
+    def log_likelihood(self) -> float:
+        """Collapsed log p(w | z) of the current assignments.
+
+        Terms with a zero count contribute nothing, so only the nonzero
+        entries of ``term_topic`` are visited.
+        """
+        beta = self.config.beta
+        v_beta = beta * len(self.vocabulary)
+        nonzero = self.term_topic[self.term_topic > 0]
+        return float(
+            self.n_topics * gammaln(v_beta) - gammaln(self.topic_totals + v_beta).sum()
+            + (gammaln(nonzero + beta) - gammaln(beta)).sum()
+        )
+
     def sweep(self) -> None:
-        """Resample every token's topic once, in document/token order."""
+        """Draw theta and phi, then every token's topic, once."""
         self._run_sweeps(1)
 
     def _run_sweeps(self, n_sweeps: int) -> None:
-        # The hot loop runs on plain Python lists: for the small topic
-        # counts used here that is several times faster than per-token
-        # numpy calls. The numpy arrays are rebuilt on exit.
-        k = self.config.n_topics
-        alpha = self.config.alpha
-        beta = self.config.beta
-        v_beta = beta * len(self.vocabulary)
-        last = k - 1
-        topic_range = range(k)
-
-        doc_topic = [row.tolist() for row in self.doc_topic]
-        term_topic = self.term_topic.tolist()
-        totals = self.topic_totals.tolist()
-        denom = [t + v_beta for t in totals]
-        doc_words = [w.tolist() for w in self.doc_words]
-        assigns = [z.tolist() for z in self.assignments]
-        cum = [0.0] * k
-
+        # A token's current topic has a count of at least 1 in both draws,
+        # so its weights are not all zero. They are accumulated one topic
+        # at a time: a tokens x topics matrix would dominate peak memory.
+        k = self.n_topics
+        rng = self._rng
         for _ in range(n_sweeps):
-            # One batch draw per sweep keeps the stream in document/token
-            # order while avoiding a generator call per token.
-            uniforms = self._rng.random(self.n_tokens).tolist()
-            u = 0
-            for d, words in enumerate(doc_words):
-                zs = assigns[d]
-                dt = doc_topic[d]
-                for i, w in enumerate(words):
-                    z = zs[i]
-                    tt = term_topic[w]
-                    dt[z] -= 1
-                    tt[z] -= 1
-                    totals[z] -= 1
-                    denom[z] -= 1.0
+            # Row j of phi is topic j's term distribution. A Dirichlet draw
+            # is a normalized gamma draw; an all-zero row (every gamma
+            # underflowed) stays zero and its topic is not chosen.
+            phi = rng.standard_gamma(self.config.beta + self.term_topic.T)
+            phi /= np.maximum(phi.sum(axis=1, keepdims=True), np.finfo(float).tiny)
+            # theta stays unnormalized: a document's scale cancels in p(k).
+            theta = rng.standard_gamma(self.config.alpha + self.doc_topic.T)
 
-                    total = 0.0
-                    for j in topic_range:
-                        total += (dt[j] + alpha) * (tt[j] + beta) / denom[j]
-                        cum[j] = total
-                    target = uniforms[u] * total
-                    u += 1
-                    z = 0
-                    while z < last and cum[z] <= target:
-                        z += 1
+            def weight(j: int) -> np.ndarray:
+                return theta[j].take(self.docs) * phi[j].take(self.words)
 
-                    zs[i] = z
-                    dt[z] += 1
-                    tt[z] += 1
-                    totals[z] += 1
-                    denom[z] += 1.0
-
-        self.doc_topic = np.array(doc_topic, dtype=np.int64)
-        self.term_topic = np.array(term_topic, dtype=np.int64)
-        self.topic_totals = np.array(totals, dtype=np.int64)
-        self.assignments = [np.array(z, dtype=np.int64) for z in assigns]
+            total = weight(0)
+            for j in range(1, k):
+                total += weight(j)
+            target = rng.random(self.n_tokens) * total
+            # The topic is the first j whose cumulative weight exceeds the
+            # target, or the last topic: cum is nondecreasing in j, so that
+            # is the number of j < k - 1 with cum <= target.
+            z = np.zeros(self.n_tokens, dtype=np.int64)
+            cum = np.zeros(self.n_tokens)
+            for j in range(k - 1):
+                cum += weight(j)
+                z += cum <= target
+            self.z = z
+            self._recount()
+            self.log_likelihoods.append(self.log_likelihood())
 
     def topic_distribution(self, topic: int) -> np.ndarray:
         """Smoothed term distribution of one topic (sums to 1)."""
@@ -162,7 +173,7 @@ class LdaModel:
 
 
 def fit_lda(documents: Sequence[Sequence[str]], config: LdaConfig | None = None) -> LdaModel:
-    """Run collapsed Gibbs sampling and return the final-state point estimate."""
+    """Run blocked Gibbs sampling and return the final-state point estimate."""
     if config is None:
         config = LdaConfig()
     model = LdaModel(documents, config)
@@ -190,19 +201,3 @@ def topics_by_size(model: LdaModel) -> list[int]:
     """Topic ids ordered by total assigned tokens, largest first."""
     totals = model.topic_totals
     return sorted(range(model.n_topics), key=lambda k: (-totals[k], k))
-
-
-def topics_to_dict(model: LdaModel, summaries: Sequence[TopicSummary]) -> dict:
-    """JSON-ready dump of a fitted model's configuration and top terms."""
-    cfg = model.config
-    return {
-        "K": cfg.n_topics,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "iterations": cfg.iterations,
-        "seed": cfg.seed,
-        "topics": [
-            {"id": s.topic_id, "terms": [[term, p] for term, p in s.terms]}
-            for s in summaries
-        ],
-    }

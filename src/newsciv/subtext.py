@@ -24,7 +24,7 @@ from .textproc import DEFAULT_STOPLIST, ngrams, remove_stopwords, tokenize
 # Phrases rarer than this across the phase corpus are pruned as noise.
 DEFAULT_MIN_PHRASE_DF = 5
 
-SUBTEXT_FORMAT_VERSION = 1
+SUBTEXT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)

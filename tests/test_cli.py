@@ -261,6 +261,16 @@ class TestConfigHandling:
                      "--set", "justakey"]) == 2
         assert "key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item", ["lda.iterations=2.5", "lda.n_topics=true"])
+    def test_mistyped_lda_set_exits_2(self, tmp_path, capsys, item):
+        assert main(["mine-subtext", "--out", str(tmp_path / "o"), "--set", item]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_mistyped_lda_config_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "bad.json", {"lda": {"n_topics": "five"}})
+        assert main(["mine-subtext", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "n_topics must be an integer" in capsys.readouterr().err
+
     def test_dedicated_flag_wins_over_set(self, tmp_path):
         out = tmp_path / "corpus"
         assert main([

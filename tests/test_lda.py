@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from newsciv.lda import (
     LdaConfig,
@@ -11,8 +14,9 @@ from newsciv.lda import (
     fit_lda,
     topic_terms,
     topics_by_size,
-    topics_to_dict,
 )
+
+from lda_reference import collapsed_sweeps
 
 UNIGRAM = dict(n_min=1, n_max=1)
 
@@ -90,6 +94,118 @@ class TestFit:
         with pytest.raises(ValueError):
             LdaConfig(n_min=3, n_max=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_topics", 2.5), ("n_topics", True), ("n_topics", "five"),
+        ("iterations", 2.5), ("iterations", None), ("seed", 1.0), ("seed", False),
+        ("n_min", "1"), ("n_max", True), ("alpha", "0.1"), ("alpha", True),
+        ("beta", None), ("alpha", float("nan")), ("beta", float("inf")),
+    ])
+    def test_config_rejects_wrong_types(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LdaConfig(**{field: value})
+
+    def test_config_accepts_numpy_scalars(self):
+        cfg = LdaConfig(n_topics=np.int64(3), alpha=np.float32(0.5), seed=np.uint8(4))
+        assert cfg.n_topics == 3
+
+    def test_assignments_follow_documents(self):
+        docs = [["a", "b", "a"], [], ["c"], ["b", "c"]]
+        model = fit_lda(docs, LdaConfig(n_topics=3, iterations=4, seed=2, **UNIGRAM))
+        assert [len(z) for z in model.assignments] == [3, 0, 1, 2]
+        for d, zs in enumerate(model.assignments):
+            assert np.bincount(zs, minlength=3).tolist() == model.doc_topic[d].tolist()
+
+
+def dense_log_likelihood(model: LdaModel) -> float:
+    """log p(w | z) by the textbook formula, over every (term, topic) cell."""
+    beta = model.config.beta
+    v = len(model.vocabulary)
+    per_topic = (
+        gammaln(v * beta) - v * gammaln(beta)
+        + gammaln(model.term_topic + beta).sum(axis=0)
+        - gammaln(model.topic_totals + v * beta)
+    )
+    return float(per_topic.sum())
+
+
+class TestLogLikelihood:
+    def test_one_entry_per_sweep(self):
+        rng = random.Random(4)
+        docs = [[rng.choice("abcdef") for _ in range(9)] for _ in range(10)]
+        model = fit_lda(docs, LdaConfig(n_topics=3, iterations=7, seed=0, **UNIGRAM))
+        assert len(model.log_likelihoods) == 7
+        model.sweep()
+        assert len(model.log_likelihoods) == 8
+
+    def test_matches_dense_formula(self):
+        rng = random.Random(12)
+        docs = [[rng.choice("abcdefghij") for _ in range(15)] for _ in range(20)]
+        model = LdaModel(docs, LdaConfig(n_topics=4, iterations=1, seed=6, **UNIGRAM))
+        assert model.log_likelihood() == pytest.approx(dense_log_likelihood(model), rel=1e-12)
+        for _ in range(5):
+            model.sweep()
+            assert model.log_likelihoods[-1] == pytest.approx(
+                dense_log_likelihood(model), rel=1e-12
+            )
+
+    def test_rises_on_two_block_corpus(self):
+        docs, _, _ = two_block_corpus(random.Random(1))
+        trace = fit_lda(docs, LdaConfig(n_topics=2, iterations=50, seed=3, **UNIGRAM)).log_likelihoods
+        assert len(trace) == 50
+        assert max(trace[:5]) < min(trace[-5:])
+
+
+# Two documents, five tokens and two topics: 2**5 assignments, few enough to
+# enumerate p(z | w) exactly.
+POSTERIOR_DOCS = [["a", "a", "b"], ["b", "c"]]
+POSTERIOR_CONFIG = dict(n_topics=2, alpha=0.5, beta=0.2, iterations=1, **UNIGRAM)
+POSTERIOR_CHAINS = 1000
+POSTERIOR_SWEEPS = 10
+
+
+def exact_posterior(model: LdaModel) -> dict[tuple[int, ...], float]:
+    """p(z | w) for every assignment z of the model's tokens, by enumeration."""
+    k, alpha, beta = model.n_topics, model.config.alpha, model.config.beta
+    v, n_docs = len(model.vocabulary), int(model.docs.max()) + 1
+    states = list(itertools.product(range(k), repeat=model.n_tokens))
+    log_joint = []
+    for state in states:
+        z = np.array(state)
+        doc_topic = np.bincount(model.docs * k + z, minlength=n_docs * k)
+        term_topic = np.bincount(model.words * k + z, minlength=v * k).reshape(v, k)
+        log_joint.append(
+            gammaln(doc_topic + alpha).sum() + gammaln(term_topic + beta).sum()
+            - gammaln(term_topic.sum(axis=0) + v * beta).sum()
+        )
+    p = np.exp(np.array(log_joint) - max(log_joint))
+    return dict(zip(states, p / p.sum()))
+
+
+class TestPosterior:
+    @pytest.mark.parametrize("sampler", ["blocked", "collapsed"])
+    def test_final_states_follow_exact_posterior(self, sampler):
+        exact = exact_posterior(LdaModel(POSTERIOR_DOCS, LdaConfig(**POSTERIOR_CONFIG)))
+        n = POSTERIOR_CHAINS
+        # The tolerance comes from the Monte Carlo error alone. For n
+        # independent exact draws, E[TV] <= 0.5 * sum_s sqrt(p_s (1 - p_s) / n)
+        # by Jensen's inequality. Twice that bound covers the spread of TV
+        # (about a tenth of the bound here) and the chains' finite length.
+        # A sampler with a wrong conditional sits at TV 0.2 to 0.4 here.
+        p = np.array(list(exact.values()))
+        tolerance = 2 * 0.5 * np.sqrt(p * (1 - p) / n).sum()
+
+        finals: Counter[tuple[int, ...]] = Counter()
+        for seed in range(n):
+            config = LdaConfig(**{**POSTERIOR_CONFIG, "seed": seed})
+            model = LdaModel(POSTERIOR_DOCS, config)
+            if sampler == "blocked":
+                model._run_sweeps(POSTERIOR_SWEEPS)
+            else:
+                collapsed_sweeps(model, POSTERIOR_SWEEPS)
+            finals[tuple(model.z.tolist())] += 1
+        tv = 0.5 * sum(abs(finals[s] / n - ps) for s, ps in exact.items())
+        assert tv <= tolerance
+
 
 class TestTopicTerms:
     def test_top_term_follows_counts(self):
@@ -142,11 +258,3 @@ class TestTopicUtilities:
         totals = [model.topic_totals[k] for k in order]
         assert totals == sorted(totals, reverse=True)
         assert sorted(order) == [0, 1, 2]
-
-    def test_topics_to_dict_shape(self):
-        model = fit_lda([["a", "b", "a"]], LdaConfig(n_topics=1, iterations=1, seed=5, **UNIGRAM))
-        dump = topics_to_dict(model, [topic_terms(model, 0, t=2)])
-        assert dump["K"] == 1
-        assert dump["seed"] == 5
-        assert dump["topics"][0]["id"] == 0
-        assert len(dump["topics"][0]["terms"]) == 2
