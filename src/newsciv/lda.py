@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .textproc import Vocabulary, build_vocabulary
 
@@ -90,6 +89,14 @@ class LdaModel:
         )
         self.docs = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
         self._doc_ends = np.cumsum(lengths)[:-1]
+        # log Gamma(n + beta) - log Gamma(beta) for every count a term can
+        # reach. A table of math.lgamma keeps scipy.special, which takes
+        # about 0.1 s to import, out of the start-up of every CLI command.
+        lgamma_beta = math.lgamma(config.beta)
+        self._lgamma_beta = np.array([
+            math.lgamma(n + config.beta) - lgamma_beta
+            for n in range(int(np.bincount(self.words).max()) + 1)
+        ])
         self._rng = np.random.default_rng(config.seed)
         self.z = self._rng.integers(0, config.n_topics, size=self.n_tokens)
         self.log_likelihoods: list[float] = []
@@ -112,17 +119,12 @@ class LdaModel:
         self.topic_totals = np.bincount(self.z, minlength=k)
 
     def log_likelihood(self) -> float:
-        """Collapsed log p(w | z) of the current assignments.
-
-        Terms with a zero count contribute nothing, so only the nonzero
-        entries of ``term_topic`` are visited.
-        """
-        beta = self.config.beta
-        v_beta = beta * len(self.vocabulary)
-        nonzero = self.term_topic[self.term_topic > 0]
+        """Collapsed log p(w | z) of the current assignments."""
+        v_beta = self.config.beta * len(self.vocabulary)
+        topics = sum(math.lgamma(n + v_beta) for n in self.topic_totals.tolist())
         return float(
-            self.n_topics * gammaln(v_beta) - gammaln(self.topic_totals + v_beta).sum()
-            + (gammaln(nonzero + beta) - gammaln(beta)).sum()
+            self._lgamma_beta.take(self.term_topic).sum()
+            - topics + self.n_topics * math.lgamma(v_beta)
         )
 
     def sweep(self) -> None:
