@@ -5,8 +5,9 @@ The package is organized as a small numpy/scipy library:
 
 * :mod:`newsciv.corpus` — data model, JSONL ingestion, filtering, splitting
 * :mod:`newsciv.textproc` — tokens, stop words, n-grams, vocabularies
-* :mod:`newsciv.features` — TF-IDF vectorization into sparse vectors
-* :mod:`newsciv.linmodel` — logistic regression and evaluation metrics
+* :mod:`newsciv.features` — TF-IDF vectorization into CSR matrices
+* :mod:`newsciv.linmodel` — logistic regression on CSR matrices and
+  evaluation metrics
 * :mod:`newsciv.incivility` — comment scoring, article weights, labeling,
   and the provoking-article classifier
 * :mod:`newsciv.lda` — latent Dirichlet allocation by blocked Gibbs sampling
@@ -32,7 +33,7 @@ from .corpus import (
     save_comments,
     train_test_split,
 )
-from .features import SparseVector, TfidfConfig, TfidfModel, fit_tfidf, load_tfidf, save_tfidf
+from .features import TfidfConfig, TfidfModel, fit_tfidf, load_tfidf, save_tfidf
 from .incivility import (
     ASPECTS,
     ArticleIncivility,
@@ -41,6 +42,7 @@ from .incivility import (
     ProvokingClassifier,
     SourceThreshold,
     article_weight,
+    article_weights,
     binarize_aspect,
     label_articles,
     predict_provoking,
@@ -58,8 +60,6 @@ from .linmodel import (
     TrainConfig,
     evaluate,
     load_logistic,
-    predict,
-    predict_proba,
     roc_auc,
     save_logistic,
     train_logistic,

@@ -217,12 +217,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     classifiers = _load_aspect_classifiers(Path(cfg.model_dir))
     articles = _maybe_filter_keywords(load_articles(cfg.articles), cfg)
     comments = load_comments(cfg.comments, min_words=cfg.min_comment_words)
-    corpus = Corpus.build(articles, comments)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    scores = incivility.score_comments(classifiers, [c.text for c in comments])
+    scores, weights = incivility.article_weights(classifiers, comments)
     with open(out_dir / "scores.jsonl", "w", encoding="utf-8") as fh:
         for comment, score in zip(comments, scores):
             fh.write(
@@ -233,34 +232,29 @@ def cmd_score(args: argparse.Namespace) -> int:
                 f'"incivility": {score.value:.6f}}}\n'
             )
 
-    by_article: dict[str, list[float]] = {}
-    for comment, score in zip(comments, scores):
-        if comment.article_id in corpus.index:
-            by_article.setdefault(comment.article_id, []).append(score.value)
-
-    skipped = 0
-    source_of = {a.id: a.source for a in articles}
+    weight_of = {w.article_id: w for w in weights}
+    written = 0
     with open(out_dir / "article_weights.jsonl", "w", encoding="utf-8") as fh:
         for article in articles:
-            values = by_article.get(article.id)
-            if not values:
-                skipped += 1
+            w = weight_of.get(article.id)
+            if w is None:
                 continue
-            weight = incivility.mean_score(values)
+            written += 1
             fh.write(
                 json.dumps(
                     {
-                        "article_id": article.id,
-                        "weight": weight,
-                        "n_comments": len(values),
-                        "source": source_of[article.id],
+                        "article_id": w.article_id,
+                        "weight": w.weight,
+                        "n_comments": w.n_comments,
+                        "source": article.source,
                     }
                 )
                 + "\n"
             )
-    if skipped:
-        print(f"excluded {skipped} articles with zero comments", file=sys.stderr)
-    print(f"scored {len(comments)} comments across {len(by_article)} articles")
+    if written < len(articles):
+        print(f"excluded {len(articles) - written} articles with zero comments",
+              file=sys.stderr)
+    print(f"scored {len(comments)} comments across {written} articles")
     return 0
 
 
@@ -362,13 +356,13 @@ def cmd_predict_provoking(args: argparse.Namespace) -> int:
     articles = load_articles(cfg.articles)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    probs = pipeline.model.predict_proba(pipeline.tfidf.transform([a.body for a in articles]))
     with open(out_dir / "provoking_predictions.jsonl", "w", encoding="utf-8") as fh:
-        for article in articles:
-            proba, label = incivility.predict_provoking(pipeline, article.body)
+        for article, proba in zip(articles, probs.tolist()):
             fh.write(
                 f'{{"article_id": {json.dumps(article.id)}, '
                 f'"probability": {proba:.6f}, '
-                f'"label": {"true" if label else "false"}}}\n'
+                f'"label": {"true" if proba > 0.5 else "false"}}}\n'
             )
     print(f"predicted {len(articles)} articles")
     return 0
@@ -422,7 +416,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         _require_paths(cfg, "annotated")
         annotated = load_annotated(cfg.annotated)
         classifiers = _load_aspect_classifiers(model_dir)
-        x = [classifiers.tfidf.transform(ac.text) for ac in annotated]
+        x = classifiers.tfidf.transform([ac.text for ac in annotated])
         payload = {}
         for aspect in incivility.ASPECTS:
             y = [incivility.binarize_aspect(ac, aspect) for ac in annotated]
@@ -447,7 +441,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         articles = [a for a in load_articles(cfg.articles) if a.id in label_of]
         if not articles:
             raise ValueError("no labeled articles to evaluate")
-        x = [pipeline.tfidf.transform(a.body) for a in articles]
+        x = pipeline.tfidf.transform([a.body for a in articles])
         y = [label_of[a.id] for a in articles]
         report = evaluate(pipeline.model, x, y)
         payload = {"provoking": report.to_dict()}

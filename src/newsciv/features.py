@@ -1,8 +1,8 @@
-"""TF-IDF vectorization of bag-of-n-grams documents into sparse vectors.
+"""TF-IDF vectorization of bag-of-n-grams documents into a CSR matrix.
 
 The weighting variant is fixed: raw term counts, smoothed inverse document
-frequency ln((1 + N) / (1 + df)) + 1, and L2 normalization of the final
-vector. The smoothing keeps idf >= 1 for every vocabulary term.
+frequency ln((1 + N) / (1 + df)) + 1, and L2 normalization of each row.
+The smoothing keeps idf >= 1 for every vocabulary term.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .textproc import (
     DEFAULT_STOPLIST,
@@ -25,58 +26,6 @@ from .textproc import (
 )
 
 TFIDF_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True, eq=False)
-class SparseVector:
-    """A sparse feature vector: sorted indices with non-zero finite values."""
-
-    dimension: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise ValueError("indices and values must be 1-D and the same length")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.dimension:
-                raise ValueError("index out of range for vector dimension")
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("indices must be strictly increasing")
-        if not np.all(np.isfinite(val)) or np.any(val == 0.0):
-            raise ValueError("values must be finite and non-zero")
-
-    @classmethod
-    def from_pairs(cls, dimension: int, pairs: Iterable[tuple[int, float]]) -> "SparseVector":
-        pairs = sorted(pairs)
-        idx = np.array([i for i, _ in pairs], dtype=np.int64)
-        val = np.array([v for _, v in pairs], dtype=np.float64)
-        return cls(dimension, idx, val)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dimension)
-        dense[self.indices] = self.values
-        return dense
-
-    def dot(self, weights: np.ndarray) -> float:
-        """Dot product against a dense weight vector of matching dimension."""
-        if weights.shape != (self.dimension,):
-            raise ValueError(
-                f"weight dimension {weights.shape} does not match vector "
-                f"dimension {self.dimension}"
-            )
-        return float(np.dot(weights[self.indices], self.values))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 @dataclass(frozen=True)
@@ -121,24 +70,34 @@ class TfidfModel:
     def dimension(self) -> int:
         return len(self.vocabulary)
 
-    def transform(self, text: str) -> SparseVector:
-        """Vectorize ``text``: raw count x idf per term, then L2-normalize.
+    def transform(self, texts: Sequence[str]) -> sp.csr_matrix:
+        """Vectorize ``texts`` into one row each: raw count x idf per term
+        (columns sorted), then the row divided by its L2 norm.
 
-        Out-of-vocabulary terms are ignored; a document with no known terms
-        maps to the zero vector (full dimension, no entries).
+        Out-of-vocabulary terms are ignored; a text with no known terms
+        maps to an empty row.
         """
         index = self.vocabulary.index
-        counts: dict[int, int] = {}
-        for term in self.config.document_terms(text):
-            i = index.get(term)
-            if i is not None:
-                counts[i] = counts.get(i, 0) + 1
-        if not counts:
-            return SparseVector(self.dimension, np.empty(0, np.int64), np.empty(0))
-        idx = np.array(sorted(counts), dtype=np.int64)
-        val = np.array([counts[i] for i in idx], dtype=np.float64) * self.idf[idx]
-        val /= np.linalg.norm(val)
-        return SparseVector(self.dimension, idx, val)
+        indptr = [0]
+        indices: list[int] = []
+        counts: list[int] = []
+        for text in texts:
+            row: dict[int, int] = {}
+            for term in self.config.document_terms(text):
+                i = index.get(term)
+                if i is not None:
+                    row[i] = row.get(i, 0) + 1
+            for i in sorted(row):
+                indices.append(i)
+                counts.append(row[i])
+            indptr.append(len(indices))
+        cols = np.array(indices, dtype=np.int64)
+        data = np.array(counts, dtype=np.float64) * self.idf[cols]
+        # Each row's norm is sqrt(dot) over its own slice, which keeps the
+        # values bit-identical whatever batch the text arrives in.
+        norms = [math.sqrt(np.dot(data[a:b], data[a:b])) for a, b in zip(indptr, indptr[1:])]
+        data /= np.repeat(norms, np.diff(indptr))
+        return sp.csr_matrix((data, cols, indptr), shape=(len(indptr) - 1, self.dimension))
 
 
 def fit_tfidf(documents: Sequence[str], config: TfidfConfig | None = None) -> TfidfModel:

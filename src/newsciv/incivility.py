@@ -17,14 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import AnnotatedComment, Article, Comment, train_test_split
 from .features import TfidfConfig, TfidfModel, fit_tfidf
-from .linmodel import (
-    EvalReport,
-    LogisticModel,
-    TrainConfig,
-    evaluate,
-    scores_for,
-    train_logistic,
-)
+from .linmodel import EvalReport, LogisticModel, TrainConfig, evaluate, train_logistic
 
 ASPECTS = ("toxicity", "aggression", "attack")
 
@@ -148,8 +141,8 @@ def train_aspect_classifiers(
     """
     train, test = train_test_split(list(annotated), test_fraction, split_seed)
     tfidf = fit_tfidf([ac.text for ac in train], tfidf_config)
-    x_train = [tfidf.transform(ac.text) for ac in train]
-    x_test = [tfidf.transform(ac.text) for ac in test]
+    x_train = tfidf.transform([ac.text for ac in train])
+    x_test = tfidf.transform([ac.text for ac in test])
 
     models: dict[str, LogisticModel] = {}
     reports: dict[str, EvalReport] = {}
@@ -168,34 +161,23 @@ def train_aspect_classifiers(
     return classifiers, reports
 
 
-def score_comment(classifiers: AspectClassifiers, text: str) -> IncivilityScore:
-    """Score one comment; the incivility value is the max aspect score."""
-    x = classifiers.tfidf.transform(text)
-    return IncivilityScore.from_components(
-        toxicity=classifiers.toxicity.predict_proba(x),
-        aggression=classifiers.aggression.predict_proba(x),
-        attack=classifiers.attack.predict_proba(x),
-    )
-
-
 def score_comments(
     classifiers: AspectClassifiers, texts: Sequence[str]
 ) -> list[IncivilityScore]:
-    """Batch version of :func:`score_comment` (one matrix pass per aspect)."""
-    if not texts:
-        return []
-    x = [classifiers.tfidf.transform(t) for t in texts]
-    per_aspect = {
-        aspect: scores_for(getattr(classifiers, aspect), x) for aspect in ASPECTS
-    }
+    """Score comments in one batch; each value is the max aspect score."""
+    x = classifiers.tfidf.transform(texts)
+    toxicity, aggression, attack = (
+        getattr(classifiers, aspect).predict_proba(x).tolist() for aspect in ASPECTS
+    )
     return [
-        IncivilityScore.from_components(
-            toxicity=float(per_aspect["toxicity"][i]),
-            aggression=float(per_aspect["aggression"][i]),
-            attack=float(per_aspect["attack"][i]),
-        )
-        for i in range(len(texts))
+        IncivilityScore.from_components(*components)
+        for components in zip(toxicity, aggression, attack)
     ]
+
+
+def score_comment(classifiers: AspectClassifiers, text: str) -> IncivilityScore:
+    """Score one comment: :func:`score_comments` on a batch of one."""
+    return score_comments(classifiers, [text])[0]
 
 
 def mean_score(values: Sequence[float]) -> float:
@@ -205,6 +187,25 @@ def mean_score(values: Sequence[float]) -> float:
         raise ValueError("mean of zero scores is undefined")
     mean = math.fsum(values) / len(values)
     return min(max(mean, min(values)), max(values))
+
+
+def article_weights(
+    classifiers: AspectClassifiers, comments: Sequence[Comment]
+) -> tuple[list[IncivilityScore], list[ArticleIncivility]]:
+    """Score ``comments`` in one batch and average the scores per article.
+
+    Returns the scores in comment order and one weight per article, in
+    order of the article's first comment.
+    """
+    scores = score_comments(classifiers, [c.text for c in comments])
+    by_article: dict[str, list[float]] = {}
+    for comment, score in zip(comments, scores):
+        by_article.setdefault(comment.article_id, []).append(score.value)
+    weights = [
+        ArticleIncivility(article_id=a, weight=mean_score(v), n_comments=len(v))
+        for a, v in by_article.items()
+    ]
+    return scores, weights
 
 
 def article_weight(
@@ -220,10 +221,7 @@ def article_weight(
     ids = {c.article_id for c in comments}
     if len(ids) > 1:
         raise ValueError(f"comments span multiple articles: {sorted(ids)}")
-    scores = [score_comment(classifiers, c.text).value for c in comments]
-    return ArticleIncivility(
-        article_id=next(iter(ids)), weight=mean_score(scores), n_comments=len(comments)
-    )
+    return article_weights(classifiers, comments)[1][0]
 
 
 def source_median(
@@ -287,10 +285,10 @@ def train_provoking_classifier(
 
     tfidf = fit_tfidf([a.body for a, _ in train], tfidf_config)
     model = train_logistic(
-        [tfidf.transform(a.body) for a, _ in train], [lab for _, lab in train], train_config
+        tfidf.transform([a.body for a, _ in train]), [lab for _, lab in train], train_config
     )
     report = evaluate(
-        model, [tfidf.transform(a.body) for a, _ in test], [lab for _, lab in test]
+        model, tfidf.transform([a.body for a, _ in test]), [lab for _, lab in test]
     )
     return ProvokingClassifier(tfidf=tfidf, model=model), report
 
@@ -299,7 +297,7 @@ def predict_provoking(
     pipeline: ProvokingClassifier, body: str, threshold: float = 0.5
 ) -> tuple[float, bool]:
     """Probability and strict-threshold label for one article body."""
-    proba = pipeline.model.predict_proba(pipeline.tfidf.transform(body))
+    proba = float(pipeline.model.predict_proba(pipeline.tfidf.transform([body]))[0])
     return proba, proba > threshold
 
 

@@ -18,8 +18,6 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .features import SparseVector
-
 LOGISTIC_FORMAT_VERSION = 1
 
 # Give up on a gradient step once backtracking has shrunk it below this.
@@ -65,18 +63,15 @@ class LogisticModel:
     def dimension(self) -> int:
         return int(self.weights.size)
 
-    def predict_proba(self, x: SparseVector) -> float:
-        """P(label = 1 | x) via a numerically stable sigmoid."""
-        if x.dimension != self.dimension:
+    def predict_proba(self, X: sp.csr_matrix) -> np.ndarray:
+        """P(label = 1 | row) for each row of ``X``, via a numerically
+        stable sigmoid."""
+        if X.shape[1] != self.dimension:
             raise ValueError(
-                f"feature dimension {x.dimension} does not match model "
+                f"feature dimension {X.shape[1]} does not match model "
                 f"dimension {self.dimension}"
             )
-        return float(_sigmoid(np.array([x.dot(self.weights) + self.bias]))[0])
-
-    def predict(self, x: SparseVector, threshold: float = 0.5) -> bool:
-        """True iff the predicted probability strictly exceeds ``threshold``."""
-        return self.predict_proba(x) > threshold
+        return _sigmoid(X @ self.weights + self.bias)
 
 
 @dataclass(frozen=True)
@@ -125,20 +120,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def stack(X: Sequence[SparseVector]) -> sp.csr_matrix:
-    """Assemble sparse feature vectors into one CSR design matrix."""
-    if len(X) == 0:
-        raise ValueError("cannot stack zero feature vectors")
-    dim = X[0].dimension
-    for x in X:
-        if x.dimension != dim:
-            raise ValueError("all feature vectors must share one dimension")
-    indptr = np.cumsum([0] + [x.nnz for x in X])
-    indices = np.concatenate([x.indices for x in X]) if indptr[-1] else np.empty(0, np.int64)
-    data = np.concatenate([x.values for x in X]) if indptr[-1] else np.empty(0)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(X), dim))
-
-
 def loss(
     weights: np.ndarray, bias: float, X: sp.csr_matrix, y: np.ndarray, l2_lambda: float
 ) -> float:
@@ -160,7 +141,7 @@ def gradient(
 
 
 def fit_with_history(
-    X: Sequence[SparseVector], y: Sequence[bool], config: TrainConfig | None = None
+    X: sp.csr_matrix, y: Sequence[bool], config: TrainConfig | None = None
 ) -> tuple[LogisticModel, list[float]]:
     """Train and also return the loss at each accepted iterate.
 
@@ -169,31 +150,30 @@ def fit_with_history(
     """
     if config is None:
         config = TrainConfig()
-    if len(X) != len(y):
-        raise ValueError(f"got {len(X)} feature vectors but {len(y)} labels")
-    if len(X) < 2:
+    if X.shape[0] != len(y):
+        raise ValueError(f"got {X.shape[0]} feature rows but {len(y)} labels")
+    if X.shape[0] < 2:
         raise ValueError("training requires at least 2 examples")
     yv = np.array([1.0 if label else 0.0 for label in y])
     if yv.min() == yv.max():
         raise ValueError("training labels contain a single class")
 
-    A = stack(X)
-    w = np.zeros(A.shape[1])
+    w = np.zeros(X.shape[1])
     b = 0.0
-    cur = loss(w, b, A, yv, config.l2_lambda)
+    cur = loss(w, b, X, yv, config.l2_lambda)
     history = [cur]
 
     for _ in range(config.max_iterations):
         if not np.isfinite(cur):
             raise ValueError("training loss is not finite")
-        grad_w, grad_b = gradient(w, b, A, yv, config.l2_lambda)
+        grad_w, grad_b = gradient(w, b, X, yv, config.l2_lambda)
         if max(np.max(np.abs(grad_w), initial=0.0), abs(grad_b)) < config.tolerance:
             break
         step = config.learning_rate
         while step >= _MIN_STEP:
             w_new = w - step * grad_w
             b_new = b - step * grad_b
-            new = loss(w_new, b_new, A, yv, config.l2_lambda)
+            new = loss(w_new, b_new, X, yv, config.l2_lambda)
             if new <= cur:
                 break
             step *= 0.5
@@ -206,32 +186,11 @@ def fit_with_history(
 
 
 def train_logistic(
-    X: Sequence[SparseVector], y: Sequence[bool], config: TrainConfig | None = None
+    X: sp.csr_matrix, y: Sequence[bool], config: TrainConfig | None = None
 ) -> LogisticModel:
     """Train a binary logistic regression model on sparse features."""
     model, _ = fit_with_history(X, y, config)
     return model
-
-
-def predict_proba(model: LogisticModel, x: SparseVector) -> float:
-    """Functional alias for :meth:`LogisticModel.predict_proba`."""
-    return model.predict_proba(x)
-
-
-def predict(model: LogisticModel, x: SparseVector, threshold: float = 0.5) -> bool:
-    """Functional alias for :meth:`LogisticModel.predict`."""
-    return model.predict(x, threshold)
-
-
-def scores_for(model: LogisticModel, X: Sequence[SparseVector]) -> np.ndarray:
-    """Predicted probabilities for a batch of feature vectors."""
-    A = stack(X)
-    if A.shape[1] != model.dimension:
-        raise ValueError(
-            f"feature dimension {A.shape[1]} does not match model "
-            f"dimension {model.dimension}"
-        )
-    return _sigmoid(A @ model.weights + model.bias)
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
@@ -265,15 +224,15 @@ def roc_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
 
 def evaluate(
     model: LogisticModel,
-    X: Sequence[SparseVector],
+    X: sp.csr_matrix,
     y: Sequence[bool],
     threshold: float = 0.5,
 ) -> EvalReport:
     """Score a test set: confusion counts, rates, and ROC AUC."""
-    if len(X) != len(y):
-        raise ValueError(f"got {len(X)} feature vectors but {len(y)} labels")
+    if X.shape[0] != len(y):
+        raise ValueError(f"got {X.shape[0]} feature rows but {len(y)} labels")
     truth = np.asarray(y, dtype=bool)
-    probs = scores_for(model, X)
+    probs = model.predict_proba(X)
     preds = probs > threshold
 
     tp = int(np.sum(preds & truth))

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from newsciv.cli import main
 from newsciv.corpus import AnnotatedComment, train_test_split
@@ -30,16 +31,15 @@ from newsciv.incivility import (
     train_aspect_classifiers,
 )
 from newsciv.lda import LdaConfig, LdaModel, fit_lda
-from newsciv.linmodel import TrainConfig, evaluate, gradient, roc_auc, stack, train_logistic
+from newsciv.linmodel import TrainConfig, evaluate, gradient, roc_auc, train_logistic
 from newsciv.synthetic import SyntheticConfig, generate_corpus
 
 from test_linmodel import (
     brute_force_auc,
     fd_gradient_oracle,
     random_instance,
-    sparse_rows,
 )
-from test_features import dense_tfidf_oracle
+from test_features import dense_tfidf_oracle, row_terms
 
 
 def report(criterion: str, ok: bool, elapsed: float, detail: str) -> None:
@@ -56,7 +56,7 @@ def test_a1_gradient_matches_finite_differences():
         w = rng.normal(size=d)
         b = float(rng.normal())
         lam = float(rng.choice([0.0, 1e-4, 1e-2]))
-        grad_w, grad_b = gradient(w, b, stack(sparse_rows(X)), y.astype(float), lam)
+        grad_w, grad_b = gradient(w, b, sp.csr_matrix(X), y.astype(float), lam)
         fd_w, fd_b = fd_gradient_oracle(w, b, X, y.astype(float), lam)
         scale = max(np.max(np.abs(fd_w)), abs(fd_b), 1e-8)
         worst = max(worst, np.max(np.abs(grad_w - fd_w)) / scale, abs(grad_b - fd_b) / scale)
@@ -99,8 +99,7 @@ def test_a3_tfidf_matches_dense_oracle():
     unigrams = TfidfConfig(n_min=1, n_max=1)
 
     model = fit_tfidf(["a b", "a c"], unigrams)
-    v = model.transform("a b")
-    by_term = {model.vocabulary.terms[i]: x for i, x in zip(v.indices, v.values)}
+    by_term = row_terms(model, model.transform(["a b"]), 0)
     fixed_ok = (
         abs(by_term["a"] - 0.5797) <= 1e-3 and abs(by_term["b"] - 0.8148) <= 1e-3
     )
@@ -115,17 +114,19 @@ def test_a3_tfidf_matches_dense_oracle():
         ]
         m = fit_tfidf(corpus, unigrams)
         query = " ".join(rng.choices(terms, k=rng.randint(1, 20)))
-        got_vec = m.transform(query)
-        got = {m.vocabulary.terms[i]: x for i, x in zip(got_vec.indices, got_vec.values)}
-        expected = dense_tfidf_oracle(corpus, query)
-        assert set(got) == set(expected)
-        for term, value in expected.items():
-            worst = max(worst, abs(got[term] - value))
+        texts = corpus + [query]
+        rows = m.transform(texts)
+        for i, text in enumerate(texts):
+            got = row_terms(m, rows, i)
+            expected = dense_tfidf_oracle(corpus, text)
+            assert set(got) == set(expected)
+            for term, value in expected.items():
+                worst = max(worst, abs(got[term] - value))
     elapsed = time.perf_counter() - start
     ok = fixed_ok and worst <= 1e-9 and elapsed < 5.0
     report("A-3", ok, elapsed,
            f"fixed corpus {'ok' if fixed_ok else 'WRONG'}; "
-           f"max dense-oracle deviation {worst:.2e} over 50 corpora")
+           f"max dense-oracle deviation {worst:.2e} over 50 corpora (every row)")
     assert fixed_ok
     assert worst <= 1e-9
     assert elapsed < 5.0
@@ -276,8 +277,8 @@ def test_a6_detox_aspect_classifiers():
         annotated = _detox_annotated(directory, task, column, offset)
         train, test = train_test_split(annotated, 0.2, seed=1)
         tfidf = fit_tfidf([ac.text for ac in train], ASPECT_TFIDF_CONFIG)
-        x_train = [tfidf.transform(ac.text) for ac in train]
-        x_test = [tfidf.transform(ac.text) for ac in test]
+        x_train = tfidf.transform([ac.text for ac in train])
+        x_test = tfidf.transform([ac.text for ac in test])
         y_train = [binarize_aspect(ac, aspect) for ac in train]
         y_test = [binarize_aspect(ac, aspect) for ac in test]
         model = train_logistic(x_train, y_train, TrainConfig())

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from newsciv.features import (
-    SparseVector,
     TfidfConfig,
     fit_tfidf,
     load_tfidf,
     save_tfidf,
 )
+from newsciv.synthetic import SyntheticConfig, generate_corpus
 
 UNIGRAMS = TfidfConfig(n_min=1, n_max=1)
 
@@ -32,32 +32,10 @@ def dense_tfidf_oracle(corpus: list[str], query: str) -> dict[str, float]:
     return {t: w / norm for t, w in weights.items()} if norm else {}
 
 
-class TestSparseVector:
-    def test_valid_construction(self):
-        v = SparseVector.from_pairs(5, [(3, 1.0), (1, -2.0)])
-        assert v.indices.tolist() == [1, 3]
-        assert v.values.tolist() == [-2.0, 1.0]
-        assert v.nnz == 2
-
-    def test_rejects_unsorted_duplicate_out_of_range(self):
-        with pytest.raises(ValueError):
-            SparseVector(3, np.array([1, 1]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            SparseVector(3, np.array([2, 1]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            SparseVector(3, np.array([3]), np.array([1.0]))
-
-    def test_rejects_zero_and_nonfinite_values(self):
-        with pytest.raises(ValueError):
-            SparseVector(3, np.array([0]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            SparseVector(3, np.array([0]), np.array([float("nan")]))
-
-    def test_dot_checks_dimension(self):
-        v = SparseVector.from_pairs(3, [(0, 2.0)])
-        assert v.dot(np.array([1.5, 0.0, 0.0])) == 3.0
-        with pytest.raises(ValueError):
-            v.dot(np.zeros(4))
+def row_terms(model, X, i: int) -> dict[str, float]:
+    """Row ``i`` of a transform, keyed by term."""
+    a, b = X.indptr[i], X.indptr[i + 1]
+    return {model.vocabulary.terms[j]: x for j, x in zip(X.indices[a:b], X.data[a:b])}
 
 
 class TestFitTfidf:
@@ -90,30 +68,31 @@ class TestFitTfidf:
 class TestTransform:
     def test_two_document_example(self):
         model = fit_tfidf(["a b", "a c"], UNIGRAMS)
-        v = model.transform("a b")
-        by_term = {model.vocabulary.terms[i]: x for i, x in zip(v.indices, v.values)}
+        by_term = row_terms(model, model.transform(["a b"]), 0)
         assert by_term["a"] == pytest.approx(0.5797, abs=1e-3)
         assert by_term["b"] == pytest.approx(0.8148, abs=1e-3)
 
     def test_oov_document_is_zero_vector(self):
         model = fit_tfidf(["a b", "a c"], UNIGRAMS)
-        v = model.transform("z")
+        v = model.transform(["z"])
         assert v.nnz == 0
-        assert v.dimension == 3
+        assert v.shape == (1, 3)
 
     def test_scaling_invariance_of_single_term(self):
         model = fit_tfidf(["a b", "a c"], UNIGRAMS)
-        va = model.transform("a")
-        vaa = model.transform("a a")
+        va = model.transform(["a"])
+        vaa = model.transform(["a a"])
         assert va.indices.tolist() == vaa.indices.tolist()
-        assert va.values.tolist() == vaa.values.tolist()
+        assert va.data.tolist() == vaa.data.tolist()
 
     def test_unit_norm_whenever_any_term_known(self):
         rng = random.Random(1)
         docs = [" ".join(rng.choices("abcdefghij", k=10)) for _ in range(8)]
         model = fit_tfidf(docs, UNIGRAMS)
-        for doc in docs:
-            assert model.transform(doc).norm() == pytest.approx(1.0, abs=1e-9)
+        X = model.transform(docs)
+        for i in range(len(docs)):
+            row = X.data[X.indptr[i]:X.indptr[i + 1]]
+            assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_dense_oracle_on_random_corpora(self):
         rng = random.Random(42)
@@ -125,14 +104,14 @@ class TestTransform:
             ]
             model = fit_tfidf(corpus, UNIGRAMS)
             query = " ".join(rng.choices(terms, k=rng.randint(1, 20)))
-            got = {
-                model.vocabulary.terms[i]: x
-                for i, x in zip(model.transform(query).indices, model.transform(query).values)
-            }
-            expected = dense_tfidf_oracle(corpus, query)
-            assert set(got) == set(expected)
-            for term, value in expected.items():
-                assert got[term] == pytest.approx(value, abs=1e-9)
+            texts = corpus + [query]
+            X = model.transform(texts)
+            for i, text in enumerate(texts):
+                got = row_terms(model, X, i)
+                expected = dense_tfidf_oracle(corpus, text)
+                assert set(got) == set(expected)
+                for term, value in expected.items():
+                    assert got[term] == pytest.approx(value, abs=1e-9)
 
     def test_fit_is_document_order_independent(self):
         rng = random.Random(6)
@@ -141,9 +120,30 @@ class TestTransform:
         m2 = fit_tfidf(list(reversed(docs)), UNIGRAMS)
         assert m1.vocabulary.index == m2.vocabulary.index
         assert m1.idf.tolist() == m2.idf.tolist()
-        v1, v2 = m1.transform(docs[0]), m2.transform(docs[0])
+        v1, v2 = m1.transform(docs), m2.transform(docs)
         assert v1.indices.tolist() == v2.indices.tolist()
-        assert v1.values.tolist() == v2.values.tolist()
+        assert v1.data.tolist() == v2.data.tolist()
+
+    def test_batch_rows_equal_single_transforms_bit_for_bit(self):
+        _, comments, _ = generate_corpus(
+            SyntheticConfig(n_articles=30, comments_per_article=10, n_annotated=1, seed=4)
+        )
+        texts = [c.text for c in comments]
+        model = fit_tfidf(texts[::2], TfidfConfig(n_min=1, n_max=2))
+        X = model.transform(texts)
+        assert X.shape == (len(texts), model.dimension)
+        for i, text in enumerate(texts):
+            a, b = X.indptr[i], X.indptr[i + 1]
+            single = model.transform([text])
+            assert single.indices.tolist() == X.indices[a:b].tolist()
+            assert single.data.tobytes() == X.data[a:b].tobytes()
+
+    def test_all_oov_text_gives_empty_row_in_batch(self):
+        model = fit_tfidf(["a b", "a c"], UNIGRAMS)
+        X = model.transform(["a b", "zzz qqq", "", "c"])
+        assert X.shape == (4, 3)
+        assert np.diff(X.indptr).tolist() == [2, 0, 0, 1]
+        assert row_terms(model, X, 3) == {"c": 1.0}
 
     def test_stoplist_switch_drops_function_words(self):
         cfg = TfidfConfig(n_min=1, n_max=1, use_stoplist=True)
@@ -160,9 +160,9 @@ class TestSerialization:
         loaded = load_tfidf(path)
         assert loaded.vocabulary.index == model.vocabulary.index
         assert loaded.config == model.config
-        v1, v2 = model.transform("a b c"), loaded.transform("a b c")
+        v1, v2 = model.transform(["a b c"]), loaded.transform(["a b c"])
         assert v1.indices.tolist() == v2.indices.tolist()
-        assert v1.values.tolist() == v2.values.tolist()
+        assert v1.data.tolist() == v2.data.tolist()
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "tfidf.json"

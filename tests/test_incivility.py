@@ -14,6 +14,7 @@ from newsciv.incivility import (
     IncivilityScore,
     SourceThreshold,
     article_weight,
+    article_weights,
     binarize_aspect,
     label_articles,
     predict_provoking,
@@ -131,10 +132,7 @@ class TestScoreComment:
     def test_batch_matches_single(self, crafted_classifiers):
         texts = ["low", "mid high", "zzz", "high high low"]
         batch = score_comments(crafted_classifiers, texts)
-        for text, got in zip(texts, batch):
-            single = score_comment(crafted_classifiers, text)
-            assert got.value == pytest.approx(single.value, abs=1e-12)
-            assert got.toxicity == pytest.approx(single.toxicity, abs=1e-12)
+        assert batch == [score_comment(crafted_classifiers, text) for text in texts]
 
     def test_from_components(self):
         score = IncivilityScore.from_components(0.2, 0.7, 0.4)
@@ -172,6 +170,19 @@ class TestArticleWeight:
     def test_zero_comments_error(self, crafted_classifiers):
         with pytest.raises(ValueError):
             article_weight(crafted_classifiers, [])
+
+    def test_grouped_weights_match_per_article_weights(self, crafted_classifiers):
+        texts = ["low", "high", "mid", "low mid", "zzz"]
+        comments = [
+            Comment(id=f"c{i}", article_id=("a2", "a1")[i % 2], text=t)
+            for i, t in enumerate(texts)
+        ]
+        scores, weights = article_weights(crafted_classifiers, comments)
+        assert scores == score_comments(crafted_classifiers, texts)
+        assert [w.article_id for w in weights] == ["a2", "a1"]
+        for w in weights:
+            group = [c for c in comments if c.article_id == w.article_id]
+            assert w == article_weight(crafted_classifiers, group)
 
     def test_mixed_articles_error(self, crafted_classifiers):
         mixed = [

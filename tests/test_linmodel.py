@@ -5,8 +5,8 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from newsciv.features import SparseVector
 from newsciv.linmodel import (
     LogisticModel,
     TrainConfig,
@@ -17,7 +17,6 @@ from newsciv.linmodel import (
     loss,
     roc_auc,
     save_logistic,
-    stack,
     train_logistic,
 )
 
@@ -52,14 +51,6 @@ def brute_force_auc(scores, labels) -> float:
     return wins / (len(pos) * len(neg))
 
 
-def sparse_rows(X: np.ndarray) -> list[SparseVector]:
-    rows = []
-    for row in X:
-        pairs = [(j, v) for j, v in enumerate(row) if v != 0.0]
-        rows.append(SparseVector.from_pairs(X.shape[1], pairs))
-    return rows
-
-
 def random_instance(rng: np.random.Generator, n: int, d: int):
     X = rng.normal(size=(n, d))
     X[rng.random(size=X.shape) < 0.3] = 0.0  # make it genuinely sparse
@@ -75,8 +66,7 @@ class TestGradient:
         # is the mean of (0.5 - y_i) * x_i.
         X = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]])
         y = np.array([1.0, 0.0, 1.0])
-        A = stack(sparse_rows(X))
-        grad_w, grad_b = gradient(np.zeros(2), 0.0, A, y, 0.0)
+        grad_w, grad_b = gradient(np.zeros(2), 0.0, sp.csr_matrix(X), y, 0.0)
         expected = ((0.5 - y)[:, None] * X).mean(axis=0)
         assert grad_w == pytest.approx(expected, abs=1e-12)
         assert grad_b == pytest.approx((0.5 - y).mean(), abs=1e-12)
@@ -89,8 +79,7 @@ class TestGradient:
             w = rng.normal(size=d)
             b = float(rng.normal())
             lam = float(rng.choice([0.0, 1e-3, 0.1]))
-            A = stack(sparse_rows(X))
-            grad_w, grad_b = gradient(w, b, A, y.astype(float), lam)
+            grad_w, grad_b = gradient(w, b, sp.csr_matrix(X), y.astype(float), lam)
             fd_w, fd_b = fd_gradient_oracle(w, b, X, y.astype(float), lam)
             scale = max(np.max(np.abs(fd_w)), abs(fd_b), 1e-8)
             assert np.max(np.abs(grad_w - fd_w)) / scale < 1e-5
@@ -100,42 +89,40 @@ class TestGradient:
         rng = np.random.default_rng(3)
         X, y = random_instance(rng, 15, 6)
         w = rng.normal(size=6)
-        A = stack(sparse_rows(X))
-        assert loss(w, 0.3, A, y.astype(float), 1e-2) == pytest.approx(
+        assert loss(w, 0.3, sp.csr_matrix(X), y.astype(float), 1e-2) == pytest.approx(
             dense_loss_oracle(w, 0.3, X, y.astype(float), 1e-2), rel=1e-12
         )
 
 
 class TestTraining:
     def test_zero_iterations_gives_zero_model(self):
-        X = sparse_rows(np.array([[1.0], [-1.0]]))
+        X = sp.csr_matrix([[1.0], [-1.0]])
         model = train_logistic(X, [True, False], TrainConfig(max_iterations=0))
         assert model.weights.tolist() == [0.0]
         assert model.bias == 0.0
-        assert model.predict_proba(X[0]) == 0.5
+        assert model.predict_proba(X[0]).tolist() == [0.5]
 
     def test_separable_1d_reaches_perfect_training_accuracy(self):
-        X = sparse_rows(np.array([[-1.0], [1.0]]))
+        X = sp.csr_matrix([[-1.0], [1.0]])
         model = train_logistic(X, [False, True], TrainConfig(l2_lambda=0.0, max_iterations=200))
-        assert model.predict(X[0]) is False
-        assert model.predict(X[1]) is True
+        assert [p > 0.5 for p in model.predict_proba(X)] == [False, True]
 
     def test_loss_non_increasing_across_accepted_steps(self):
         rng = np.random.default_rng(11)
         X, y = random_instance(rng, 40, 8)
         _, history = fit_with_history(
-            sparse_rows(X), y.tolist(), TrainConfig(max_iterations=100, learning_rate=4.0)
+            sp.csr_matrix(X), y.tolist(), TrainConfig(max_iterations=100, learning_rate=4.0)
         )
         assert len(history) > 1
         assert all(b <= a for a, b in zip(history, history[1:]))
 
     def test_single_class_errors(self):
-        X = sparse_rows(np.array([[1.0], [2.0]]))
+        X = sp.csr_matrix([[1.0], [2.0]])
         with pytest.raises(ValueError, match="single class"):
             train_logistic(X, [True, True])
 
     def test_length_mismatch_and_too_few(self):
-        X = sparse_rows(np.array([[1.0], [2.0]]))
+        X = sp.csr_matrix([[1.0], [2.0]])
         with pytest.raises(ValueError):
             train_logistic(X, [True])
         with pytest.raises(ValueError):
@@ -144,7 +131,7 @@ class TestTraining:
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         X, y = random_instance(rng, 30, 5)
-        rows = sparse_rows(X)
+        rows = sp.csr_matrix(X)
         m1 = train_logistic(rows, y.tolist())
         m2 = train_logistic(rows, y.tolist())
         assert m1.weights.tolist() == m2.weights.tolist()
@@ -154,41 +141,46 @@ class TestTraining:
 class TestPredict:
     def test_zero_model_is_half(self):
         model = LogisticModel(weights=np.zeros(2), bias=0.0)
-        assert model.predict_proba(SparseVector.from_pairs(2, [(0, 1.0)])) == 0.5
+        assert model.predict_proba(sp.csr_matrix([[1.0, 0.0]])).tolist() == [0.5]
 
     def test_sigmoid_saturation(self):
         model = LogisticModel(weights=np.zeros(1), bias=20.0)
-        assert model.predict_proba(SparseVector.from_pairs(1, [(0, 1.0)])) >= 0.999999
+        assert model.predict_proba(sp.csr_matrix([[1.0]]))[0] >= 0.999999
 
     def test_no_overflow_at_extreme_logits(self):
-        x = SparseVector.from_pairs(1, [(0, 1.0)])
+        x = sp.csr_matrix([[1.0]])
         high = LogisticModel(weights=np.array([1000.0]), bias=0.0)
         low = LogisticModel(weights=np.array([-1000.0]), bias=0.0)
         with np.errstate(over="raise"):
-            assert high.predict_proba(x) == 1.0
-            assert low.predict_proba(x) == 0.0
+            assert high.predict_proba(x).tolist() == [1.0]
+            assert low.predict_proba(x).tolist() == [0.0]
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             w = rng.normal(size=4)
             b = float(rng.normal())
-            x = SparseVector.from_pairs(4, [(j, float(rng.normal() or 1.0)) for j in range(4)])
-            p = LogisticModel(weights=w, bias=b).predict_proba(x)
-            q = LogisticModel(weights=-w, bias=-b).predict_proba(x)
+            x = sp.csr_matrix([[float(rng.normal() or 1.0) for _ in range(4)]])
+            p = LogisticModel(weights=w, bias=b).predict_proba(x)[0]
+            q = LogisticModel(weights=-w, bias=-b).predict_proba(x)[0]
             assert p + q == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch_errors(self):
         model = LogisticModel(weights=np.zeros(2), bias=0.0)
         with pytest.raises(ValueError):
-            model.predict_proba(SparseVector.from_pairs(3, [(0, 1.0)]))
+            model.predict_proba(sp.csr_matrix([[1.0, 0.0, 0.0]]))
 
     def test_threshold_is_strict(self):
         model = LogisticModel(weights=np.zeros(1), bias=0.0)
-        x = SparseVector.from_pairs(1, [(0, 1.0)])
-        assert model.predict(x, threshold=0.5) is False  # proba exactly 0.5
-        assert model.predict(x, threshold=0.49) is True
-        assert model.predict(x, threshold=1.0) is False
+        X = sp.csr_matrix([[1.0], [1.0]])  # proba exactly 0.5 for both rows
+
+        def positives(threshold):
+            report = evaluate(model, X, [True, False], threshold=threshold)
+            return report.tp + report.fp
+
+        assert positives(0.5) == 0
+        assert positives(0.49) == 2
+        assert positives(1.0) == 0
 
 
 class TestRocAuc:
@@ -241,7 +233,7 @@ class TestEvaluate:
 
     def test_hand_confusion_matrix(self):
         model = self._fixed_model()
-        X = [SparseVector.from_pairs(1, [(0, v)]) for v in (1.0, 1.0, -1.0, -1.0)]
+        X = sp.csr_matrix([[1.0], [1.0], [-1.0], [-1.0]])
         y = [True, False, True, False]
         report = evaluate(model, X, y)
         assert (report.tp, report.fp, report.fn, report.tn) == (1, 1, 1, 1)
@@ -252,7 +244,7 @@ class TestEvaluate:
 
     def test_perfect_predictions(self):
         model = self._fixed_model()
-        X = [SparseVector.from_pairs(1, [(0, v)]) for v in (1.0, 1.0, -1.0, -1.0)]
+        X = sp.csr_matrix([[1.0], [1.0], [-1.0], [-1.0]])
         y = [True, True, False, False]
         report = evaluate(model, X, y)
         assert report.accuracy == report.precision == report.recall == report.f1 == 1.0
@@ -261,14 +253,14 @@ class TestEvaluate:
     def test_counts_partition_test_set(self):
         rng = np.random.default_rng(8)
         X, y = random_instance(rng, 25, 3)
-        model = train_logistic(sparse_rows(X), y.tolist(), TrainConfig(max_iterations=5))
-        report = evaluate(model, sparse_rows(X), y.tolist())
+        model = train_logistic(sp.csr_matrix(X), y.tolist(), TrainConfig(max_iterations=5))
+        report = evaluate(model, sp.csr_matrix(X), y.tolist())
         assert report.tp + report.fp + report.tn + report.fn == 25
 
     def test_undefined_precision_flagged(self):
         # threshold 1.0 -> no positive predictions at all
         model = self._fixed_model()
-        X = [SparseVector.from_pairs(1, [(0, v)]) for v in (1.0, -1.0)]
+        X = sp.csr_matrix([[1.0], [-1.0]])
         report = evaluate(model, X, [True, False], threshold=1.0)
         assert report.precision == 0.0
         assert not report.precision_defined
