@@ -92,32 +92,33 @@ class AnnotatedComment:
 class Corpus:
     """Articles and comments joined by article id.
 
-    The index maps each article id to the ids of its comments; comments
-    whose article is not loaded are kept but not indexed.
+    The index maps each article id to the ids of its comments, and
+    ``by_article`` to the comments themselves; comments whose article is
+    not loaded are kept but not indexed.
     """
 
     articles: tuple[Article, ...]
     comments: tuple[Comment, ...]
     index: dict[str, tuple[str, ...]]
+    by_article: dict[str, tuple[Comment, ...]]
 
     @classmethod
     def build(cls, articles: Iterable[Article], comments: Iterable[Comment]) -> "Corpus":
         articles = tuple(articles)
         comments = tuple(comments)
-        known = {a.id for a in articles}
-        index: dict[str, list[str]] = {a.id: [] for a in articles}
+        by_article: dict[str, list[Comment]] = {a.id: [] for a in articles}
         for c in comments:
-            if c.article_id in known:
-                index[c.article_id].append(c.id)
+            if c.article_id in by_article:
+                by_article[c.article_id].append(c)
         return cls(
             articles=articles,
             comments=comments,
-            index={k: tuple(v) for k, v in index.items()},
+            index={k: tuple(c.id for c in v) for k, v in by_article.items()},
+            by_article={k: tuple(v) for k, v in by_article.items()},
         )
 
     def comments_for(self, article_id: str) -> list[Comment]:
-        ids = set(self.index.get(article_id, ()))
-        return [c for c in self.comments if c.id in ids]
+        return list(self.by_article.get(article_id, ()))
 
 
 def _read_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:

@@ -292,6 +292,17 @@ class TestCorpusIndex:
         assert [c.id for c in corpus.comments_for("a1")] == ["c1"]
         assert corpus.comments_for("missing") == []
 
+    def test_repeated_comment_id_stays_with_its_article(self):
+        articles = [Article(id=a, source="s", title="t", body="b") for a in ("a1", "a2")]
+        comments = [
+            Comment(id="c1", article_id="a1", text="x"),
+            Comment(id="c1", article_id="a2", text="y"),
+        ]
+        corpus = Corpus.build(articles, comments)
+        assert corpus.index == {"a1": ("c1",), "a2": ("c1",)}
+        assert [c.text for c in corpus.comments_for("a1")] == ["x"]
+        assert [c.text for c in corpus.comments_for("a2")] == ["y"]
+
 
 class TestSample:
     def test_seeded_uniform_sample(self):
