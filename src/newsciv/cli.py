@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,8 @@ from .corpus import (
     save_annotated,
     save_articles,
     save_comments,
+    _read_jsonl,
+    _require,
 )
 from .features import TfidfConfig, load_tfidf, save_tfidf
 from .lda import LdaConfig
@@ -166,6 +169,24 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
+def _read_rows(path: Path, fields: dict[str, type | tuple[type, ...]]) -> list[dict]:
+    """Read JSONL objects that each hold ``fields`` with the given types.
+
+    A bool only counts as ``bool`` (not as a number) and a float must be
+    finite; anything else raises CorpusError naming the line.
+    """
+    rows = []
+    for lineno, row in _read_jsonl(path):
+        _require(row, tuple(fields), lineno)
+        for name, kind in fields.items():
+            value = row[name]
+            if (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)
+                    or isinstance(value, float) and not math.isfinite(value)):
+                raise CorpusError(f"line {lineno}: invalid {name} {value!r}")
+        rows.append(row)
+    return rows
+
+
 def _maybe_filter_keywords(articles, cfg: RunConfig):
     if cfg.keywords:
         return filter_by_keywords(articles, cfg.keywords)
@@ -269,15 +290,10 @@ def cmd_label_train_provoking(args: argparse.Namespace) -> int:
     articles = load_articles(cfg.articles)
     body_of = {a.id: a for a in articles}
 
-    rows = []
-    with open(weights_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+    rows = _read_rows(
+        weights_path,
+        {"article_id": str, "weight": (int, float), "n_comments": int, "source": str},
+    )
     if not rows:
         raise ValueError("article weights file is empty")
 
@@ -286,7 +302,7 @@ def cmd_label_train_provoking(args: argparse.Namespace) -> int:
         w = incivility.ArticleIncivility(
             article_id=row["article_id"],
             weight=float(row["weight"]),
-            n_comments=int(row["n_comments"]),
+            n_comments=row["n_comments"],
         )
         by_source.setdefault(row["source"], []).append(w)
 
@@ -428,12 +444,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         labels_path = Path(getattr(args, "labels", None) or out_dir / "article_labels.jsonl")
         if not labels_path.exists():
             raise ValueError(f"labels file not found: {labels_path}")
-        label_of: dict[str, bool] = {}
-        with open(labels_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    row = json.loads(line)
-                    label_of[row["article_id"]] = bool(row["label"])
+        label_of = {
+            row["article_id"]: row["label"]
+            for row in _read_rows(labels_path, {"article_id": str, "label": bool})
+        }
         pipeline = incivility.ProvokingClassifier(
             tfidf=load_tfidf(model_dir / "provoking_tfidf.json"),
             model=load_logistic(model_dir / "provoking_model.json"),

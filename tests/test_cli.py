@@ -163,6 +163,26 @@ class TestLabelTrainProvoking:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("row, message", [
+        ({"article_id": "a0", "weight": 0.5, "source": "s"}, "missing field n_comments"),
+        (["a0", 0.5, 1, "s"], "expected a JSON object"),
+        ({"article_id": "a0", "weight": "high", "n_comments": 1, "source": "s"},
+         "invalid weight"),
+    ])
+    def test_malformed_weights_row_exits_2(self, tmp_path, capsys, row, message):
+        save_articles([Article(id="a0", source="s", title="t", body="alpha beta")],
+                      tmp_path / "articles.jsonl")
+        (tmp_path / "weights.jsonl").write_text(json.dumps(row) + "\n")
+        code = main([
+            "label-train-provoking",
+            "--articles", str(tmp_path / "articles.jsonl"),
+            "--weights", str(tmp_path / "weights.jsonl"),
+            "--out", str(tmp_path / "out"),
+            "--model-dir", str(tmp_path / "models"),
+        ])
+        assert code == 2
+        assert f"line 1: {message}" in capsys.readouterr().err
+
 
 class TestPredictProvoking:
     def test_predictions_for_every_article(self, pipeline_dir):
@@ -220,6 +240,15 @@ class TestEvaluate:
         payload = json.loads((out / "evaluation.json").read_text())
         assert "provoking" in payload
         assert payload["provoking"]["tp"] + payload["provoking"]["fn"] == 20
+
+    def test_labels_row_without_label_exits_2(self, pipeline_dir, tmp_path, capsys):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(json.dumps({"article_id": "a0", "label": True}) + "\n"
+                          + json.dumps({"article_id": "a1", "weight": 0.5}) + "\n")
+        assert main(["evaluate", "--target", "provoking", "--config", config,
+                     "--labels", str(labels), "--out", str(tmp_path / "out")]) == 2
+        assert "line 2: missing field label" in capsys.readouterr().err
 
 
 class TestConfigHandling:
