@@ -137,7 +137,6 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         # --seed re-seeds whatever the command randomizes.
         updates["split_seed"] = args.seed
-        updates["train"] = dataclasses.replace(cfg.train, seed=args.seed)
         updates["lda"] = dataclasses.replace(cfg.lda, seed=args.seed)
         updates["synthetic"] = dataclasses.replace(cfg.synthetic, seed=args.seed)
     synth_updates = {}

@@ -26,14 +26,12 @@ _MIN_STEP = 1e-18
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer settings; the seed is reserved for optional shuffling and
-    has no effect on the default full-batch path."""
+    """Full-batch gradient-descent settings."""
 
     l2_lambda: float = 1e-4
     max_iterations: int = 500
     learning_rate: float = 1.0
     tolerance: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.l2_lambda < 0:

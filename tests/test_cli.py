@@ -300,6 +300,11 @@ class TestConfigHandling:
         assert main(["mine-subtext", "--config", config, "--out", str(tmp_path / "o")]) == 2
         assert "n_topics must be an integer" in capsys.readouterr().err
 
+    def test_removed_train_seed_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "old.json", {"train": {"seed": 0}})
+        assert main(["train-aspects", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown keys under 'train': ['seed']" in capsys.readouterr().err
+
     def test_dedicated_flag_wins_over_set(self, tmp_path):
         out = tmp_path / "corpus"
         assert main([
