@@ -77,6 +77,8 @@ class TfidfModel:
         Out-of-vocabulary terms are ignored; a text with no known terms
         maps to an empty row.
         """
+        if isinstance(texts, str):
+            raise TypeError("transform takes a sequence of texts, not one str")
         index = self.vocabulary.index
         indptr = [0]
         indices: list[int] = []

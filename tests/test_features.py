@@ -132,8 +132,10 @@ class TestTransform:
         model = fit_tfidf(texts[::2], TfidfConfig(n_min=1, n_max=2))
         X = model.transform(texts)
         assert X.shape == (len(texts), model.dimension)
+        assert np.all(np.isfinite(X.data)) and np.all(X.data != 0.0)
         for i, text in enumerate(texts):
             a, b = X.indptr[i], X.indptr[i + 1]
+            assert np.all(np.diff(X.indices[a:b]) > 0)  # sorted, no duplicates
             single = model.transform([text])
             assert single.indices.tolist() == X.indices[a:b].tolist()
             assert single.data.tobytes() == X.data[a:b].tobytes()
@@ -144,6 +146,11 @@ class TestTransform:
         assert X.shape == (4, 3)
         assert np.diff(X.indptr).tolist() == [2, 0, 0, 1]
         assert row_terms(model, X, 3) == {"c": 1.0}
+
+    def test_single_str_is_rejected(self):
+        model = fit_tfidf(["a b", "a c"], UNIGRAMS)
+        with pytest.raises(TypeError):
+            model.transform("a b")
 
     def test_stoplist_switch_drops_function_words(self):
         cfg = TfidfConfig(n_min=1, n_max=1, use_stoplist=True)
