@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from newsciv.cli import main
+from newsciv.cli import _load_run_config, build_parser, main
 from newsciv.corpus import Article, save_articles
 
 
@@ -315,6 +315,52 @@ class TestConfigHandling:
             "--n-articles", "4",
         ]) == 0
         assert len(jsonl(out / "articles.jsonl")) == 4
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["train-aspects", "--annotated", "ann.tsv", "--test-fraction", "0.3"],
+         {"annotated": "ann.tsv", "test_fraction": 0.3}),
+        (["score", "--articles", "a.jsonl", "--comments", "c.jsonl",
+          "--min-comment-words", "4"],
+         {"articles": "a.jsonl", "comments": "c.jsonl", "min_comment_words": 4}),
+        (["label-train-provoking", "--articles", "a.jsonl", "--test-fraction", "0.25"],
+         {"articles": "a.jsonl", "test_fraction": 0.25}),
+        (["predict-provoking", "--articles", "a.jsonl"], {"articles": "a.jsonl"}),
+        (["mine-subtext", "--articles", "a.jsonl", "--comments", "c.jsonl", "--tag", "harbor",
+          "--min-phrase-df", "7", "--min-comment-words", "2"],
+         {"articles": "a.jsonl", "comments": "c.jsonl", "tag": "harbor",
+          "min_phrase_df": 7, "min_comment_words": 2}),
+        (["generate-synthetic", "--n-articles", "11", "--comments-per-article", "5",
+          "--n-annotated", "13"],
+         {"synthetic.n_articles": 11, "synthetic.comments_per_article": 5,
+          "synthetic.n_annotated": 13}),
+        (["evaluate", "--target", "aspects", "--annotated", "ann.jsonl"],
+         {"annotated": "ann.jsonl"}),
+        (["evaluate", "--target", "provoking", "--articles", "a.jsonl"],
+         {"articles": "a.jsonl"}),
+        (["mine-subtext", "--seed", "42", "--out", "o", "--model-dir", "m"],
+         {"split_seed": 42, "lda.seed": 42, "synthetic.seed": 42,
+          "out_dir": "o", "model_dir": "m"}),
+        (["generate-synthetic", "--seed", "5", "--set", "lda.seed=9",
+          "--set", "synthetic.seed=9", "--set", "split_seed=9"],
+         {"split_seed": 5, "lda.seed": 5, "synthetic.seed": 5}),
+    ])
+    def test_dedicated_flag_sets_its_config_key(self, argv, expected):
+        cfg = _load_run_config(build_parser().parse_args(argv))
+        for key, value in expected.items():
+            node = cfg
+            for part in key.split("."):
+                node = getattr(node, part)
+            assert node == value, key
+
+    @pytest.mark.parametrize("command", [
+        "train-aspects", "score", "label-train-provoking", "predict-provoking",
+        "mine-subtext", "generate-synthetic", "evaluate",
+    ])
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--set" in capsys.readouterr().out
 
     def test_inputs_never_mutated(self, pipeline_dir):
         config = (pipeline_dir / "config_path.txt").read_text()

@@ -288,7 +288,7 @@ class TestCorpusIndex:
             Comment(id="c2", article_id="missing", text="y"),
         ]
         corpus = Corpus.build(articles, comments)
-        assert corpus.index == {"a1": ("c1",)}
+        assert {k: [c.id for c in v] for k, v in corpus.by_article.items()} == {"a1": ["c1"]}
         assert [c.id for c in corpus.comments_for("a1")] == ["c1"]
         assert corpus.comments_for("missing") == []
 
@@ -299,7 +299,8 @@ class TestCorpusIndex:
             Comment(id="c1", article_id="a2", text="y"),
         ]
         corpus = Corpus.build(articles, comments)
-        assert corpus.index == {"a1": ("c1",), "a2": ("c1",)}
+        assert {k: [c.id for c in v] for k, v in corpus.by_article.items()} == \
+            {"a1": ["c1"], "a2": ["c1"]}
         assert [c.text for c in corpus.comments_for("a1")] == ["x"]
         assert [c.text for c in corpus.comments_for("a2")] == ["y"]
 
