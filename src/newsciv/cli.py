@@ -3,8 +3,10 @@
 Subcommands cover the whole pipeline: ``train-aspects``, ``score``,
 ``label-train-provoking``, ``predict-provoking``, ``mine-subtext``,
 ``generate-synthetic``, and ``evaluate``. Every run is configured by a
-single JSON document (``--config``) whose values individual flags may
-override; all randomness comes from explicit seeds in that configuration.
+single JSON document (``--config``), then by ``--set dotted.key=value``
+items, then by the dedicated flags, each of which is shorthand for the
+config key(s) in ``_FLAG_KEYS``; all randomness comes from explicit seeds
+in that configuration.
 
 Exit codes: 0 success, 1 internal error, 2 input or configuration error.
 """
@@ -16,13 +18,13 @@ import dataclasses
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from . import incivility
 from .corpus import (
-    Corpus,
     CorpusError,
     filter_by_keywords,
     filter_by_tag,
@@ -40,6 +42,9 @@ from .lda import LdaConfig
 from .linmodel import TrainConfig, evaluate, load_logistic, save_logistic
 from .subtext import DEFAULT_MIN_PHRASE_DF, mine_subtext, save_report
 from .synthetic import SyntheticConfig, generate_corpus
+
+
+_PLAIN_KINDS = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -63,60 +68,64 @@ class RunConfig:
     min_comment_words: int = 0
     synthetic: SyntheticConfig = SyntheticConfig()
 
-    _NESTED = {
-        "aspect_tfidf": TfidfConfig,
-        "article_tfidf": TfidfConfig,
-        "train": TrainConfig,
-        "lda": LdaConfig,
-        "synthetic": SyntheticConfig,
-    }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        for key, value in data.items():
-            nested = cls._NESTED.get(key)
-            if nested is not None:
-                if not isinstance(value, dict):
-                    raise ValueError(f"config key {key!r} must be an object")
-                sub_known = {f.name for f in dataclasses.fields(nested)}
-                sub_unknown = set(value) - sub_known
-                if sub_unknown:
-                    raise ValueError(
-                        f"unknown keys under {key!r}: {sorted(sub_unknown)}"
-                    )
-                if nested is SyntheticConfig and "sources" in value:
-                    value = {**value, "sources": tuple(value["sources"])}
-                kwargs[key] = nested(**value)
-            elif key == "keywords":
-                kwargs[key] = tuple(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+    def __post_init__(self) -> None:
+        # Check each plain field against its annotation (a string here, as
+        # annotations are postponed); the sub-configs check their own fields.
+        for f in dataclasses.fields(self):
+            kind = _PLAIN_KINDS.get(f.type)
+            value = getattr(self, f.name)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        if not (isinstance(self.keywords, (list, tuple))
+                and all(isinstance(k, str) for k in self.keywords)):
+            raise ValueError(f"keywords must be a list of strings, got {self.keywords!r}")
+        object.__setattr__(self, "keywords", tuple(self.keywords))
 
 
-def _apply_set_overrides(data: dict, sets: Sequence[str]) -> dict:
-    """Apply repeatable ``--set dotted.key=value`` flags onto the raw config."""
-    for item in sets:
-        key, sep, raw = item.partition("=")
-        if not sep or not key:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw  # bare strings need no quoting
-        node = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ValueError(f"--set {key!r} descends into a non-object value")
-        node[parts[-1]] = value
-    return data
+def _from_dict(base, data: dict, what: str = "config keys"):
+    """Config dataclass ``base`` with the entries of JSON object ``data``
+    replaced, recursing into every field that holds a dataclass, so a
+    partial sub-config keeps the rest of its default."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(base)}
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
+    kwargs = dict(data)
+    for key, value in data.items():
+        if dataclasses.is_dataclass(getattr(base, key)):
+            if not isinstance(value, dict):
+                raise ValueError(f"config key {key!r} must be an object")
+            kwargs[key] = _from_dict(getattr(base, key), value, f"keys under {key!r}")
+    return dataclasses.replace(base, **kwargs)
+
+
+# Each dedicated flag is shorthand for the config key(s) it names. Flags are
+# applied after the --set items, through the same setter, so a flag wins.
+_FLAG_KEYS = {
+    "articles": ("articles",),
+    "comments": ("comments",),
+    "annotated": ("annotated",),
+    "model_dir": ("model_dir",),
+    "out": ("out_dir",),
+    "seed": ("split_seed", "lda.seed", "synthetic.seed"),  # every seed a command uses
+    "tag": ("tag",),
+    "test_fraction": ("test_fraction",),
+    "min_phrase_df": ("min_phrase_df",),
+    "min_comment_words": ("min_comment_words",),
+    "n_articles": ("synthetic.n_articles",),
+    "comments_per_article": ("synthetic.comments_per_article",),
+    "n_annotated": ("synthetic.n_annotated",),
+}
+
+
+def _set_path(data: dict, key: str, value) -> None:
+    """Set the dotted config ``key`` to ``value`` in the raw config."""
+    node = data
+    parts = key.split(".")
+    for part in parts[:-1]:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ValueError(f"config key {key!r} descends into a non-object value")
+    node[parts[-1]] = value
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -125,31 +134,21 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-    cfg = RunConfig.from_dict(_apply_set_overrides(data, getattr(args, "set", None) or ()))
-    updates: dict = {}
-    for field in ("articles", "comments", "annotated", "model_dir", "tag",
-                  "test_fraction", "min_phrase_df", "min_comment_words"):
-        value = getattr(args, field, None)
-        if value is not None:
-            updates[field] = value
-    if getattr(args, "out", None) is not None:
-        updates["out_dir"] = args.out
-    if getattr(args, "seed", None) is not None:
-        # --seed re-seeds whatever the command randomizes.
-        updates["split_seed"] = args.seed
-        updates["lda"] = dataclasses.replace(cfg.lda, seed=args.seed)
-        updates["synthetic"] = dataclasses.replace(cfg.synthetic, seed=args.seed)
-    synth_updates = {}
-    for flag, field in (("n_articles", "n_articles"),
-                        ("comments_per_article", "comments_per_article"),
-                        ("n_annotated", "n_annotated")):
+    for item in args.set or ():
+        key, sep, raw = item.partition("=")
+        if not sep or not key:
+            raise ValueError(f"--set expects key=value, got {item!r}")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw  # bare strings need no quoting
+        _set_path(data, key, value)
+    for flag, keys in _FLAG_KEYS.items():
         value = getattr(args, flag, None)
         if value is not None:
-            synth_updates[field] = value
-    if synth_updates:
-        base = updates.get("synthetic", cfg.synthetic)
-        updates["synthetic"] = dataclasses.replace(base, **synth_updates)
-    return dataclasses.replace(cfg, **updates)
+            for key in keys:
+                _set_path(data, key, value)
+    return _from_dict(RunConfig(), data)
 
 
 def _require_paths(cfg: RunConfig, *names: str) -> None:
@@ -215,7 +214,7 @@ def cmd_train_aspects(args: argparse.Namespace) -> int:
         save_logistic(getattr(classifiers, aspect), model_dir / f"aspect_{aspect}.json")
     _write_json(
         out_dir / "aspect_reports.json",
-        {aspect: report.to_dict() for aspect, report in reports.items()},
+        {aspect: dataclasses.asdict(report) for aspect, report in reports.items()},
     )
     for aspect in incivility.ASPECTS:
         print(f"{aspect}: auc={reports[aspect].auc:.3f} accuracy={reports[aspect].accuracy:.3f}")
@@ -225,9 +224,7 @@ def cmd_train_aspects(args: argparse.Namespace) -> int:
 def _load_aspect_classifiers(model_dir: Path) -> incivility.AspectClassifiers:
     return incivility.AspectClassifiers(
         tfidf=load_tfidf(model_dir / "aspects_tfidf.json"),
-        toxicity=load_logistic(model_dir / "aspect_toxicity.json"),
-        aggression=load_logistic(model_dir / "aspect_aggression.json"),
-        attack=load_logistic(model_dir / "aspect_attack.json"),
+        **{a: load_logistic(model_dir / f"aspect_{a}.json") for a in incivility.ASPECTS},
     )
 
 
@@ -253,13 +250,9 @@ def cmd_score(args: argparse.Namespace) -> int:
             )
 
     weight_of = {w.article_id: w for w in weights}
-    written = 0
+    kept = [(a, weight_of[a.id]) for a in articles if a.id in weight_of]
     with open(out_dir / "article_weights.jsonl", "w", encoding="utf-8") as fh:
-        for article in articles:
-            w = weight_of.get(article.id)
-            if w is None:
-                continue
-            written += 1
+        for article, w in kept:
             fh.write(
                 json.dumps(
                     {
@@ -271,10 +264,10 @@ def cmd_score(args: argparse.Namespace) -> int:
                 )
                 + "\n"
             )
-    if written < len(articles):
-        print(f"excluded {len(articles) - written} articles with zero comments",
+    if len(kept) < len(articles):
+        print(f"excluded {len(articles) - len(kept)} articles with zero comments",
               file=sys.stderr)
-    print(f"scored {len(comments)} comments across {written} articles")
+    print(f"scored {len(comments)} comments across {len(kept)} articles")
     return 0
 
 
@@ -286,61 +279,40 @@ def cmd_label_train_provoking(args: argparse.Namespace) -> int:
     if not weights_path.exists():
         raise ValueError(f"article weights file not found: {weights_path} (run 'score' first)")
 
-    articles = load_articles(cfg.articles)
-    body_of = {a.id: a for a in articles}
-
+    body_of = {a.id: a for a in load_articles(cfg.articles)}
     rows = _read_rows(
         weights_path,
         {"article_id": str, "weight": (int, float), "n_comments": int, "source": str},
     )
     if not rows:
         raise ValueError("article weights file is empty")
-
-    by_source: dict[str, list[incivility.ArticleIncivility]] = {}
-    for row in rows:
-        w = incivility.ArticleIncivility(
-            article_id=row["article_id"],
-            weight=float(row["weight"]),
-            n_comments=row["n_comments"],
-        )
-        by_source.setdefault(row["source"], []).append(w)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    thresholds = []
-    labeled: list[incivility.ArticleIncivility] = []
-    for source in sorted(by_source):
-        threshold = incivility.source_median(by_source[source], source)
-        thresholds.append(
-            {
-                "source": threshold.source,
-                "median_weight": threshold.median_weight,
-                "n_articles": threshold.n_articles,
-            }
-        )
-        labeled.extend(
-            incivility.label_articles(by_source[source], threshold, source=source)
-        )
-    _write_json(out_dir / "thresholds.json", thresholds)
-
-    order = {row["article_id"]: i for i, row in enumerate(rows)}
-    labeled.sort(key=lambda w: order[w.article_id])
-    with open(out_dir / "article_labels.jsonl", "w", encoding="utf-8") as fh:
-        for w in labeled:
-            fh.write(
-                json.dumps(
-                    {
-                        "article_id": w.article_id,
-                        "weight": w.weight,
-                        "n_comments": w.n_comments,
-                        "label": w.label,
-                    }
-                )
-                + "\n"
-            )
-
-    missing = [w.article_id for w in labeled if w.article_id not in body_of]
+    ids = [row["article_id"] for row in rows]
+    missing = [i for i in ids if i not in body_of]
     if missing:
         raise ValueError(f"weights reference unknown article ids: {missing[:5]}")
+    repeated = [i for i, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise ValueError(f"weights repeat article ids: {repeated[:5]}")
+
+    weights = [
+        incivility.ArticleIncivility(row["article_id"], float(row["weight"]), row["n_comments"])
+        for row in rows
+    ]
+    sources = [row["source"] for row in rows]
+    thresholds = []
+    labeled = list(weights)  # labeled in place, so file order is kept
+    for source in sorted(set(sources)):
+        at = [i for i, s in enumerate(sources) if s == source]
+        group = [weights[i] for i in at]
+        thresholds.append(incivility.source_median(group, source))
+        for i, w in zip(at, incivility.label_articles(group, thresholds[-1], source=source)):
+            labeled[i] = w
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "thresholds.json", [dataclasses.asdict(t) for t in thresholds])
+    with open(out_dir / "article_labels.jsonl", "w", encoding="utf-8") as fh:
+        for w in labeled:
+            fh.write(json.dumps(dataclasses.asdict(w)) + "\n")
+
     pipeline, report = incivility.train_provoking_classifier(
         [body_of[w.article_id] for w in labeled],
         [bool(w.label) for w in labeled],
@@ -353,21 +325,24 @@ def cmd_label_train_provoking(args: argparse.Namespace) -> int:
     model_dir.mkdir(parents=True, exist_ok=True)
     save_tfidf(pipeline.tfidf, model_dir / "provoking_tfidf.json")
     save_logistic(pipeline.model, model_dir / "provoking_model.json")
-    _write_json(out_dir / "provoking_report.json", report.to_dict())
+    _write_json(out_dir / "provoking_report.json", dataclasses.asdict(report))
     positives = sum(1 for w in labeled if w.label)
     print(f"labeled {positives}/{len(labeled)} articles provoking; "
           f"held-out auc={report.auc:.3f} accuracy={report.accuracy:.3f}")
     return 0
 
 
-def cmd_predict_provoking(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
-    _require_paths(cfg, "articles")
-    model_dir = Path(cfg.model_dir)
-    pipeline = incivility.ProvokingClassifier(
+def _load_provoking(model_dir: Path) -> incivility.ProvokingClassifier:
+    return incivility.ProvokingClassifier(
         tfidf=load_tfidf(model_dir / "provoking_tfidf.json"),
         model=load_logistic(model_dir / "provoking_model.json"),
     )
+
+
+def cmd_predict_provoking(args: argparse.Namespace) -> int:
+    cfg = _load_run_config(args)
+    _require_paths(cfg, "articles")
+    pipeline = _load_provoking(Path(cfg.model_dir))
     articles = load_articles(cfg.articles)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -377,7 +352,7 @@ def cmd_predict_provoking(args: argparse.Namespace) -> int:
             fh.write(
                 f'{{"article_id": {json.dumps(article.id)}, '
                 f'"probability": {proba:.6f}, '
-                f'"label": {"true" if proba > 0.5 else "false"}}}\n'
+                f'"label": {"true" if proba > incivility.PROVOKING_THRESHOLD else "false"}}}\n'
             )
     print(f"predicted {len(articles)} articles")
     return 0
@@ -392,8 +367,8 @@ def cmd_mine_subtext(args: argparse.Namespace) -> int:
         if not articles:
             raise ValueError(f"no articles carry tag {cfg.tag!r}")
     comments = load_comments(cfg.comments, min_words=cfg.min_comment_words)
-    corpus = Corpus.build(articles, comments)
-    selected = [c for c in comments if c.article_id in corpus.index]
+    kept = {a.id for a in articles}
+    selected = [c for c in comments if c.article_id in kept]
     report = mine_subtext(
         articles,
         selected,
@@ -436,7 +411,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for aspect in incivility.ASPECTS:
             y = [incivility.binarize_aspect(ac, aspect) for ac in annotated]
             report = evaluate(getattr(classifiers, aspect), x, y)
-            payload[aspect] = report.to_dict()
+            payload[aspect] = dataclasses.asdict(report)
             print(f"{aspect}: auc={report.auc:.3f} accuracy={report.accuracy:.3f}")
     else:
         _require_paths(cfg, "articles")
@@ -447,17 +422,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             row["article_id"]: row["label"]
             for row in _read_rows(labels_path, {"article_id": str, "label": bool})
         }
-        pipeline = incivility.ProvokingClassifier(
-            tfidf=load_tfidf(model_dir / "provoking_tfidf.json"),
-            model=load_logistic(model_dir / "provoking_model.json"),
-        )
+        pipeline = _load_provoking(model_dir)
         articles = [a for a in load_articles(cfg.articles) if a.id in label_of]
         if not articles:
             raise ValueError("no labeled articles to evaluate")
         x = pipeline.tfidf.transform([a.body for a in articles])
         y = [label_of[a.id] for a in articles]
         report = evaluate(pipeline.model, x, y)
-        payload = {"provoking": report.to_dict()}
+        payload = {"provoking": dataclasses.asdict(report)}
         print(f"provoking: auc={report.auc:.3f} accuracy={report.accuracy:.3f}")
 
     _write_json(out_dir / "evaluation.json", payload)

@@ -90,32 +90,21 @@ class AnnotatedComment:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Articles and comments joined by article id.
+    """Comments joined to articles by article id.
 
-    The index maps each article id to the ids of its comments, and
-    ``by_article`` to the comments themselves; comments whose article is
-    not loaded are kept but not indexed.
+    ``by_article`` maps each article id to its comments in input order;
+    comments whose article is not given are left out.
     """
 
-    articles: tuple[Article, ...]
-    comments: tuple[Comment, ...]
-    index: dict[str, tuple[str, ...]]
     by_article: dict[str, tuple[Comment, ...]]
 
     @classmethod
     def build(cls, articles: Iterable[Article], comments: Iterable[Comment]) -> "Corpus":
-        articles = tuple(articles)
-        comments = tuple(comments)
         by_article: dict[str, list[Comment]] = {a.id: [] for a in articles}
         for c in comments:
             if c.article_id in by_article:
                 by_article[c.article_id].append(c)
-        return cls(
-            articles=articles,
-            comments=comments,
-            index={k: tuple(c.id for c in v) for k, v in by_article.items()},
-            by_article={k: tuple(v) for k, v in by_article.items()},
-        )
+        return cls(by_article={k: tuple(v) for k, v in by_article.items()})
 
     def comments_for(self, article_id: str) -> list[Comment]:
         return list(self.by_article.get(article_id, ()))
@@ -147,13 +136,16 @@ def load_articles(path: str | Path) -> list[Article]:
     seen: set[str] = set()
     for lineno, obj in _read_jsonl(path):
         _require(obj, ("id", "source", "title", "body", "tags", "date"), lineno)
+        tags = obj["tags"]
+        if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+            raise CorpusError(f"line {lineno}: tags must be a list of strings, got {tags!r}")
         try:
             article = Article(
                 id=str(obj["id"]),
                 source=str(obj["source"]),
                 title=str(obj["title"]),
                 body=str(obj["body"]),
-                tags=frozenset(str(t) for t in obj["tags"]),
+                tags=frozenset(tags),
                 date=str(obj["date"]),
             )
         except (TypeError, ValueError) as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -125,13 +125,7 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
     terms = model.vocabulary.terms
     payload = {
         "format_version": TFIDF_FORMAT_VERSION,
-        "config": {
-            "n_min": model.config.n_min,
-            "n_max": model.config.n_max,
-            "min_df": model.config.min_df,
-            "max_df_ratio": model.config.max_df_ratio,
-            "use_stoplist": model.config.use_stoplist,
-        },
+        "config": asdict(model.config),
         "vocabulary": terms,
         "idf": [float(x) for x in model.idf],
         "doc_freq": [model.vocabulary.doc_freq[t] for t in terms],

@@ -28,6 +28,9 @@ ASPECT_TFIDF_CONFIG = TfidfConfig(n_min=1, n_max=2, min_df=3, max_df_ratio=1.0)
 # The article classifier uses bigrams of the article body only.
 ARTICLE_TFIDF_CONFIG = TfidfConfig(n_min=2, n_max=2, min_df=1, max_df_ratio=1.0)
 
+# An article is predicted provoking when its probability strictly exceeds this.
+PROVOKING_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class AspectClassifiers:
@@ -294,7 +297,7 @@ def train_provoking_classifier(
 
 
 def predict_provoking(
-    pipeline: ProvokingClassifier, body: str, threshold: float = 0.5
+    pipeline: ProvokingClassifier, body: str, threshold: float = PROVOKING_THRESHOLD
 ) -> tuple[float, bool]:
     """Probability and strict-threshold label for one article body."""
     proba = float(pipeline.model.predict_proba(pipeline.tfidf.transform([body]))[0])

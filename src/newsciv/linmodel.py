@@ -92,21 +92,6 @@ class EvalReport:
     precision_defined: bool = True
     recall_defined: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc": self.auc,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "precision_defined": self.precision_defined,
-            "recall_defined": self.recall_defined,
-        }
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Split on sign so exp never overflows.

@@ -7,6 +7,7 @@ import pytest
 
 from newsciv.cli import _load_run_config, build_parser, main
 from newsciv.corpus import Article, save_articles
+from newsciv.features import TfidfConfig
 
 
 def write_config(path: Path, data: dict) -> str:
@@ -184,6 +185,29 @@ class TestLabelTrainProvoking:
         assert f"line 1: {message}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("rows, message", [
+        ([("a0", "s"), ("zz", "s")], "unknown article ids: ['zz']"),
+        ([("a0", "s"), ("a1", "s"), ("a0", "s")], "repeat article ids: ['a0']"),
+    ])
+    def test_bad_article_ids_exit_2_before_writing(self, tmp_path, capsys, rows, message):
+        save_articles([Article(id=a, source="s", title="t", body="alpha beta")
+                       for a in ("a0", "a1")], tmp_path / "articles.jsonl")
+        (tmp_path / "weights.jsonl").write_text("".join(
+            json.dumps({"article_id": a, "weight": 0.5, "n_comments": 1, "source": src}) + "\n"
+            for a, src in rows))
+        code = main([
+            "label-train-provoking",
+            "--articles", str(tmp_path / "articles.jsonl"),
+            "--weights", str(tmp_path / "weights.jsonl"),
+            "--out", str(tmp_path / "out"),
+            "--model-dir", str(tmp_path / "models"),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "thresholds.json").exists()
+        assert not (tmp_path / "out" / "article_labels.jsonl").exists()
+
+
 class TestPredictProvoking:
     def test_predictions_for_every_article(self, pipeline_dir):
         predictions = jsonl(pipeline_dir / "out" / "provoking_predictions.jsonl")
@@ -295,6 +319,23 @@ class TestConfigHandling:
         assert main(["mine-subtext", "--out", str(tmp_path / "o"), "--set", item]) == 2
         assert "must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item, message", [
+        ("keywords=5", "keywords must be a list of strings"),
+        ("keywords=[1,2]", "keywords must be a list of strings"),
+        ("keywords=election", "keywords must be a list of strings"),
+        ("tag=5", "tag must be str | None"),
+        ("min_comment_words=x", "min_comment_words must be int"),
+        ("min_phrase_df=x", "min_phrase_df must be int"),
+        ("min_phrase_df=true", "min_phrase_df must be int"),
+        ("test_fraction=x", "test_fraction must be float"),
+        ("model_dir=5", "model_dir must be str"),
+        ("split_seed=x", "split_seed must be int"),
+        ("articles=[]", "articles must be str | None"),
+    ])
+    def test_mistyped_run_config_set_exits_2(self, tmp_path, capsys, item, message):
+        assert main(["mine-subtext", "--out", str(tmp_path / "o"), "--set", item]) == 2
+        assert message in capsys.readouterr().err
+
     def test_mistyped_lda_config_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "bad.json", {"lda": {"n_topics": "five"}})
         assert main(["mine-subtext", "--config", config, "--out", str(tmp_path / "o")]) == 2
@@ -351,6 +392,14 @@ class TestConfigHandling:
             for part in key.split("."):
                 node = getattr(node, part)
             assert node == value, key
+
+    def test_partial_sub_config_keeps_its_defaults(self):
+        cfg = _load_run_config(build_parser().parse_args([
+            "train-aspects", "--set", "aspect_tfidf.use_stoplist=true",
+            "--set", "article_tfidf.min_df=2",
+        ]))
+        assert cfg.aspect_tfidf == TfidfConfig(n_min=1, n_max=2, min_df=3, use_stoplist=True)
+        assert cfg.article_tfidf == TfidfConfig(n_min=2, n_max=2, min_df=2)
 
     @pytest.mark.parametrize("command", [
         "train-aspects", "score", "label-train-provoking", "predict-provoking",

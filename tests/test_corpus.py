@@ -92,6 +92,13 @@ class TestLoadArticles:
         with pytest.raises(CorpusError, match="line 2"):
             load_articles(path)
 
+    @pytest.mark.parametrize("tags", ["transit", ["transit", 5], None])
+    def test_tags_must_be_list_of_strings(self, tmp_path, tags):
+        path = tmp_path / "articles.jsonl"
+        path.write_text(article_line(1, tags=tags) + "\n")
+        with pytest.raises(CorpusError, match="line 1: tags must be a list of strings"):
+            load_articles(path)
+
 
 class TestLoadComments:
     def test_empty_and_valid(self, tmp_path):
