@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import linmodel_reference
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 from newsciv.linmodel import (
     LogisticModel,
     TrainConfig,
+    _sigmoid,
     evaluate,
     fit_with_history,
     gradient,
@@ -58,6 +60,74 @@ def random_instance(rng: np.random.Generator, n: int, d: int):
     if y.all() or not y.any():
         y[0] = ~y[0]
     return X, y
+
+
+def sparse_instance(seed: int, n: int, d: int, density: float, scale: float = 1.0):
+    rng = np.random.default_rng(seed)
+    X = sp.random(n, d, density=density, format="csr", random_state=rng,
+                  data_rvs=lambda k: scale * rng.standard_normal(k))
+    y = rng.random(n) < 0.4
+    y[:2] = [True, False]
+    return X, y
+
+
+# (id, instance, config, whether the descent stops at max_iterations or on
+# tolerance). Features scaled by 3 make steps of 4.0 overshoot.
+TRAINER_CASES = [
+    ("random-60x25", sparse_instance(0, 60, 25, 0.2), TrainConfig(), "cap"),
+    ("random-200x80", sparse_instance(1, 200, 80, 0.05), TrainConfig(), "cap"),
+    ("random-35x120", sparse_instance(2, 35, 120, 0.1), TrainConfig(l2_lambda=1e-2), "cap"),
+    ("random-400x300", sparse_instance(3, 400, 300, 0.02), TrainConfig(max_iterations=200), "cap"),
+    ("backtracking", sparse_instance(4, 40, 8, 1.0, scale=3.0),
+     TrainConfig(max_iterations=100, learning_rate=4.0), "cap"),
+    ("separable-no-l2", (sp.csr_matrix([[-2.0, 0.5], [-1.0, 0.0], [1.0, -0.5], [3.0, 1.0]]),
+                         np.array([False, False, True, True])),
+     TrainConfig(l2_lambda=0.0), "cap"),
+    ("tolerance", sparse_instance(5, 50, 10, 0.3), TrainConfig(tolerance=1e-2), "tolerance"),
+    ("zero-iterations", sparse_instance(7, 20, 5, 0.3), TrainConfig(max_iterations=0), "cap"),
+]
+
+
+class TestTrainerMatchesReference:
+    """The trainer must reproduce the reference descent loop bit for bit."""
+
+    @pytest.mark.parametrize("instance, config, stop",
+                             [case[1:] for case in TRAINER_CASES],
+                             ids=[case[0] for case in TRAINER_CASES])
+    def test_weights_bias_and_history_are_identical(self, instance, config, stop):
+        X, y = instance
+        model, history = fit_with_history(X, y.tolist(), config)
+        ref_w, ref_b, ref_history = linmodel_reference.fit_with_history(X, y.tolist(), config)
+        assert model.weights.tobytes() == ref_w.tobytes()
+        assert float(model.bias).hex() == float(ref_b).hex()
+        assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+
+        if stop == "cap":
+            assert len(history) == config.max_iterations + 1
+        else:
+            grad_w, grad_b = gradient(model.weights, model.bias, X, y.astype(float),
+                                      config.l2_lambda)
+            assert len(history) <= config.max_iterations
+            assert max(np.max(np.abs(grad_w)), abs(grad_b)) < config.tolerance
+
+    def test_backtracking_case_backtracks(self, monkeypatch):
+        calls = []
+        reference_loss = linmodel_reference.loss
+
+        def counted(*args):
+            calls.append(1)
+            return reference_loss(*args)
+
+        monkeypatch.setattr(linmodel_reference, "loss", counted)
+        (X, y), config = next(case[1:3] for case in TRAINER_CASES if case[0] == "backtracking")
+        _, _, history = linmodel_reference.fit_with_history(X, y.tolist(), config)
+        assert len(calls) > len(history)  # some trial points were rejected
+
+    def test_sigmoid_matches_masked_formula_bit_for_bit(self):
+        magnitudes = [0.0, 1e-320, 36.0, 709.8, 745.2, 1e4]
+        z = np.array([sign * m for m in magnitudes for sign in (1.0, -1.0)])
+        assert np.signbit(z[1])  # -0.0 is present
+        assert _sigmoid(z).tobytes() == linmodel_reference.masked_sigmoid(z).tobytes()
 
 
 class TestGradient:
