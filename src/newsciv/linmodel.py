@@ -5,7 +5,9 @@ The trainer minimizes mean negative log-likelihood plus an L2 penalty on
 the weights (bias unregularized), with zero initialization and backtracking
 halving of the step whenever a step would increase the loss. This keeps
 training deterministic and the loss non-increasing, which the test suite
-checks directly.
+checks directly. One step costs one ``X @ w`` per trial point and one
+``X.T @ r``: the logits of an accepted trial point give the next residual,
+and ``X.T`` is built once per fit as a CSR matrix.
 """
 
 from __future__ import annotations
@@ -94,33 +96,40 @@ class EvalReport:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split on sign so exp never overflows.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of -|z| never overflows; for z < 0 it is exactly exp(z).
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _objective(z: np.ndarray, weights: np.ndarray, y: np.ndarray, l2_lambda: float) -> float:
+    # log(1 + e^z) - y*z, computed without overflow. logaddexp is kept
+    # because another formula can move the loss by an ulp and flip the
+    # trainer's `new <= cur` test.
+    nll = np.mean(np.logaddexp(0.0, z) - y * z)
+    return float(nll + 0.5 * l2_lambda * np.dot(weights, weights))
+
+
+def _gradient_at(
+    z: np.ndarray, weights: np.ndarray, Xt: sp.spmatrix, y: np.ndarray, l2_lambda: float
+) -> tuple[np.ndarray, float]:
+    # Xt is X transposed; the trainer passes a CSR copy, whose row gather
+    # adds the same products in the same order as the CSC view's scatter.
+    residual = (_sigmoid(z) - y) / y.size
+    return Xt @ residual + l2_lambda * weights, float(residual.sum())
 
 
 def loss(
     weights: np.ndarray, bias: float, X: sp.csr_matrix, y: np.ndarray, l2_lambda: float
 ) -> float:
     """Mean negative log-likelihood plus (l2_lambda / 2) * ||w||^2."""
-    z = X @ weights + bias
-    # log(1 + e^z) - y*z, computed without overflow.
-    nll = np.mean(np.logaddexp(0.0, z) - y * z)
-    return float(nll + 0.5 * l2_lambda * np.dot(weights, weights))
+    return _objective(X @ weights + bias, weights, y, l2_lambda)
 
 
 def gradient(
     weights: np.ndarray, bias: float, X: sp.csr_matrix, y: np.ndarray, l2_lambda: float
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of :func:`loss` w.r.t. weights and bias."""
-    z = X @ weights + bias
-    residual = (_sigmoid(z) - y) / y.size
-    grad_w = X.T @ residual + l2_lambda * weights
-    return grad_w, float(residual.sum())
+    return _gradient_at(X @ weights + bias, weights, X.T, y, l2_lambda)
 
 
 def fit_with_history(
@@ -141,28 +150,31 @@ def fit_with_history(
     if yv.min() == yv.max():
         raise ValueError("training labels contain a single class")
 
+    Xt = X.T.tocsr()
     w = np.zeros(X.shape[1])
     b = 0.0
-    cur = loss(w, b, X, yv, config.l2_lambda)
+    z = X @ w + b  # logits of the current iterate, reused by its gradient
+    cur = _objective(z, w, yv, config.l2_lambda)
     history = [cur]
 
     for _ in range(config.max_iterations):
         if not np.isfinite(cur):
             raise ValueError("training loss is not finite")
-        grad_w, grad_b = gradient(w, b, X, yv, config.l2_lambda)
+        grad_w, grad_b = _gradient_at(z, w, Xt, yv, config.l2_lambda)
         if max(np.max(np.abs(grad_w), initial=0.0), abs(grad_b)) < config.tolerance:
             break
         step = config.learning_rate
         while step >= _MIN_STEP:
             w_new = w - step * grad_w
             b_new = b - step * grad_b
-            new = loss(w_new, b_new, X, yv, config.l2_lambda)
+            z_new = X @ w_new + b_new
+            new = _objective(z_new, w_new, yv, config.l2_lambda)
             if new <= cur:
                 break
             step *= 0.5
         else:
             break  # no step improves the loss; we are at numerical precision
-        w, b, cur = w_new, b_new, new
+        w, b, z, cur = w_new, b_new, z_new, new
         history.append(cur)
 
     return LogisticModel(weights=w, bias=b), history
