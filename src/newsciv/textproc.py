@@ -51,7 +51,7 @@ def ngrams(tokens: Sequence[str], n_min: int, n_max: int) -> list[str]:
         if n == 1:
             out.extend(tokens)
         else:
-            out.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+            out.extend(map(" ".join, zip(*(tokens[k:] for k in range(n)))))
     return out
 
 

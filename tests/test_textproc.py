@@ -76,6 +76,15 @@ class TestNgrams:
     def test_count_formula(self, tokens, n):
         assert len(ngrams(tokens, n, n)) == max(0, len(tokens) - n + 1)
 
+    @given(st.lists(st.sampled_from(["a", "b", "c d", ""]), max_size=6),
+           st.integers(1, 4), st.integers(0, 3))
+    def test_matches_slice_join_definition(self, tokens, n_min, extra):
+        n_max = min(n_min + extra, 4)
+        expected = [" ".join(tokens[i : i + n])
+                    for n in range(n_min, n_max + 1)
+                    for i in range(len(tokens) - n + 1)]
+        assert ngrams(tokens, n_min, n_max) == expected
+
 
 class TestBuildVocabulary:
     def test_counts_and_lexicographic_indices(self):
