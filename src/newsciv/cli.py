@@ -307,12 +307,6 @@ def cmd_label_train_provoking(args: argparse.Namespace) -> int:
         thresholds.append(incivility.source_median(group, source))
         for i, w in zip(at, incivility.label_articles(group, thresholds[-1], source=source)):
             labeled[i] = w
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "thresholds.json", [dataclasses.asdict(t) for t in thresholds])
-    with open(out_dir / "article_labels.jsonl", "w", encoding="utf-8") as fh:
-        for w in labeled:
-            fh.write(json.dumps(dataclasses.asdict(w)) + "\n")
-
     pipeline, report = incivility.train_provoking_classifier(
         [body_of[w.article_id] for w in labeled],
         [bool(w.label) for w in labeled],
@@ -321,6 +315,13 @@ def cmd_label_train_provoking(args: argparse.Namespace) -> int:
         split_seed=cfg.split_seed,
         test_fraction=cfg.test_fraction,
     )
+    # Written only once training succeeded, so a rejected run leaves no labels.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "thresholds.json", [dataclasses.asdict(t) for t in thresholds])
+    with open(out_dir / "article_labels.jsonl", "w", encoding="utf-8") as fh:
+        for w in labeled:
+            fh.write(json.dumps(dataclasses.asdict(w)) + "\n")
+
     model_dir = Path(cfg.model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
     save_tfidf(pipeline.tfidf, model_dir / "provoking_tfidf.json")

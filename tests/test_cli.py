@@ -163,6 +163,9 @@ class TestLabelTrainProvoking:
             "--model-dir", str(tmp_path / "models"),
         ])
         assert code == 2
+        assert "contain a single class" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "thresholds.json").exists()
+        assert not (tmp_path / "out" / "article_labels.jsonl").exists()
 
     @pytest.mark.parametrize("row, message", [
         ({"article_id": "a0", "weight": 0.5, "source": "s"}, "missing field n_comments"),
