@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from ._checks import check_field_types
 from .textproc import (
     DEFAULT_STOPLIST,
     Vocabulary,
@@ -39,6 +40,7 @@ class TfidfConfig:
     use_stoplist: bool = False
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.n_min < 1 or self.n_min > self.n_max:
             raise ValueError(f"invalid n-gram range [{self.n_min}, {self.n_max}]")
         if self.min_df < 1:

@@ -15,12 +15,12 @@ so a fixed seed reproduces the final state bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_field_types
 from .textproc import Vocabulary, build_vocabulary
 
 
@@ -35,19 +35,13 @@ class LdaConfig:
     n_max: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("n_topics", "iterations", "seed", "n_min", "n_max", "alpha", "beta"):
-            value = getattr(self, name)
-            integral = name not in ("alpha", "beta")
-            kind = numbers.Integral if integral else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if integral else "a number"
-                raise ValueError(f"{name} must be {what}, got {value!r}")
+        check_field_types(self)
         if self.n_topics < 1:
             raise ValueError(f"n_topics must be >= 1, got {self.n_topics}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not all(0 < p < math.inf for p in (self.alpha, self.beta)):
-            raise ValueError("alpha and beta must be finite and > 0")
+        if self.alpha <= 0 or self.beta <= 0:
+            raise ValueError("alpha and beta must be > 0")
         if self.n_min < 1 or self.n_min > self.n_max:
             raise ValueError(f"invalid n-gram range [{self.n_min}, {self.n_max}]")
 

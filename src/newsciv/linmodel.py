@@ -20,6 +20,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from ._checks import check_field_types
+
 LOGISTIC_FORMAT_VERSION = 1
 
 # Give up on a gradient step once backtracking has shrunk it below this.
@@ -36,6 +38,7 @@ class TrainConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.l2_lambda < 0:
             raise ValueError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
         if self.max_iterations < 0:

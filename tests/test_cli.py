@@ -323,6 +323,21 @@ class TestConfigHandling:
         assert "must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("item, message", [
+        ("train.max_iterations=2.5", "max_iterations must be an integer"),
+        ("train.max_iterations=true", "max_iterations must be an integer"),
+        ("train.l2_lambda=x", "l2_lambda must be a finite number"),
+        ("train.learning_rate=Infinity", "learning_rate must be a finite number"),
+        ("aspect_tfidf.n_max=2.5", "n_max must be an integer"),
+        ("aspect_tfidf.min_df=x", "min_df must be an integer"),
+        ("aspect_tfidf.use_stoplist=no", "use_stoplist must be true or false"),
+        ("synthetic.n_articles=x", "n_articles must be an integer"),
+        ("synthetic.sources=daily", "sources must be a list of strings"),
+    ])
+    def test_mistyped_sub_config_set_exits_2(self, tmp_path, capsys, item, message):
+        assert main(["mine-subtext", "--out", str(tmp_path / "o"), "--set", item]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("item, message", [
         ("keywords=5", "keywords must be a list of strings"),
         ("keywords=[1,2]", "keywords must be a list of strings"),
         ("keywords=election", "keywords must be a list of strings"),
