@@ -105,9 +105,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _objective(z: np.ndarray, weights: np.ndarray, y: np.ndarray, l2_lambda: float) -> float:
-    # log(1 + e^z) - y*z, computed without overflow. logaddexp is kept
-    # because another formula can move the loss by an ulp and flip the
-    # trainer's `new <= cur` test.
+    # log(1 + e^z) - y*z without overflow. Keep logaddexp: another formula
+    # can move the loss by an ulp and flip the trainer's `new <= cur` test.
     nll = np.mean(np.logaddexp(0.0, z) - y * z)
     return float(nll + 0.5 * l2_lambda * np.dot(weights, weights))
 
