@@ -1,19 +1,41 @@
-"""Field type checks shared by the config dataclasses, so that a mistyped
-value from a JSON config or a ``--set`` item raises ValueError (exit 2 at
-the CLI) instead of a TypeError later on."""
+"""Checks shared by the config dataclasses and the model-file loaders, so
+that a mistyped value from a JSON config, a ``--set`` item or a damaged
+model file raises ValueError (exit 2 at the CLI) instead of a TypeError,
+KeyError or IndexError later on."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import numbers
+from pathlib import Path
 
-# Annotation (a string, as annotations are postponed) -> (kind, wording).
+
+def is_finite_number(value) -> bool:
+    """A real number that is not a bool and converts to a finite float
+    (numpy scalars count)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def is_nonnegative_int(value, below: int | None = None) -> bool:
+    """A non-negative integer that is not a bool, less than ``below`` if given."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and 0 <= value and (below is None or value < below))
+
+
+# Annotation (a string, as annotations are postponed) -> (check, wording).
 _KINDS = {
-    "int": (numbers.Integral, "an integer"),
-    "float": (numbers.Real, "a finite number"),
-    "bool": (bool, "true or false"),
-    "str": (str, "a string"),
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+            "an integer"),
+    "float": (is_finite_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
 }
 
 
@@ -24,8 +46,23 @@ def check_field_types(config) -> None:
     for field in dataclasses.fields(config):
         if field.type not in _KINDS:
             continue
-        kind, what = _KINDS[field.type]
+        ok, what = _KINDS[field.type]
         value = getattr(config, field.name)
-        ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-        if not ok or (kind is numbers.Real and not math.isfinite(value)):
+        if not ok(value):
             raise ValueError(f"{field.name} must be {what}, got {value!r}")
+
+
+def read_model_json(path: str | Path, version: int, keys: tuple[str, ...]) -> dict:
+    """The JSON object in model file ``path``, checked to carry format
+    ``version`` and every key in ``keys``."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a model file must hold a JSON object")
+    if payload.get("format_version") != version:
+        raise ValueError(
+            f"{path}: unsupported model format version: {payload.get('format_version')!r}"
+        )
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: missing keys {missing}")
+    return payload

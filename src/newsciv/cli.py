@@ -39,7 +39,7 @@ from .corpus import (
 )
 from .features import TfidfConfig, load_tfidf, save_tfidf
 from .lda import LdaConfig
-from .linmodel import TrainConfig, evaluate, load_logistic, save_logistic
+from .linmodel import LogisticModel, TrainConfig, evaluate, load_logistic, save_logistic
 from .subtext import DEFAULT_MIN_PHRASE_DF, mine_subtext, save_report
 from .synthetic import SyntheticConfig, generate_corpus
 
@@ -185,6 +185,15 @@ def _read_rows(path: Path, fields: dict[str, type | tuple[type, ...]]) -> list[d
     return rows
 
 
+def _warn_unconverged(name: str, model: LogisticModel, train: TrainConfig) -> None:
+    """One stderr line for a fit that stopped before its gradient tolerance."""
+    fit = model.convergence
+    if fit.stop != "gradient":
+        print(f"warning: {name} model stopped on {fit.stop} after {fit.iterations} "
+              f"iterations with max |gradient| {fit.grad_max:.3g} "
+              f"(tolerance {train.tolerance:g})", file=sys.stderr)
+
+
 def _maybe_filter_keywords(articles, cfg: RunConfig):
     if cfg.keywords:
         return filter_by_keywords(articles, cfg.keywords)
@@ -218,6 +227,7 @@ def cmd_train_aspects(args: argparse.Namespace) -> int:
     )
     for aspect in incivility.ASPECTS:
         print(f"{aspect}: auc={reports[aspect].auc:.3f} accuracy={reports[aspect].accuracy:.3f}")
+        _warn_unconverged(f"aspect {aspect}", getattr(classifiers, aspect), cfg.train)
     return 0
 
 
@@ -327,6 +337,7 @@ def cmd_label_train_provoking(args: argparse.Namespace) -> int:
     save_tfidf(pipeline.tfidf, model_dir / "provoking_tfidf.json")
     save_logistic(pipeline.model, model_dir / "provoking_model.json")
     _write_json(out_dir / "provoking_report.json", dataclasses.asdict(report))
+    _warn_unconverged("provoking", pipeline.model, cfg.train)
     positives = sum(1 for w in labeled if w.label)
     print(f"labeled {positives}/{len(labeled)} articles provoking; "
           f"held-out auc={report.auc:.3f} accuracy={report.accuracy:.3f}")

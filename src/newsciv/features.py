@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._checks import check_field_types
+from ._checks import check_field_types, is_finite_number, is_nonnegative_int, read_model_json
 from .textproc import (
     DEFAULT_STOPLIST,
     Vocabulary,
@@ -137,18 +137,33 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = payload.get("format_version")
-    if version != TFIDF_FORMAT_VERSION:
-        raise ValueError(f"unsupported TF-IDF model format version: {version!r}")
-    terms = payload["vocabulary"]
+    """Read a model written by :func:`save_tfidf`; a damaged file raises
+    ValueError naming ``path``."""
+    payload = read_model_json(
+        path, TFIDF_FORMAT_VERSION, ("config", "vocabulary", "idf", "doc_freq", "n_docs")
+    )
+    terms, idf, doc_freq = payload["vocabulary"], payload["idf"], payload["doc_freq"]
+    if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)
+            and len(set(terms)) == len(terms)):
+        raise ValueError(f"{path}: vocabulary must be a list of distinct strings")
+    for name, values, ok in (("idf", idf, is_finite_number),
+                             ("doc_freq", doc_freq, is_nonnegative_int)):
+        if not (isinstance(values, list) and len(values) == len(terms)
+                and all(ok(v) for v in values)):
+            raise ValueError(f"{path}: {name} must hold one valid number per vocabulary term")
+    if not is_nonnegative_int(payload["n_docs"]):
+        raise ValueError(f"{path}: n_docs must be a non-negative integer")
+    config = payload["config"]
+    known = {f.name for f in fields(TfidfConfig)}
+    if not (isinstance(config, dict) and set(config) <= known):
+        raise ValueError(f"{path}: config must be an object with keys from {sorted(known)}")
+    try:
+        config = TfidfConfig(**config)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     vocab = Vocabulary(
         index={t: i for i, t in enumerate(terms)},
-        doc_freq=dict(zip(terms, payload["doc_freq"])),
+        doc_freq=dict(zip(terms, doc_freq)),
         n_docs=payload["n_docs"],
     )
-    return TfidfModel(
-        vocabulary=vocab,
-        idf=np.array(payload["idf"], dtype=np.float64),
-        config=TfidfConfig(**payload["config"]),
-    )
+    return TfidfModel(vocabulary=vocab, idf=np.array(idf, dtype=np.float64), config=config)

@@ -1,18 +1,18 @@
-"""Binary logistic regression with full-batch gradient descent, plus the
-confusion-matrix and ranking metrics used to report classifier quality.
+"""Binary logistic regression trained by L-BFGS, plus the confusion-matrix
+and ranking metrics used to report classifier quality.
 
 The trainer minimizes mean negative log-likelihood plus an L2 penalty on
-the weights (bias unregularized), with zero initialization and backtracking
-halving of the step whenever a step would increase the loss. This keeps
-training deterministic and the loss non-increasing, which the test suite
-checks directly. One step costs one ``X @ w`` per trial point and one
-``X.T @ r``: the logits of an accepted trial point give the next residual,
-and ``X.T`` is built once per fit as a CSR matrix.
+the weights (bias unregularized) over [w, b] from zero initialization, by
+L-BFGS (Liu & Nocedal 1989) with an Armijo backtracking line search that
+starts at step 1. Training is deterministic and every accepted step lowers
+the loss. Each evaluation costs one ``X @ w`` and one ``X.T @ r``, with
+``X.T`` built once per fit as a CSR matrix.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,21 +20,21 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ._checks import check_field_types
+from ._checks import check_field_types, is_finite_number, is_nonnegative_int, read_model_json
 
 LOGISTIC_FORMAT_VERSION = 1
 
-# Give up on a gradient step once backtracking has shrunk it below this.
-_MIN_STEP = 1e-18
+_MEMORY = 10  # curvature pairs kept by L-BFGS
+_ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+_MAX_HALVINGS = 40  # steps below 2**-40 count as a failed line search
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Full-batch gradient-descent settings."""
+    """L2 strength and the L-BFGS stopping rules."""
 
-    l2_lambda: float = 1e-4
+    l2_lambda: float = 1e-3
     max_iterations: int = 500
-    learning_rate: float = 1.0
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -43,18 +43,29 @@ class TrainConfig:
             raise ValueError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
 
+@dataclass(frozen=True)
+class Convergence:
+    """How a fit ended: accepted steps, max |gradient| at the returned
+    point, and the stop reason (``gradient``, ``max_iterations`` or
+    ``line_search``)."""
+
+    iterations: int
+    grad_max: float
+    stop: str
+
+
 @dataclass(frozen=True, eq=False)
 class LogisticModel:
-    """Trained linear classifier: dense weights and a scalar bias."""
+    """Trained linear classifier: dense weights and a scalar bias, plus the
+    fit's convergence record (None for a model loaded from disk)."""
 
     weights: np.ndarray
     bias: float
+    convergence: Convergence | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
@@ -74,7 +85,7 @@ class LogisticModel:
                 f"feature dimension {X.shape[1]} does not match model "
                 f"dimension {self.dimension}"
             )
-        return _sigmoid(X @ self.weights + self.bias)
+        return _sigmoid(*_logits(X, self.weights, self.bias))
 
 
 @dataclass(frozen=True)
@@ -98,25 +109,31 @@ class EvalReport:
     recall_defined: bool = True
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp of -|z| never overflows; for z < 0 it is exactly exp(z).
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _logits(X: sp.csr_matrix, weights: np.ndarray, bias: float) -> tuple[np.ndarray, np.ndarray]:
+    """Logits z = X @ w + b and e = exp(-|z|), which never overflows and
+    serves both the loss and the sigmoid."""
+    z = X @ weights + bias
+    return z, np.exp(-np.abs(z))
 
 
-def _objective(z: np.ndarray, weights: np.ndarray, y: np.ndarray, l2_lambda: float) -> float:
-    # log(1 + e^z) - y*z without overflow. Keep logaddexp: another formula
-    # can move the loss by an ulp and flip the trainer's `new <= cur` test.
-    nll = np.mean(np.logaddexp(0.0, z) - y * z)
+def _sigmoid(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # For z < 0, e is exactly exp(z).
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _objective(
+    z: np.ndarray, e: np.ndarray, weights: np.ndarray, y: np.ndarray, l2_lambda: float
+) -> float:
+    # log(1 + e^z) - y*z = max(z, 0) + log1p(exp(-|z|)) - y*z, without overflow.
+    nll = np.mean(np.maximum(z, 0.0) + np.log1p(e) - y * z)
     return float(nll + 0.5 * l2_lambda * np.dot(weights, weights))
 
 
 def _gradient_at(
-    z: np.ndarray, weights: np.ndarray, Xt: sp.spmatrix, y: np.ndarray, l2_lambda: float
+    z: np.ndarray, e: np.ndarray, weights: np.ndarray, Xt: sp.spmatrix, y: np.ndarray,
+    l2_lambda: float,
 ) -> tuple[np.ndarray, float]:
-    # Xt is X transposed; the trainer passes a CSR copy, whose row gather
-    # adds the same products in the same order as the CSC view's scatter.
-    residual = (_sigmoid(z) - y) / y.size
+    residual = (_sigmoid(z, e) - y) / y.size
     return Xt @ residual + l2_lambda * weights, float(residual.sum())
 
 
@@ -124,14 +141,31 @@ def loss(
     weights: np.ndarray, bias: float, X: sp.csr_matrix, y: np.ndarray, l2_lambda: float
 ) -> float:
     """Mean negative log-likelihood plus (l2_lambda / 2) * ||w||^2."""
-    return _objective(X @ weights + bias, weights, y, l2_lambda)
+    return _objective(*_logits(X, weights, bias), weights, y, l2_lambda)
 
 
 def gradient(
     weights: np.ndarray, bias: float, X: sp.csr_matrix, y: np.ndarray, l2_lambda: float
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of :func:`loss` w.r.t. weights and bias."""
-    return _gradient_at(X @ weights + bias, weights, X.T, y, l2_lambda)
+    return _gradient_at(*_logits(X, weights, bias), weights, X.T, y, l2_lambda)
+
+
+def _lbfgs_direction(g: np.ndarray, memory: deque) -> np.ndarray:
+    """-H g, where H is the L-BFGS inverse-Hessian estimate built from the
+    stored (s, y, 1 / s.y) pairs, oldest first: the two-loop recursion of
+    Liu & Nocedal (1989), scaled by s.y / y.y of the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, yk, rho in reversed(memory):
+        alphas.append(rho * np.dot(s, q))
+        q -= alphas[-1] * yk
+    if memory:
+        s, yk, _ = memory[-1]
+        q *= np.dot(s, yk) / np.dot(yk, yk)
+    for (s, yk, rho), alpha in zip(memory, reversed(alphas)):
+        q += (alpha - rho * np.dot(yk, q)) * s
+    return -q
 
 
 def fit_with_history(
@@ -140,7 +174,8 @@ def fit_with_history(
     """Train and also return the loss at each accepted iterate.
 
     The history starts with the loss at the zero initialization, so entry i
-    is the loss after i accepted steps.
+    is the loss after i accepted steps. The model's ``convergence`` says
+    how the fit ended.
     """
     if config is None:
         config = TrainConfig()
@@ -153,33 +188,54 @@ def fit_with_history(
         raise ValueError("training labels contain a single class")
 
     Xt = X.T.tocsr()
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    z = X @ w + b  # logits of the current iterate, reused by its gradient
-    cur = _objective(z, w, yv, config.l2_lambda)
-    history = [cur]
 
-    for _ in range(config.max_iterations):
-        if not np.isfinite(cur):
-            raise ValueError("training loss is not finite")
-        grad_w, grad_b = _gradient_at(z, w, Xt, yv, config.l2_lambda)
-        if max(np.max(np.abs(grad_w), initial=0.0), abs(grad_b)) < config.tolerance:
+    def evaluate_at(x: np.ndarray) -> tuple[float, np.ndarray]:
+        # x is [w, b]; one X @ w and one Xt @ r per evaluation.
+        z, e = _logits(X, x[:-1], x[-1])
+        grad_w, grad_b = _gradient_at(z, e, x[:-1], Xt, yv, config.l2_lambda)
+        return _objective(z, e, x[:-1], yv, config.l2_lambda), np.append(grad_w, grad_b)
+
+    x = np.zeros(X.shape[1] + 1)
+    cur, g = evaluate_at(x)
+    if not np.isfinite(cur):
+        raise ValueError("training loss is not finite")
+    history = [cur]
+    memory: deque = deque(maxlen=_MEMORY)
+    while True:
+        grad_max = float(np.max(np.abs(g)))
+        if grad_max < config.tolerance:
+            stop = "gradient"
             break
-        step = config.learning_rate
-        while step >= _MIN_STEP:
-            w_new = w - step * grad_w
-            b_new = b - step * grad_b
-            z_new = X @ w_new + b_new
-            new = _objective(z_new, w_new, yv, config.l2_lambda)
-            if new <= cur:
+        if len(history) > config.max_iterations:
+            stop = "max_iterations"
+            break
+        p = _lbfgs_direction(g, memory)
+        slope = float(np.dot(g, p))
+        if slope >= 0:  # H is positive definite, but rounding can still break it
+            memory.clear()
+            p, slope = -g, -float(np.dot(g, g))
+        # Armijo backtracking from step 1. A non-finite trial loss fails the
+        # test, so an overflowing step is halved like any other.
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            x_new = x + step * p
+            new, g_new = evaluate_at(x_new)
+            if new < cur + _ARMIJO * step * slope:
                 break
             step *= 0.5
         else:
-            break  # no step improves the loss; we are at numerical precision
-        w, b, z, cur = w_new, b_new, z_new, new
+            stop = "line_search"
+            break
+        s, yk = x_new - x, g_new - g
+        sy = float(np.dot(s, yk))
+        if sy > 1e-10 * float(np.dot(yk, yk)):  # keep H positive definite
+            memory.append((s, yk, 1.0 / sy))
+        x, cur, g = x_new, new, g_new
         history.append(cur)
 
-    return LogisticModel(weights=w, bias=b), history
+    convergence = Convergence(iterations=len(history) - 1, grad_max=grad_max, stop=stop)
+    model = LogisticModel(weights=x[:-1].copy(), bias=float(x[-1]), convergence=convergence)
+    return model, history
 
 
 def train_logistic(
@@ -271,11 +327,23 @@ def save_logistic(model: LogisticModel, path: str | Path) -> None:
 
 
 def load_logistic(path: str | Path) -> LogisticModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = payload.get("format_version")
-    if version != LOGISTIC_FORMAT_VERSION:
-        raise ValueError(f"unsupported logistic model format version: {version!r}")
-    w = np.zeros(payload["dimension"])
-    for i, v in payload["weights"]:
+    """Read a model written by :func:`save_logistic`; a damaged file raises
+    ValueError naming ``path``."""
+    payload = read_model_json(path, LOGISTIC_FORMAT_VERSION, ("dimension", "bias", "weights"))
+    dimension, pairs = payload["dimension"], payload["weights"]
+    if not is_nonnegative_int(dimension):
+        raise ValueError(f"{path}: dimension must be a non-negative integer")
+    if not is_finite_number(payload["bias"]):
+        raise ValueError(f"{path}: bias must be a finite number")
+    if not (isinstance(pairs, list) and all(
+        isinstance(pair, list) and len(pair) == 2
+        and is_nonnegative_int(pair[0], dimension) and is_finite_number(pair[1])
+        for pair in pairs
+    )):
+        raise ValueError(
+            f"{path}: weights must be [index, finite value] pairs with index < {dimension}"
+        )
+    w = np.zeros(dimension)
+    for i, v in pairs:
         w[i] = v
     return LogisticModel(weights=w, bias=float(payload["bias"]))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,22 @@ class TestTrainAspects:
         assert (out2 / "aspect_reports.json").read_bytes() == \
             (pipeline_dir / "out" / "aspect_reports.json").read_bytes()
 
+    def test_warns_once_per_unconverged_model(self, pipeline_dir, tmp_path, capsys):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        argv = ["--config", config, "--out", str(tmp_path / "out"),
+                "--model-dir", str(tmp_path / "models")]
+        assert main(["train-aspects", *argv]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert main(["train-aspects", *argv, "--set", "train.max_iterations=1"]) == 0
+        captured = capsys.readouterr()
+        assert "warning" not in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 3
+        for line, aspect in zip(lines, ("toxicity", "aggression", "attack")):
+            assert line.startswith(f"warning: aspect {aspect} model stopped on "
+                                   "max_iterations after 1 iterations with max |gradient| ")
+            assert line.endswith("(tolerance 1e-06)")
+
 
 class TestScore:
     def test_scores_per_comment_in_unit_interval(self, pipeline_dir):
@@ -127,6 +144,25 @@ class TestScore:
                      "--out", str(out)]) == 0
         assert (out / "scores.jsonl").read_text() == ""
         assert (out / "article_weights.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("name, damage, message", [
+        ("aspect_attack.json", lambda m: {**m, "weights": m["weights"] + [[10**6, 1.0]]},
+         "weights must be [index, finite value] pairs"),
+        ("aspect_attack.json", lambda m: {**m, "weights": [["3", 0.5]]},
+         "weights must be [index, finite value] pairs"),
+        ("aspects_tfidf.json", lambda m: [1, 2], "a model file must hold a JSON object"),
+        ("aspects_tfidf.json", lambda m: {"format_version": 1}, "missing keys ['config'"),
+    ], ids=["index-out-of-range", "string-index", "tfidf-list", "tfidf-no-keys"])
+    def test_damaged_model_file_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                        name, damage, message):
+        models = tmp_path / "models"
+        shutil.copytree(pipeline_dir / "models", models)
+        (models / name).write_text(json.dumps(damage(json.loads((models / name).read_text()))))
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--model-dir", str(models),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{models / name}: {message}" in err
 
 
 class TestLabelTrainProvoking:
@@ -166,6 +202,18 @@ class TestLabelTrainProvoking:
         assert "contain a single class" in capsys.readouterr().err
         assert not (tmp_path / "out" / "thresholds.json").exists()
         assert not (tmp_path / "out" / "article_labels.jsonl").exists()
+
+    def test_warns_when_the_fit_is_capped(self, pipeline_dir, tmp_path, capsys):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["label-train-provoking", "--config", config,
+                     "--weights", str(pipeline_dir / "out" / "article_weights.jsonl"),
+                     "--out", str(tmp_path / "out"), "--model-dir", str(tmp_path / "models"),
+                     "--set", "train.max_iterations=1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("labeled 20/40 articles provoking")
+        assert captured.err.startswith(
+            "warning: provoking model stopped on max_iterations after 1 iterations")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("row, message", [
         ({"article_id": "a0", "weight": 0.5, "source": "s"}, "missing field n_comments"),
@@ -326,7 +374,8 @@ class TestConfigHandling:
         ("train.max_iterations=2.5", "max_iterations must be an integer"),
         ("train.max_iterations=true", "max_iterations must be an integer"),
         ("train.l2_lambda=x", "l2_lambda must be a finite number"),
-        ("train.learning_rate=Infinity", "learning_rate must be a finite number"),
+        ("train.tolerance=Infinity", "tolerance must be a finite number"),
+        ("train.learning_rate=1.0", "unknown keys under 'train': ['learning_rate']"),
         ("aspect_tfidf.n_max=2.5", "n_max must be an integer"),
         ("aspect_tfidf.min_df=x", "min_df must be an integer"),
         ("aspect_tfidf.use_stoplist=no", "use_stoplist must be true or false"),

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -175,4 +177,25 @@ class TestSerialization:
         path = tmp_path / "tfidf.json"
         path.write_text('{"format_version": 99}')
         with pytest.raises(ValueError):
+            load_tfidf(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("vocabulary", ["a", "a", "b"], "vocabulary must be a list of distinct strings"),
+        ("vocabulary", ["a", 2, "b"], "vocabulary must be a list of distinct strings"),
+        ("idf", [1.0, 2.0], "idf must hold one valid number per vocabulary term"),
+        ("idf", [1.0, float("nan"), 1.0], "idf must hold one valid number"),
+        ("doc_freq", [1, -1, 1], "doc_freq must hold one valid number"),
+        ("doc_freq", "abc", "doc_freq must hold one valid number"),
+        ("n_docs", True, "n_docs must be a non-negative integer"),
+        ("config", {"n_min": 1, "ngrams": 2}, "config must be an object with keys"),
+        ("config", {"n_min": 3, "n_max": 2}, "invalid n-gram range"),
+        ("config", [1, 2], "config must be an object with keys"),
+    ])
+    def test_damaged_file_raises_value_error_naming_it(self, tmp_path, key, value, message):
+        path = tmp_path / "tfidf.json"
+        save_tfidf(fit_tfidf(["a b", "a c"], TfidfConfig(n_min=1, n_max=1)), path)
+        payload = json.loads(path.read_text())
+        assert len(payload["vocabulary"]) == 3
+        path.write_text(json.dumps({**payload, key: value}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             load_tfidf(path)

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 
-import linmodel_reference
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from newsciv import linmodel
 from newsciv.linmodel import (
     LogisticModel,
     TrainConfig,
@@ -71,63 +73,111 @@ def sparse_instance(seed: int, n: int, d: int, density: float, scale: float = 1.
     return X, y
 
 
-# (id, instance, config, whether the descent stops at max_iterations or on
-# tolerance). Features scaled by 3 make steps of 4.0 overshoot.
-TRAINER_CASES = [
-    ("random-60x25", sparse_instance(0, 60, 25, 0.2), TrainConfig(), "cap"),
-    ("random-200x80", sparse_instance(1, 200, 80, 0.05), TrainConfig(), "cap"),
-    ("random-35x120", sparse_instance(2, 35, 120, 0.1), TrainConfig(l2_lambda=1e-2), "cap"),
-    ("random-400x300", sparse_instance(3, 400, 300, 0.02), TrainConfig(max_iterations=200), "cap"),
-    ("backtracking", sparse_instance(4, 40, 8, 1.0, scale=3.0),
-     TrainConfig(max_iterations=100, learning_rate=4.0), "cap"),
-    ("separable-no-l2", (sp.csr_matrix([[-2.0, 0.5], [-1.0, 0.0], [1.0, -0.5], [3.0, 1.0]]),
-                         np.array([False, False, True, True])),
-     TrainConfig(l2_lambda=0.0), "cap"),
-    ("tolerance", sparse_instance(5, 50, 10, 0.3), TrainConfig(tolerance=1e-2), "tolerance"),
-    ("zero-iterations", sparse_instance(7, 20, 5, 0.3), TrainConfig(max_iterations=0), "cap"),
+def scipy_optimum(X, y, l2_lambda: float) -> float:
+    """The objective's minimum as scipy's L-BFGS-B finds it, run to the
+    limit of double precision."""
+    from scipy.optimize import minimize
+
+    yv = y.astype(float)
+    result = minimize(
+        lambda v: loss(v[:-1], v[-1], X, yv, l2_lambda),
+        np.zeros(X.shape[1] + 1),
+        jac=lambda v: np.append(*gradient(v[:-1], v[-1], X, yv, l2_lambda)),
+        method="L-BFGS-B",
+        options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 10_000},
+    )
+    return float(result.fun)
+
+
+def max_gradient(model, X, y, l2_lambda: float) -> float:
+    grad_w, grad_b = gradient(model.weights, model.bias, X, y.astype(float), l2_lambda)
+    return max(np.max(np.abs(grad_w)), abs(grad_b))
+
+
+# (id, instance, config): fits that must stop on the gradient tolerance at
+# the optimum. Features scaled by 3 make full steps overshoot.
+OPTIMUM_CASES = [
+    ("random-60x25", sparse_instance(0, 60, 25, 0.2), TrainConfig()),
+    ("random-200x80", sparse_instance(1, 200, 80, 0.05), TrainConfig()),
+    ("random-35x120", sparse_instance(2, 35, 120, 0.1), TrainConfig(l2_lambda=1e-2)),
+    ("random-400x300", sparse_instance(3, 400, 300, 0.02), TrainConfig(max_iterations=200)),
+    ("scaled-3x", sparse_instance(4, 40, 8, 1.0, scale=3.0), TrainConfig(max_iterations=100)),
 ]
+SEPARABLE = (sp.csr_matrix([[-2.0, 0.5], [-1.0, 0.0], [1.0, -0.5], [3.0, 1.0]]),
+             np.array([False, False, True, True]))
 
 
-class TestTrainerMatchesReference:
-    """The trainer must reproduce the reference descent loop bit for bit."""
+class TestTrainerReachesOptimum:
+    """The trainer reaches the objective it minimizes, or says it did not."""
 
-    @pytest.mark.parametrize("instance, config, stop",
-                             [case[1:] for case in TRAINER_CASES],
-                             ids=[case[0] for case in TRAINER_CASES])
-    def test_weights_bias_and_history_are_identical(self, instance, config, stop):
+    @pytest.mark.parametrize("instance, config", [case[1:] for case in OPTIMUM_CASES],
+                             ids=[case[0] for case in OPTIMUM_CASES])
+    def test_stops_on_gradient_at_scipy_optimum(self, instance, config):
         X, y = instance
         model, history = fit_with_history(X, y.tolist(), config)
-        ref_w, ref_b, ref_history = linmodel_reference.fit_with_history(X, y.tolist(), config)
-        assert model.weights.tobytes() == ref_w.tobytes()
-        assert float(model.bias).hex() == float(ref_b).hex()
-        assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+        fit = model.convergence
+        assert fit.stop == "gradient"
+        assert fit.iterations == len(history) - 1 <= config.max_iterations
+        assert max_gradient(model, X, y, config.l2_lambda) < config.tolerance
+        assert fit.grad_max == pytest.approx(max_gradient(model, X, y, config.l2_lambda), rel=1e-6)
+        best = scipy_optimum(X, y, config.l2_lambda)
+        assert history[-1] == loss(model.weights, model.bias, X, y.astype(float),
+                                   config.l2_lambda)
+        assert abs(history[-1] - best) <= 1e-9 * abs(best)
 
-        if stop == "cap":
-            assert len(history) == config.max_iterations + 1
-        else:
-            grad_w, grad_b = gradient(model.weights, model.bias, X, y.astype(float),
-                                      config.l2_lambda)
-            assert len(history) <= config.max_iterations
-            assert max(np.max(np.abs(grad_w)), abs(grad_b)) < config.tolerance
+    def test_looser_tolerance_stops_sooner(self):
+        X, y = sparse_instance(5, 50, 10, 0.3)
+        loose, _ = fit_with_history(X, y.tolist(), TrainConfig(tolerance=1e-2))
+        tight, _ = fit_with_history(X, y.tolist(), TrainConfig())
+        assert loose.convergence.stop == tight.convergence.stop == "gradient"
+        assert max_gradient(loose, X, y, TrainConfig().l2_lambda) < 1e-2
+        assert loose.convergence.iterations < tight.convergence.iterations
 
-    def test_backtracking_case_backtracks(self, monkeypatch):
+    @pytest.mark.parametrize("instance, cap", [
+        (sparse_instance(1, 200, 80, 0.05), 5),
+        (sparse_instance(7, 20, 5, 0.3), 0),
+    ], ids=["random-200x80", "zero-iterations"])
+    def test_capped_run_reports_max_iterations(self, instance, cap):
+        X, y = instance
+        config = TrainConfig(max_iterations=cap)
+        model, history = fit_with_history(X, y.tolist(), config)
+        fit = model.convergence
+        assert (fit.stop, fit.iterations, len(history)) == ("max_iterations", cap, cap + 1)
+        assert fit.grad_max == pytest.approx(max_gradient(model, X, y, config.l2_lambda), rel=1e-6)
+        assert fit.grad_max >= config.tolerance
+
+    def test_separable_without_l2_stops_at_cap_with_finite_weights(self):
+        X, y = SEPARABLE
+        config = TrainConfig(l2_lambda=0.0, tolerance=1e-300)
+        model, history = fit_with_history(X, y.tolist(), config)
+        assert model.convergence.stop == "max_iterations"
+        assert len(history) == config.max_iterations + 1
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+        assert [p > 0.5 for p in model.predict_proba(X)] == y.tolist()
+        assert all(b < a for a, b in zip(history, history[1:]))
+
+    def test_precision_floor_stops_on_line_search(self):
+        # No double-precision point has max |gradient| below 1e-300, so
+        # the fit ends when no step lowers the loss any more.
+        (X, y), config = OPTIMUM_CASES[0][1:]
+        model, history = fit_with_history(X, y.tolist(), TrainConfig(tolerance=1e-300))
+        assert model.convergence.stop == "line_search"
+        assert model.convergence.iterations == len(history) - 1 < config.max_iterations
+        best = scipy_optimum(X, y, config.l2_lambda)
+        assert abs(history[-1] - best) <= 1e-12 * abs(best)
+
+    def test_line_search_backtracks_on_scaled_features(self, monkeypatch):
         calls = []
-        reference_loss = linmodel_reference.loss
+        objective = linmodel._objective
 
         def counted(*args):
             calls.append(1)
-            return reference_loss(*args)
+            return objective(*args)
 
-        monkeypatch.setattr(linmodel_reference, "loss", counted)
-        (X, y), config = next(case[1:3] for case in TRAINER_CASES if case[0] == "backtracking")
-        _, _, history = linmodel_reference.fit_with_history(X, y.tolist(), config)
+        monkeypatch.setattr(linmodel, "_objective", counted)
+        (X, y), config = OPTIMUM_CASES[4][1:]
+        _, history = fit_with_history(X, y.tolist(), config)
         assert len(calls) > len(history)  # some trial points were rejected
-
-    def test_sigmoid_matches_masked_formula_bit_for_bit(self):
-        magnitudes = [0.0, 1e-320, 36.0, 709.8, 745.2, 1e4]
-        z = np.array([sign * m for m in magnitudes for sign in (1.0, -1.0)])
-        assert np.signbit(z[1])  # -0.0 is present
-        assert _sigmoid(z).tobytes() == linmodel_reference.masked_sigmoid(z).tobytes()
 
 
 class TestGradient:
@@ -180,11 +230,12 @@ class TestTraining:
     def test_loss_non_increasing_across_accepted_steps(self):
         rng = np.random.default_rng(11)
         X, y = random_instance(rng, 40, 8)
+        # Features scaled by 10 make some full L-BFGS steps overshoot.
         _, history = fit_with_history(
-            sp.csr_matrix(X), y.tolist(), TrainConfig(max_iterations=100, learning_rate=4.0)
+            sp.csr_matrix(10.0 * X), y.tolist(), TrainConfig(l2_lambda=0.0, max_iterations=100)
         )
         assert len(history) > 1
-        assert all(b <= a for a, b in zip(history, history[1:]))
+        assert all(b < a for a, b in zip(history, history[1:]))
 
     def test_single_class_errors(self):
         X = sp.csr_matrix([[1.0], [2.0]])
@@ -209,6 +260,16 @@ class TestTraining:
 
 
 class TestPredict:
+    def test_sigmoid_matches_masked_formula_bit_for_bit(self):
+        magnitudes = [0.0, 1e-320, 36.0, 709.8, 745.2, 1e4]
+        z = np.array([sign * m for m in magnitudes for sign in (1.0, -1.0)])
+        assert np.signbit(z[1])  # -0.0 is present
+        masked = np.empty_like(z)
+        pos = z >= 0
+        masked[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        masked[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+        assert _sigmoid(z, np.exp(-np.abs(z))).tobytes() == masked.tobytes()
+
     def test_zero_model_is_half(self):
         model = LogisticModel(weights=np.zeros(2), bias=0.0)
         assert model.predict_proba(sp.csr_matrix([[1.0, 0.0]])).tolist() == [0.5]
@@ -350,4 +411,24 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text('{"format_version": 0, "dimension": 1, "bias": 0, "weights": []}')
         with pytest.raises(ValueError):
+            load_logistic(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dimension", -1, "dimension must be a non-negative integer"),
+        ("dimension", 2.0, "dimension must be a non-negative integer"),
+        ("bias", "0.5", "bias must be a finite number"),
+        ("bias", float("inf"), "bias must be a finite number"),
+        ("weights", [[3, 1.0]], "weights must be [index, finite value] pairs with index < 3"),
+        ("weights", [[-1, 1.0]], "weights must be [index, finite value] pairs"),
+        ("weights", [[True, 1.0]], "weights must be [index, finite value] pairs"),
+        ("weights", [[0, float("nan")]], "weights must be [index, finite value] pairs"),
+        ("weights", [[0, 10**400]], "weights must be [index, finite value] pairs"),
+        ("weights", [[0]], "weights must be [index, finite value] pairs"),
+        ("weights", {"0": 1.0}, "weights must be [index, finite value] pairs"),
+    ])
+    def test_damaged_file_raises_value_error_naming_it(self, tmp_path, key, value, message):
+        path = tmp_path / "model.json"
+        save_logistic(LogisticModel(weights=np.array([0.0, -1.5, 2.25]), bias=0.125), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
             load_logistic(path)
