@@ -1,7 +1,7 @@
-"""Checks shared by the config dataclasses and the model-file loaders, so
-that a mistyped value from a JSON config, a ``--set`` item or a damaged
-model file raises ValueError (exit 2 at the CLI) instead of a TypeError,
-KeyError or IndexError later on."""
+"""Checks shared by the config dataclasses, the JSONL row readers and the
+model-file loaders, so that a mistyped value from a JSON config, a ``--set``
+item, an input row or a damaged model file raises ValueError (exit 2 at the
+CLI) instead of a TypeError, KeyError or IndexError later on."""
 
 from __future__ import annotations
 
@@ -36,13 +36,16 @@ _KINDS = {
     "float": (is_finite_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple))
+                        and all(isinstance(s, str) for s in v), "a list of strings"),
 }
 
 
 def check_field_types(config) -> None:
-    """Raise ValueError unless every ``int``, ``float``, ``bool`` and ``str``
-    field of dataclass ``config`` holds that kind. Bools are not numbers,
-    numpy scalars count as numbers, and floats must be finite."""
+    """Raise ValueError unless every field of dataclass ``config`` whose
+    annotation is a kind in ``_KINDS`` holds that kind. Bools are not
+    numbers, numpy scalars count as numbers, and floats must be finite."""
     for field in dataclasses.fields(config):
         if field.type not in _KINDS:
             continue

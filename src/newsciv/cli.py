@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -24,27 +23,24 @@ from pathlib import Path
 from typing import Sequence
 
 from . import incivility
+from ._checks import check_field_types
+from ._output import write_json, write_jsonl, write_lines
 from .corpus import (
-    CorpusError,
     filter_by_keywords,
     filter_by_tag,
     load_annotated,
     load_articles,
     load_comments,
+    read_rows,
     save_annotated,
     save_articles,
     save_comments,
-    _read_jsonl,
-    _require,
 )
 from .features import TfidfConfig, load_tfidf, save_tfidf
 from .lda import LdaConfig
 from .linmodel import LogisticModel, TrainConfig, evaluate, load_logistic, save_logistic
 from .subtext import DEFAULT_MIN_PHRASE_DF, mine_subtext, save_report
 from .synthetic import SyntheticConfig, generate_corpus
-
-
-_PLAIN_KINDS = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -69,16 +65,7 @@ class RunConfig:
     synthetic: SyntheticConfig = SyntheticConfig()
 
     def __post_init__(self) -> None:
-        # Check each plain field against its annotation (a string here, as
-        # annotations are postponed); the sub-configs check their own fields.
-        for f in dataclasses.fields(self):
-            kind = _PLAIN_KINDS.get(f.type)
-            value = getattr(self, f.name)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-        if not (isinstance(self.keywords, (list, tuple))
-                and all(isinstance(k, str) for k in self.keywords)):
-            raise ValueError(f"keywords must be a list of strings, got {self.keywords!r}")
+        check_field_types(self)  # the sub-configs check their own fields
         object.__setattr__(self, "keywords", tuple(self.keywords))
 
 
@@ -160,31 +147,6 @@ def _require_paths(cfg: RunConfig, *names: str) -> None:
             raise ValueError(f"{name} file not found: {value}")
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-
-
-def _read_rows(path: Path, fields: dict[str, type | tuple[type, ...]]) -> list[dict]:
-    """Read JSONL objects that each hold ``fields`` with the given types.
-
-    A bool only counts as ``bool`` (not as a number) and a float must be
-    finite; anything else raises CorpusError naming the line.
-    """
-    rows = []
-    for lineno, row in _read_jsonl(path):
-        _require(row, tuple(fields), lineno)
-        for name, kind in fields.items():
-            value = row[name]
-            if (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)
-                    or isinstance(value, float) and not math.isfinite(value)):
-                raise CorpusError(f"line {lineno}: invalid {name} {value!r}")
-        rows.append(row)
-    return rows
-
-
 def _warn_unconverged(name: str, model: LogisticModel, train: TrainConfig) -> None:
     """One stderr line for a fit that stopped before its gradient tolerance."""
     fit = model.convergence
@@ -221,7 +183,7 @@ def cmd_train_aspects(args: argparse.Namespace) -> int:
     save_tfidf(classifiers.tfidf, model_dir / "aspects_tfidf.json")
     for aspect in incivility.ASPECTS:
         save_logistic(getattr(classifiers, aspect), model_dir / f"aspect_{aspect}.json")
-    _write_json(
+    write_json(
         out_dir / "aspect_reports.json",
         {aspect: dataclasses.asdict(report) for aspect, report in reports.items()},
     )
@@ -249,31 +211,22 @@ def cmd_score(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     scores, weights = incivility.article_weights(classifiers, comments)
-    with open(out_dir / "scores.jsonl", "w", encoding="utf-8") as fh:
-        for comment, score in zip(comments, scores):
-            fh.write(
-                f'{{"comment_id": {json.dumps(comment.id)}, '
-                f'"toxicity": {score.toxicity:.6f}, '
-                f'"aggression": {score.aggression:.6f}, '
-                f'"attack": {score.attack:.6f}, '
-                f'"incivility": {score.value:.6f}}}\n'
-            )
+    write_lines(out_dir / "scores.jsonl", (
+        f'{{"comment_id": {json.dumps(comment.id)}, '
+        f'"toxicity": {score.toxicity:.6f}, '
+        f'"aggression": {score.aggression:.6f}, '
+        f'"attack": {score.attack:.6f}, '
+        f'"incivility": {score.value:.6f}}}'
+        for comment, score in zip(comments, scores)
+    ))
 
     weight_of = {w.article_id: w for w in weights}
     kept = [(a, weight_of[a.id]) for a in articles if a.id in weight_of]
-    with open(out_dir / "article_weights.jsonl", "w", encoding="utf-8") as fh:
-        for article, w in kept:
-            fh.write(
-                json.dumps(
-                    {
-                        "article_id": w.article_id,
-                        "weight": w.weight,
-                        "n_comments": w.n_comments,
-                        "source": article.source,
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(out_dir / "article_weights.jsonl", (
+        {"article_id": w.article_id, "weight": w.weight, "n_comments": w.n_comments,
+         "source": article.source}
+        for article, w in kept
+    ))
     if len(kept) < len(articles):
         print(f"excluded {len(articles) - len(kept)} articles with zero comments",
               file=sys.stderr)
@@ -290,9 +243,9 @@ def cmd_label_train_provoking(args: argparse.Namespace) -> int:
         raise ValueError(f"article weights file not found: {weights_path} (run 'score' first)")
 
     body_of = {a.id: a for a in load_articles(cfg.articles)}
-    rows = _read_rows(
+    rows = read_rows(
         weights_path,
-        {"article_id": str, "weight": (int, float), "n_comments": int, "source": str},
+        {"article_id": "str", "weight": "float", "n_comments": "int", "source": "str"},
     )
     if not rows:
         raise ValueError("article weights file is empty")
@@ -327,16 +280,14 @@ def cmd_label_train_provoking(args: argparse.Namespace) -> int:
     )
     # Written only once training succeeded, so a rejected run leaves no labels.
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "thresholds.json", [dataclasses.asdict(t) for t in thresholds])
-    with open(out_dir / "article_labels.jsonl", "w", encoding="utf-8") as fh:
-        for w in labeled:
-            fh.write(json.dumps(dataclasses.asdict(w)) + "\n")
+    write_json(out_dir / "thresholds.json", [dataclasses.asdict(t) for t in thresholds])
+    write_jsonl(out_dir / "article_labels.jsonl", map(dataclasses.asdict, labeled))
 
     model_dir = Path(cfg.model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
     save_tfidf(pipeline.tfidf, model_dir / "provoking_tfidf.json")
     save_logistic(pipeline.model, model_dir / "provoking_model.json")
-    _write_json(out_dir / "provoking_report.json", dataclasses.asdict(report))
+    write_json(out_dir / "provoking_report.json", dataclasses.asdict(report))
     _warn_unconverged("provoking", pipeline.model, cfg.train)
     positives = sum(1 for w in labeled if w.label)
     print(f"labeled {positives}/{len(labeled)} articles provoking; "
@@ -359,13 +310,12 @@ def cmd_predict_provoking(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     probs = pipeline.model.predict_proba(pipeline.tfidf.transform([a.body for a in articles]))
-    with open(out_dir / "provoking_predictions.jsonl", "w", encoding="utf-8") as fh:
-        for article, proba in zip(articles, probs.tolist()):
-            fh.write(
-                f'{{"article_id": {json.dumps(article.id)}, '
-                f'"probability": {proba:.6f}, '
-                f'"label": {"true" if proba > incivility.PROVOKING_THRESHOLD else "false"}}}\n'
-            )
+    write_lines(out_dir / "provoking_predictions.jsonl", (
+        f'{{"article_id": {json.dumps(article.id)}, '
+        f'"probability": {proba:.6f}, '
+        f'"label": {"true" if proba > incivility.PROVOKING_THRESHOLD else "false"}}}'
+        for article, proba in zip(articles, probs.tolist())
+    ))
     print(f"predicted {len(articles)} articles")
     return 0
 
@@ -432,7 +382,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValueError(f"labels file not found: {labels_path}")
         label_of = {
             row["article_id"]: row["label"]
-            for row in _read_rows(labels_path, {"article_id": str, "label": bool})
+            for row in read_rows(labels_path, {"article_id": "str", "label": "bool"})
         }
         pipeline = _load_provoking(model_dir)
         articles = [a for a in load_articles(cfg.articles) if a.id in label_of]
@@ -444,7 +394,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         payload = {"provoking": dataclasses.asdict(report)}
         print(f"provoking: auc={report.auc:.3f} accuracy={report.accuracy:.3f}")
 
-    _write_json(out_dir / "evaluation.json", payload)
+    write_json(out_dir / "evaluation.json", payload)
     return 0
 
 

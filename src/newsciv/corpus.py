@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
+from ._checks import _KINDS
+from ._output import write_jsonl
 from .textproc import tokenize
 
 T = TypeVar("T")
@@ -130,6 +132,22 @@ def _require(obj: dict, fields: Sequence[str], lineno: int) -> None:
             raise CorpusError(f"line {lineno}: missing field {name}")
 
 
+def read_rows(path: str | Path, fields: dict[str, str]) -> list[dict]:
+    """Read JSONL objects that each hold ``fields``, each of the kind (a key
+    of ``_checks._KINDS``, such as ``"float"``) it maps to; anything else
+    raises CorpusError naming the line."""
+    rows = []
+    for lineno, row in _read_jsonl(path):
+        _require(row, tuple(fields), lineno)
+        for name, kind in fields.items():
+            ok, what = _KINDS[kind]
+            if not ok(row[name]):
+                raise CorpusError(f"line {lineno}: invalid {name} {row[name]!r}, "
+                                  f"must be {what}")
+        rows.append(row)
+    return rows
+
+
 def load_articles(path: str | Path) -> list[Article]:
     """Load an articles.jsonl file, preserving file order."""
     articles: list[Article] = []
@@ -137,8 +155,9 @@ def load_articles(path: str | Path) -> list[Article]:
     for lineno, obj in _read_jsonl(path):
         _require(obj, ("id", "source", "title", "body", "tags", "date"), lineno)
         tags = obj["tags"]
-        if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
-            raise CorpusError(f"line {lineno}: tags must be a list of strings, got {tags!r}")
+        ok, what = _KINDS["tuple[str, ...]"]
+        if not ok(tags):
+            raise CorpusError(f"line {lineno}: tags must be {what}, got {tags!r}")
         try:
             article = Article(
                 id=str(obj["id"]),
@@ -284,52 +303,19 @@ def load_annotated(path: str | Path) -> list[AnnotatedComment]:
 
 def save_articles(articles: Iterable[Article], path: str | Path) -> None:
     """Write articles.jsonl; tags are serialized sorted for reproducibility."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in articles:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": a.id,
-                        "source": a.source,
-                        "title": a.title,
-                        "body": a.body,
-                        "tags": sorted(a.tags),
-                        "date": a.date,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(path, ({"id": a.id, "source": a.source, "title": a.title, "body": a.body,
+                        "tags": sorted(a.tags), "date": a.date} for a in articles))
 
 
 def save_comments(comments: Iterable[Comment], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in comments:
-            fh.write(
-                json.dumps(
-                    {"id": c.id, "article_id": c.article_id, "text": c.text},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(path, ({"id": c.id, "article_id": c.article_id, "text": c.text}
+                       for c in comments))
 
 
 def save_annotated(annotated: Iterable[AnnotatedComment], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ac in annotated:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": ac.id,
-                        "text": ac.text,
-                        "toxicity": list(ac.toxicity_ratings),
+    write_jsonl(path, ({"id": ac.id, "text": ac.text, "toxicity": list(ac.toxicity_ratings),
                         "aggression": list(ac.aggression_ratings),
-                        "attack": list(ac.attack_flags),
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+                        "attack": list(ac.attack_flags)} for ac in annotated))
 
 
 def filter_by_keywords(articles: Iterable[Article], keywords: Iterable[str]) -> list[Article]:

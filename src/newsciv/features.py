@@ -7,7 +7,6 @@ The smoothing keeps idf >= 1 for every vocabulary term.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -17,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._checks import check_field_types, is_finite_number, is_nonnegative_int, read_model_json
+from ._output import write_json
 from .textproc import (
     DEFAULT_STOPLIST,
     Vocabulary,
@@ -133,7 +133,7 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
         "doc_freq": [model.vocabulary.doc_freq[t] for t in terms],
         "n_docs": model.vocabulary.n_docs,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(path, payload)
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:

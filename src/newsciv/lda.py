@@ -83,6 +83,15 @@ class LdaModel:
         )
         self.docs = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
         self._doc_ends = np.cumsum(lengths)[:-1]
+        # beta * V + n_tokens is the largest argument log_likelihood gives
+        # lgamma and about what a row of phi sums to; past a finite lgamma
+        # of it, a run ends in a math range error or NaN traces.
+        try:
+            finite = math.isfinite(math.lgamma(config.beta * len(index) + self.n_tokens))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"beta {config.beta:g} is too large for {len(index)} terms")
         # log Gamma(n + beta) - log Gamma(beta) for every count a term can
         # reach. A table of math.lgamma keeps scipy.special, which takes
         # about 0.1 s to import, out of the start-up of every CLI command.

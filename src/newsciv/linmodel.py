@@ -11,7 +11,6 @@ the loss. Each evaluation costs one ``X @ w`` and one ``X.T @ r``, with
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._checks import check_field_types, is_finite_number, is_nonnegative_int, read_model_json
+from ._output import write_json
 
 LOGISTIC_FORMAT_VERSION = 1
 
@@ -284,6 +284,8 @@ def evaluate(
     """Score a test set: confusion counts, rates, and ROC AUC."""
     if X.shape[0] != len(y):
         raise ValueError(f"got {X.shape[0]} feature rows but {len(y)} labels")
+    if not len(y):
+        raise ValueError("cannot evaluate on zero examples")
     truth = np.asarray(y, dtype=bool)
     probs = model.predict_proba(X)
     preds = probs > threshold
@@ -323,7 +325,7 @@ def save_logistic(model: LogisticModel, path: str | Path) -> None:
         "bias": model.bias,
         "weights": [[int(i), float(model.weights[i])] for i in nz],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(path, payload)
 
 
 def load_logistic(path: str | Path) -> LogisticModel:
@@ -343,7 +345,10 @@ def load_logistic(path: str | Path) -> LogisticModel:
         raise ValueError(
             f"{path}: weights must be [index, finite value] pairs with index < {dimension}"
         )
-    w = np.zeros(dimension)
+    try:
+        w = np.zeros(dimension)
+    except (MemoryError, ValueError):  # more floats than numpy or the machine can hold
+        raise ValueError(f"{path}: dimension {dimension} is too large") from None
     for i, v in pairs:
         w[i] = v
     return LogisticModel(weights=w, bias=float(payload["bias"]))

@@ -11,12 +11,12 @@ sets are disjoint by construction.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ._output import write_json, write_lines
 from .corpus import Article, Comment
 from .lda import LdaConfig, TopicSummary, fit_lda, topic_terms, topics_by_size
 from .textproc import DEFAULT_STOPLIST, ngrams, remove_stopwords, tokenize
@@ -188,8 +188,5 @@ def report_to_markdown(report: SubtextReport) -> str:
 
 
 def save_report(report: SubtextReport, json_path: str | Path, markdown_path: str | Path) -> None:
-    Path(json_path).write_text(
-        json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-    Path(markdown_path).write_text(report_to_markdown(report), encoding="utf-8")
+    write_json(json_path, report_to_dict(report))
+    write_lines(markdown_path, report_to_markdown(report).splitlines())

@@ -63,9 +63,6 @@ class SyntheticConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if not (isinstance(self.sources, (list, tuple))
-                and all(isinstance(s, str) for s in self.sources)):
-            raise ValueError(f"sources must be a list of strings, got {self.sources!r}")
         if self.n_articles < 0 or self.comments_per_article < 0 or self.n_annotated < 0:
             raise ValueError("corpus sizes must be >= 0")
         if self.n_annotators < 1:

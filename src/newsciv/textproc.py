@@ -21,9 +21,6 @@ _TOKEN_RE = re.compile(r"[^\W_']+(?:'+[^\W_']+)*")
 
 TokenSequence = list[str]
 
-# Normalized n-gram strings (lowercase tokens joined by single spaces).
-PhraseSet = frozenset[str]
-
 
 def tokenize(text: str) -> TokenSequence:
     """Lowercase ``text`` and split it into tokens, dropping punctuation."""
@@ -118,8 +115,6 @@ def load_stoplist(path: str | Path) -> frozenset[str]:
             terms.add(term)
     return frozenset(terms)
 
-
-STOPLIST_VERSION = 1
 
 # Fixed English function-word list, applied before n-gram formation in the
 # topic-modeling pipeline (not in the TF-IDF classifiers, where function-word

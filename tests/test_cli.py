@@ -4,9 +4,14 @@ import json
 import shutil
 from pathlib import Path
 
-import pytest
+import dataclasses
+import tempfile
 
-from newsciv.cli import _load_run_config, build_parser, main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from newsciv.cli import RunConfig, _load_run_config, build_parser, main
 from newsciv.corpus import Article, save_articles
 from newsciv.features import TfidfConfig
 
@@ -152,7 +157,10 @@ class TestScore:
          "weights must be [index, finite value] pairs"),
         ("aspects_tfidf.json", lambda m: [1, 2], "a model file must hold a JSON object"),
         ("aspects_tfidf.json", lambda m: {"format_version": 1}, "missing keys ['config'"),
-    ], ids=["index-out-of-range", "string-index", "tfidf-list", "tfidf-no-keys"])
+        ("aspect_attack.json", lambda m: {**m, "dimension": 10**12},
+         "dimension 1000000000000 is too large"),
+    ], ids=["index-out-of-range", "string-index", "tfidf-list", "tfidf-no-keys",
+            "huge-dimension"])
     def test_damaged_model_file_exits_2(self, pipeline_dir, tmp_path, capsys,
                                         name, damage, message):
         models = tmp_path / "models"
@@ -219,6 +227,8 @@ class TestLabelTrainProvoking:
         ({"article_id": "a0", "weight": 0.5, "source": "s"}, "missing field n_comments"),
         (["a0", 0.5, 1, "s"], "expected a JSON object"),
         ({"article_id": "a0", "weight": "high", "n_comments": 1, "source": "s"},
+         "invalid weight"),
+        ({"article_id": "a0", "weight": 10**400, "n_comments": 1, "source": "s"},
          "invalid weight"),
     ])
     def test_malformed_weights_row_exits_2(self, tmp_path, capsys, row, message):
@@ -316,6 +326,14 @@ class TestEvaluate:
         assert "provoking" in payload
         assert payload["provoking"]["tp"] + payload["provoking"]["fn"] == 20
 
+    def test_empty_annotated_file_exits_2(self, pipeline_dir, tmp_path, capsys):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["evaluate", "--target", "aspects", "--config", config,
+                     "--annotated", str(empty), "--out", str(tmp_path / "out")]) == 2
+        assert "cannot evaluate on zero examples" in capsys.readouterr().err
+
     def test_labels_row_without_label_exits_2(self, pipeline_dir, tmp_path, capsys):
         config = (pipeline_dir / "config_path.txt").read_text()
         labels = tmp_path / "labels.jsonl"
@@ -390,18 +408,25 @@ class TestConfigHandling:
         ("keywords=5", "keywords must be a list of strings"),
         ("keywords=[1,2]", "keywords must be a list of strings"),
         ("keywords=election", "keywords must be a list of strings"),
-        ("tag=5", "tag must be str | None"),
-        ("min_comment_words=x", "min_comment_words must be int"),
-        ("min_phrase_df=x", "min_phrase_df must be int"),
-        ("min_phrase_df=true", "min_phrase_df must be int"),
-        ("test_fraction=x", "test_fraction must be float"),
-        ("model_dir=5", "model_dir must be str"),
-        ("split_seed=x", "split_seed must be int"),
-        ("articles=[]", "articles must be str | None"),
+        ("tag=5", "tag must be a string or null"),
+        ("min_comment_words=x", "min_comment_words must be an integer"),
+        ("min_phrase_df=x", "min_phrase_df must be an integer"),
+        ("min_phrase_df=true", "min_phrase_df must be an integer"),
+        ("test_fraction=x", "test_fraction must be a finite number"),
+        ("model_dir=5", "model_dir must be a string"),
+        ("split_seed=x", "split_seed must be an integer"),
+        ("articles=[]", "articles must be a string or null"),
     ])
     def test_mistyped_run_config_set_exits_2(self, tmp_path, capsys, item, message):
         assert main(["mine-subtext", "--out", str(tmp_path / "o"), "--set", item]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", ["1e305", "1e308"])
+    def test_overflowing_lda_beta_exits_2(self, pipeline_dir, tmp_path, capsys, beta):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["mine-subtext", "--config", config, "--out", str(tmp_path / "o"),
+                     "--set", f"lda.beta={beta}"]) == 2
+        assert f"beta {float(beta):g} is too large" in capsys.readouterr().err
 
     def test_mistyped_lda_config_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "bad.json", {"lda": {"n_topics": "five"}})
@@ -485,3 +510,93 @@ class TestConfigHandling:
         assert main(["score", "--config", config]) == 0
         after = {p.name: p.read_bytes() for p in data.iterdir()}
         assert before == after
+
+
+# Any JSON value, with the numbers that break naive checks drawn often.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([0, -1, 2**63, 10**400, 1e305]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def damaged(draw, value, depth=0):
+    """``value`` with one part, at most three levels down, replaced by
+    arbitrary JSON or (in an object) removed."""
+    if isinstance(value, (dict, list)) and value and depth < 3 and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(value) if isinstance(value, dict)
+                                   else range(len(value))))
+        if isinstance(value, dict) and draw(st.booleans()):
+            return {k: v for k, v in value.items() if k != key}
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        copy[key] = draw(damaged(value[key], depth + 1))
+        return copy
+    return draw(JSON_VALUES)
+
+
+def _config_keys() -> list[str]:
+    keys = []
+    for field in dataclasses.fields(RunConfig):
+        keys.append(field.name)
+        default = getattr(RunConfig(), field.name)
+        if dataclasses.is_dataclass(default):
+            keys += [f"{field.name}.{sub.name}" for sub in dataclasses.fields(default)]
+    return keys
+
+
+# Each input a damaged copy replaces, and a command that reads it from
+# {input}; the other inputs come from the pipeline run. The config file is
+# read from --config, and ``--set`` items go to the same command.
+FUZZ_READERS = {
+    "run.json": ["evaluate", "--target", "aspects"],
+    "out/article_weights.jsonl": ["label-train-provoking", "--weights", "{input}"],
+    "out/article_labels.jsonl": ["evaluate", "--target", "provoking", "--labels", "{input}"],
+    "data/articles.jsonl": ["predict-provoking", "--articles", "{input}"],
+    "data/annotated.jsonl": ["evaluate", "--target", "aspects", "--annotated", "{input}"],
+    "models/aspects_tfidf.json": ["evaluate", "--target", "aspects"],
+    "models/aspect_toxicity.json": ["evaluate", "--target", "aspects"],
+    "models/provoking_tfidf.json": ["predict-provoking"],
+    "models/provoking_model.json": ["predict-provoking"],
+}
+
+
+class TestMalformedInput:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_damaged_input_exits_0_or_2(self, pipeline_dir, data):
+        """A damaged ``--set`` item, config file, JSONL row or model file
+        ends in exit 0 or 2, never 1 (internal error)."""
+        config = pipeline_dir / "run.json"
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            shutil.copytree(pipeline_dir / "models", tmp / "models")
+            target = data.draw(st.sampled_from(["--set", *FUZZ_READERS]))
+            extra = []
+            if target == "--set":
+                key = data.draw(st.sampled_from(_config_keys()) | st.text(max_size=8))
+                value = data.draw(JSON_VALUES.map(json.dumps) | st.text(max_size=8))
+                extra = [f"--set={key}={value}"]
+                target = "run.json"
+            else:
+                text = (pipeline_dir / target).read_text(encoding="utf-8")
+                if target.endswith(".jsonl"):
+                    lines = text.splitlines()
+                    i = data.draw(st.integers(0, len(lines) - 1))
+                    lines[i] = data.draw(damaged(json.loads(lines[i])).map(json.dumps)
+                                         | st.text(max_size=20))
+                    text = "\n".join(lines) + "\n"
+                else:
+                    text = data.draw(damaged(json.loads(text)).map(json.dumps))
+                if data.draw(st.booleans()):  # as a crash mid-write would leave it
+                    text = text[:data.draw(st.integers(0, len(text)))]
+                (tmp / target).parent.mkdir(exist_ok=True)
+                (tmp / target).write_text(text, encoding="utf-8")
+                if target == "run.json":
+                    config = tmp / target
+            argv = [arg.replace("{input}", str(tmp / target)) for arg in FUZZ_READERS[target]]
+            argv += ["--config", str(config), "--out", str(tmp / "out"),
+                     "--model-dir", str(tmp / "models"), *extra]
+            assert main(argv) in (0, 2), argv

@@ -173,6 +173,17 @@ class TestSerialization:
         assert v1.indices.tolist() == v2.indices.tolist()
         assert v1.data.tolist() == v2.data.tolist()
 
+    def test_non_ascii_terms_are_written_unescaped_and_both_forms_load(self, tmp_path):
+        model = fit_tfidf(["café zürich", "naïve café", "東京 café"],
+                          TfidfConfig(n_min=1, n_max=1))
+        path, escaped = tmp_path / "tfidf.json", tmp_path / "escaped.json"
+        save_tfidf(model, path)
+        text = path.read_text(encoding="utf-8")
+        assert "café" in text and "東京" in text
+        escaped.write_text(json.dumps(json.loads(text)), encoding="ascii")
+        for saved in (path, escaped):
+            assert load_tfidf(saved).vocabulary.index == model.vocabulary.index
+
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "tfidf.json"
         path.write_text('{"format_version": 99}')
