@@ -33,7 +33,14 @@ from .corpus import (
     save_comments,
     train_test_split,
 )
-from .features import TfidfConfig, TfidfModel, fit_tfidf, load_tfidf, save_tfidf
+from .features import (
+    TfidfConfig,
+    TfidfModel,
+    fit_tfidf,
+    fit_transform,
+    load_tfidf,
+    save_tfidf,
+)
 from .incivility import (
     ASPECTS,
     ArticleIncivility,

@@ -126,26 +126,33 @@ def _read_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
             yield lineno, obj
 
 
-def _require(obj: dict, fields: Sequence[str], lineno: int) -> None:
-    for name in fields:
+def _require(obj: dict, fields: dict[str, str | None], lineno: int) -> None:
+    """Raise CorpusError naming the line unless ``obj`` holds every field
+    of ``fields``, each of the kind (a key of ``_checks._KINDS``, such as
+    ``"float"``) it maps to; a field mapped to None may hold anything."""
+    for name, kind in fields.items():
         if name not in obj:
             raise CorpusError(f"line {lineno}: missing field {name}")
+        if kind is None:
+            continue
+        ok, what = _KINDS[kind]
+        if not ok(obj[name]):
+            raise CorpusError(f"line {lineno}: invalid {name} {obj[name]!r}, must be {what}")
 
 
 def read_rows(path: str | Path, fields: dict[str, str]) -> list[dict]:
-    """Read JSONL objects that each hold ``fields``, each of the kind (a key
-    of ``_checks._KINDS``, such as ``"float"``) it maps to; anything else
-    raises CorpusError naming the line."""
+    """Read JSONL objects that each hold ``fields`` (see ``_require``)."""
     rows = []
     for lineno, row in _read_jsonl(path):
-        _require(row, tuple(fields), lineno)
-        for name, kind in fields.items():
-            ok, what = _KINDS[kind]
-            if not ok(row[name]):
-                raise CorpusError(f"line {lineno}: invalid {name} {row[name]!r}, "
-                                  f"must be {what}")
+        _require(row, fields, lineno)
         rows.append(row)
     return rows
+
+
+_ARTICLE_FIELDS = {"id": "str", "source": "str", "title": "str", "body": "str",
+                   "tags": "tuple[str, ...]", "date": "str"}
+_ANNOTATED_FIELDS = {"id": "str", "text": "str", "toxicity": None, "aggression": None,
+                     "attack": None}
 
 
 def load_articles(path: str | Path) -> list[Article]:
@@ -153,19 +160,15 @@ def load_articles(path: str | Path) -> list[Article]:
     articles: list[Article] = []
     seen: set[str] = set()
     for lineno, obj in _read_jsonl(path):
-        _require(obj, ("id", "source", "title", "body", "tags", "date"), lineno)
-        tags = obj["tags"]
-        ok, what = _KINDS["tuple[str, ...]"]
-        if not ok(tags):
-            raise CorpusError(f"line {lineno}: tags must be {what}, got {tags!r}")
+        _require(obj, _ARTICLE_FIELDS, lineno)
         try:
             article = Article(
-                id=str(obj["id"]),
-                source=str(obj["source"]),
-                title=str(obj["title"]),
-                body=str(obj["body"]),
-                tags=frozenset(tags),
-                date=str(obj["date"]),
+                id=obj["id"],
+                source=obj["source"],
+                title=obj["title"],
+                body=obj["body"],
+                tags=frozenset(obj["tags"]),
+                date=obj["date"],
             )
         except (TypeError, ValueError) as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc
@@ -185,11 +188,9 @@ def load_comments(path: str | Path, min_words: int = 0) -> list[Comment]:
     comments: list[Comment] = []
     seen: set[str] = set()
     for lineno, obj in _read_jsonl(path):
-        _require(obj, ("id", "article_id", "text"), lineno)
+        _require(obj, {"id": "str", "article_id": "str", "text": "str"}, lineno)
         try:
-            comment = Comment(
-                id=str(obj["id"]), article_id=str(obj["article_id"]), text=str(obj["text"])
-            )
+            comment = Comment(id=obj["id"], article_id=obj["article_id"], text=obj["text"])
         except ValueError as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc
         if comment.id in seen:
@@ -256,8 +257,10 @@ def load_annotated(path: str | Path) -> list[AnnotatedComment]:
                 if not line.strip():
                     continue
                 parts = line.rstrip("\n").split("\t")
-                if len(parts) < len(header):
-                    raise CorpusError(f"line {lineno}: expected {len(header)} columns")
+                if len(parts) != len(header):
+                    raise CorpusError(
+                        f"line {lineno}: expected {len(header)} columns, got {len(parts)}"
+                    )
                 try:
                     tox = int(parts[cols["toxicity"]])
                     agg = int(parts[cols["aggression"]])
@@ -276,10 +279,9 @@ def load_annotated(path: str | Path) -> list[AnnotatedComment]:
                 )
     else:
         for lineno, obj in _read_jsonl(path):
-            _require(obj, ("id", "text", "toxicity", "aggression", "attack"), lineno)
+            _require(obj, _ANNOTATED_FIELDS, lineno)
             add_row(
-                lineno, str(obj["id"]), str(obj["text"]), obj["toxicity"],
-                obj["aggression"], obj["attack"],
+                lineno, obj["id"], obj["text"], obj["toxicity"], obj["aggression"], obj["attack"]
             )
 
     out = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import AnnotatedComment, Article, Comment, train_test_split
-from .features import TfidfConfig, TfidfModel, fit_tfidf
+from .features import TfidfConfig, TfidfModel, fit_transform
 from .linmodel import EvalReport, LogisticModel, TrainConfig, evaluate, train_logistic
 
 ASPECTS = ("toxicity", "aggression", "attack")
@@ -143,8 +143,7 @@ def train_aspect_classifiers(
     either side of the split raises, naming the aspect.
     """
     train, test = train_test_split(list(annotated), test_fraction, split_seed)
-    tfidf = fit_tfidf([ac.text for ac in train], tfidf_config)
-    x_train = tfidf.transform([ac.text for ac in train])
+    tfidf, x_train = fit_transform([ac.text for ac in train], tfidf_config)
     x_test = tfidf.transform([ac.text for ac in test])
 
     models: dict[str, LogisticModel] = {}
@@ -286,10 +285,8 @@ def train_provoking_classifier(
         if len({lab for _, lab in part}) < 2:
             raise ValueError(f"provoking labels have a single class in the {side} split")
 
-    tfidf = fit_tfidf([a.body for a, _ in train], tfidf_config)
-    model = train_logistic(
-        tfidf.transform([a.body for a, _ in train]), [lab for _, lab in train], train_config
-    )
+    tfidf, x_train = fit_transform([a.body for a, _ in train], tfidf_config)
+    model = train_logistic(x_train, [lab for _, lab in train], train_config)
     report = evaluate(
         model, tfidf.transform([a.body for a, _ in test]), [lab for _, lab in test]
     )

@@ -121,6 +121,20 @@ class TestTrainAspects:
             assert line.endswith("(tolerance 1e-06)")
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("text", None), ("text", {"x": 1}), ("text", 7), ("id", 12), ("id", None),
+    ])
+    def test_non_string_field_exits_2(self, pipeline_dir, tmp_path, capsys, field, value):
+        rows = jsonl(pipeline_dir / "data" / "annotated.jsonl")
+        rows[2][field] = value
+        path = tmp_path / "annotated.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["train-aspects", "--annotated", str(path), "--out", str(tmp_path / "out"),
+                     "--model-dir", str(tmp_path / "models")]) == 2
+        assert f"line 3: invalid {field} {value!r}, must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "models").exists()
+
+
 class TestScore:
     def test_scores_per_comment_in_unit_interval(self, pipeline_dir):
         scores = jsonl(pipeline_dir / "out" / "scores.jsonl")
@@ -171,6 +185,34 @@ class TestScore:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"{models / name}: {message}" in err
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("text", None), ("text", {"x": 1}), ("text", ["a", "b"]), ("article_id", 3),
+        ("id", True),
+    ])
+    def test_non_string_comment_field_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                              field, value):
+        rows = jsonl(pipeline_dir / "data" / "comments.jsonl")
+        rows[4][field] = value
+        path = tmp_path / "comments.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--comments", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"line 5: invalid {field} {value!r}, must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["id", "source", "title", "body", "date"])
+    def test_non_string_article_field_exits_2(self, pipeline_dir, tmp_path, capsys, field):
+        rows = jsonl(pipeline_dir / "data" / "articles.jsonl")
+        rows[1][field] = None
+        path = tmp_path / "articles.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--articles", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"line 2: invalid {field} None, must be a string" in capsys.readouterr().err
 
 
 class TestLabelTrainProvoking:
@@ -556,6 +598,7 @@ FUZZ_READERS = {
     "out/article_labels.jsonl": ["evaluate", "--target", "provoking", "--labels", "{input}"],
     "data/articles.jsonl": ["predict-provoking", "--articles", "{input}"],
     "data/annotated.jsonl": ["evaluate", "--target", "aspects", "--annotated", "{input}"],
+    "data/annotated.tsv": ["evaluate", "--target", "aspects", "--annotated", "{input}"],
     "models/aspects_tfidf.json": ["evaluate", "--target", "aspects"],
     "models/aspect_toxicity.json": ["evaluate", "--target", "aspects"],
     "models/provoking_tfidf.json": ["predict-provoking"],
@@ -563,12 +606,39 @@ FUZZ_READERS = {
 }
 
 
+def _annotated_tsv(path: Path) -> str:
+    """The annotated comments of JSONL ``path`` as a .tsv file, one row per
+    annotator."""
+    lines = ["id\ttext\ttoxicity\taggression\tattack"]
+    for row in jsonl(path):
+        for tox, agg, att in zip(row["toxicity"], row["aggression"], row["attack"]):
+            lines.append(f"{row['id']}\t{row['text']}\t{tox}\t{agg}\t{str(att).lower()}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def damaged_tsv_line(draw, line: str) -> str:
+    """``line`` with one cell replaced, removed or added, or all replaced."""
+    cells = line.split("\t")
+    i = draw(st.integers(0, len(cells) - 1))
+    how = draw(st.sampled_from(["replace", "remove", "add", "line"]))
+    if how == "line":
+        return draw(st.text(max_size=20))
+    if how == "replace":
+        cells[i] = draw(st.text(max_size=8) | st.sampled_from(["", "0", "6", "-1", "yes"]))
+    elif how == "remove":
+        del cells[i]
+    else:
+        cells.insert(i, draw(st.text(max_size=8)))
+    return "\t".join(cells)
+
+
 class TestMalformedInput:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_damaged_input_exits_0_or_2(self, pipeline_dir, data):
-        """A damaged ``--set`` item, config file, JSONL row or model file
-        ends in exit 0 or 2, never 1 (internal error)."""
+        """A damaged ``--set`` item, config file, JSONL row, .tsv annotated
+        row or model file ends in exit 0 or 2, never 1 (internal error)."""
         config = pipeline_dir / "run.json"
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -581,14 +651,20 @@ class TestMalformedInput:
                 extra = [f"--set={key}={value}"]
                 target = "run.json"
             else:
-                text = (pipeline_dir / target).read_text(encoding="utf-8")
-                if target.endswith(".jsonl"):
+                if target.endswith(".tsv"):
+                    lines = _annotated_tsv(pipeline_dir / "data" / "annotated.jsonl").splitlines()
+                    i = data.draw(st.integers(0, len(lines) - 1))
+                    lines[i] = data.draw(damaged_tsv_line(lines[i]))
+                    text = "\n".join(lines) + "\n"
+                elif target.endswith(".jsonl"):
+                    text = (pipeline_dir / target).read_text(encoding="utf-8")
                     lines = text.splitlines()
                     i = data.draw(st.integers(0, len(lines) - 1))
                     lines[i] = data.draw(damaged(json.loads(lines[i])).map(json.dumps)
                                          | st.text(max_size=20))
                     text = "\n".join(lines) + "\n"
                 else:
+                    text = (pipeline_dir / target).read_text(encoding="utf-8")
                     text = data.draw(damaged(json.loads(text)).map(json.dumps))
                 if data.draw(st.booleans()):  # as a crash mid-write would leave it
                     text = text[:data.draw(st.integers(0, len(text)))]

@@ -96,7 +96,7 @@ class TestLoadArticles:
     def test_tags_must_be_list_of_strings(self, tmp_path, tags):
         path = tmp_path / "articles.jsonl"
         path.write_text(article_line(1, tags=tags) + "\n")
-        with pytest.raises(CorpusError, match="line 1: tags must be a list of strings"):
+        with pytest.raises(CorpusError, match="line 1: invalid tags .*, must be a list of strings"):
             load_articles(path)
 
 
@@ -127,6 +127,19 @@ class TestLoadComments:
         assert len(load_comments(path)) == 2  # off by default
         kept = load_comments(path, min_words=5)
         assert [c.id for c in kept] == ["c2"]
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("text", None), ("text", {"x": 1}), ("id", 5), ("article_id", ["a1"]),
+    ])
+    def test_non_string_field_names_line(self, tmp_path, field, value):
+        """A null text used to load as the text "None" and be scored."""
+        rows = [{"id": "c1", "article_id": "a1", "text": "fine"},
+                {"id": "c2", "article_id": "a1", "text": "x", field: value}]
+        path = tmp_path / "comments.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(CorpusError, match=f"line 2: invalid {field} .*, must be a string"):
+            load_comments(path)
 
 
 class TestLoadAnnotated:
@@ -184,6 +197,26 @@ class TestLoadAnnotated:
         (ac,) = load_annotated(path)
         assert ac.toxicity_ratings == (2, 3)
         assert ac.attack_flags == (True, False)
+
+
+    @pytest.mark.parametrize("row, columns", [
+        ("w1\thello\tthere\t2\t1\t1", 6),  # a tab inside the text
+        ("w1\thello there\t2\t1", 4),
+    ])
+    def test_tsv_row_with_wrong_column_count_names_line(self, tmp_path, row, columns):
+        path = tmp_path / "annotated.tsv"
+        path.write_text("id\ttext\ttoxicity\taggression\tattack\n"
+                        "w0\tfine\t2\t1\t0\n" + row + "\n")
+        with pytest.raises(CorpusError, match=f"line 3: expected 5 columns, got {columns}"):
+            load_annotated(path)
+
+    @pytest.mark.parametrize("field, value", [("text", None), ("text", {"x": 1}), ("id", 7)])
+    def test_jsonl_non_string_field_names_line(self, tmp_path, field, value):
+        row = {"id": "w1", "text": "x", "toxicity": [3], "aggression": [3], "attack": [True]}
+        path = tmp_path / "annotated.jsonl"
+        path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: value}) + "\n")
+        with pytest.raises(CorpusError, match=f"line 2: invalid {field} .*, must be a string"):
+            load_annotated(path)
 
 
 class TestRoundTrip:

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import features_reference as reference
+from newsciv import features
 from newsciv.features import (
     TfidfConfig,
     fit_tfidf,
+    fit_transform,
     load_tfidf,
     save_tfidf,
 )
@@ -210,3 +217,162 @@ class TestSerialization:
         path.write_text(json.dumps({**payload, key: value}))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             load_tfidf(path)
+
+
+# Words for the reference comparison: Unicode letters, apostrophes inside
+# and around tokens, case the tokenizer folds, stoplist words, underscores
+# and digits. Separators include punctuation that the tokenizer drops.
+WORDS = ["a", "b", "c", "the", "wall", "don't", "'tis", "rock'n'roll", "a''b",
+         "café", "Café", "CAFÉ", "東京", "naïve", "x_y", "42", "it's", "ΣΑΣ"]
+SEPARATORS = [" ", "  ", ", ", ". ", "\t", "\n", " - ", "'", "_"]
+
+texts_st = st.lists(
+    st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(SEPARATORS)), max_size=12)
+    .map(lambda pairs: "".join(w + sep for w, sep in pairs)),
+    max_size=10,
+)
+configs_st = st.builds(
+    lambda n_min, extra, min_df, max_df_ratio, use_stoplist: TfidfConfig(
+        n_min=n_min, n_max=min(3, n_min + extra), min_df=min_df,
+        max_df_ratio=max_df_ratio, use_stoplist=use_stoplist),
+    st.integers(1, 3), st.integers(0, 2), st.integers(1, 3),
+    st.sampled_from([1.0, 0.75, 0.5, 0.34]), st.booleans(),
+)
+
+
+def assert_same_matrix(got, expected):
+    assert got.shape == expected.shape
+    for name in ("indptr", "indices"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    assert got.data.dtype == expected.data.dtype
+    assert got.data.tobytes() == expected.data.tobytes()
+
+
+def assert_same_model(got, expected):
+    assert got.vocabulary.index == expected.vocabulary.index
+    assert got.vocabulary.doc_freq == expected.vocabulary.doc_freq
+    assert got.vocabulary.n_docs == expected.vocabulary.n_docs
+    assert got.idf.tobytes() == expected.idf.tobytes()
+    assert got.config == expected.config
+
+
+class TestMatchesStringReference:
+    """The integer-key encoder against ``features_reference``, the string
+    path it replaced, bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(docs=texts_st, queries=texts_st, config=configs_st,
+           chunk=st.sampled_from([1, 2, 3, 4096]))
+    def test_fit_transform_and_transform_match(self, tmp_path_factory, docs, queries,
+                                               config, chunk):
+        docs = docs or [""]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "_CHUNK", chunk)
+            expected = reference.fit_tfidf(docs, config)
+            model, x = fit_transform(docs, config)
+            assert_same_model(model, expected)
+            assert_same_model(fit_tfidf(docs, config), expected)
+            assert_same_matrix(x, reference.transform(expected, docs))
+            path = tmp_path_factory.mktemp("tfidf") / "tfidf.json"
+            save_tfidf(model, path)
+            for fitted in (model, load_tfidf(path)):
+                for batch in (queries, docs + queries, []):
+                    assert_same_matrix(fitted.transform(batch),
+                                       reference.transform(expected, batch))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(terms=st.lists(
+               st.lists(st.sampled_from(WORDS + ["", "A", "a b"]), min_size=1, max_size=4)
+               .map(" ".join), min_size=1, max_size=12, unique=True),
+           idf=st.floats(0.5, 5.0), queries=texts_st, config=configs_st)
+    def test_loaded_vocabulary_with_unspellable_terms_matches(self, tmp_path_factory, terms,
+                                                              idf, queries, config):
+        """Saved vocabularies may hold terms no tokenizer emits (upper case,
+        empty or doubled spaces, an n outside the range); they match nothing,
+        as they did on the string path."""
+        path = tmp_path_factory.mktemp("tfidf") / "tfidf.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "config": dataclasses.asdict(config), "vocabulary": terms,
+            "idf": [idf + i for i in range(len(terms))], "doc_freq": [1] * len(terms),
+            "n_docs": 1,
+        }), encoding="utf-8")
+        model = load_tfidf(path)
+        batch = queries + [" ".join(terms)]
+        assert_same_matrix(model.transform(batch), reference.transform(model, batch))
+
+    @pytest.mark.parametrize("config", [
+        TfidfConfig(n_min=1, n_max=3), TfidfConfig(n_min=2, n_max=2),
+        TfidfConfig(n_min=1, n_max=2, min_df=3, max_df_ratio=0.05, use_stoplist=True),
+    ])
+    def test_synthetic_comments_match_across_chunks(self, monkeypatch, config):
+        """Chunks of 7 texts put chunk boundaries inside the batch."""
+        _, comments, _ = generate_corpus(
+            SyntheticConfig(n_articles=30, comments_per_article=10, n_annotated=1, seed=4)
+        )
+        texts = [c.text for c in comments]
+        monkeypatch.setattr(features, "_CHUNK", 7)
+        expected = reference.fit_tfidf(texts, config)
+        model, x = fit_transform(texts, config)
+        assert_same_model(model, expected)
+        assert_same_matrix(x, reference.transform(expected, texts))
+        assert_same_matrix(model.transform(texts[::-1]), reference.transform(expected, texts[::-1]))
+
+    def test_idf_uses_math_log_for_every_document_frequency(self):
+        """Token t{j} is in documents j..61, so df runs over 1..62; np.log
+        differs from math.log by an ulp at df 59 and 61 of N = 62."""
+        docs = [" ".join(f"t{j}" for j in range(i + 1)) for i in range(62)]
+        model = fit_tfidf(docs, TfidfConfig(n_min=1, n_max=1))
+        assert sorted(model.vocabulary.doc_freq.values()) == list(range(1, 63))
+        assert_same_model(model, reference.fit_tfidf(docs, TfidfConfig(n_min=1, n_max=1)))
+
+    def test_ngrams_do_not_join_neighbouring_texts(self):
+        model = fit_tfidf(["b c", "x y"], TfidfConfig(n_min=2, n_max=2))
+        x = model.transform(["a b", "c d", "b c"])
+        assert np.diff(x.indptr).tolist() == [0, 0, 1]
+
+    def test_dropped_unigram_inside_kept_bigram_is_counted(self):
+        docs = ["the wall", "the gate", "the hill", "a wall"]
+        config = TfidfConfig(n_min=1, n_max=2, max_df_ratio=0.5)
+        model, x = fit_transform(docs, config)
+        assert "the" not in model.vocabulary and "the wall" in model.vocabulary
+        assert row_terms(model, x, 0).keys() == {"the wall", "wall"}
+        assert_same_matrix(x, reference.transform(reference.fit_tfidf(docs, config), docs))
+
+    def test_empty_batch_and_token_less_texts(self):
+        model = fit_tfidf(["a b", "a c"], TfidfConfig())
+        assert model.transform([]).shape == (0, model.dimension)
+        x = model.transform(["", "!!! ...", "a"])
+        assert np.diff(x.indptr).tolist() == [0, 0, 1]
+        with pytest.raises(ValueError, match="empty corpus"):
+            fit_transform([], TfidfConfig())
+
+    def test_token_less_corpus_fits_an_empty_vocabulary(self):
+        model, x = fit_transform(["", "?!"], TfidfConfig())
+        assert model.dimension == 0 and x.shape == (2, 0)
+        assert model.transform(["a b"]).shape == (1, 0)
+
+
+class TestTransformMemory:
+    def test_peak_is_bounded_by_a_multiple_of_the_output(self):
+        """transform encodes a batch in chunks of 4,096 texts, so its working
+        memory beyond the output is one chunk's. Holding every token of this
+        16,385-text batch at once peaks near twelve times the output's bytes."""
+        rng = random.Random(0)
+        words = [f"w{i}" for i in range(400)]
+
+        def text():
+            return " ".join(rng.choices(words, k=rng.randint(0, 30)))
+
+        model = fit_tfidf([text() for _ in range(500)], TfidfConfig(min_df=3))
+        batch = [text() for _ in range(16_385)]
+        model.transform(batch[:2])  # build the lookup tables outside the trace
+        tracemalloc.start()
+        try:
+            x = model.transform(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = x.data.nbytes + x.indices.nbytes + x.indptr.nbytes
+        assert x.nnz > 50 * len(batch) / 4
+        assert peak < 8 * out
