@@ -4,13 +4,9 @@ The weighting variant is fixed: raw term counts, smoothed inverse document
 frequency ln((1 + N) / (1 + df)) + 1, and L2 normalization of each row.
 The smoothing keeps idf >= 1 for every vocabulary term.
 
-Each text is tokenized once and its tokens mapped to integer ids. N-grams
-are then found level by level with integer keys: the k-gram at a position
-has key ``prefix * U + token``, where ``prefix`` is the id of its first
-k - 1 tokens among the (k - 1)-grams of that level, ``token`` the id of its
-last token and ``U`` the number of distinct tokens. Ids stay below the
-number of distinct n-grams, so keys fit int64 for every n. Only the n-grams
-a vocabulary keeps are ever spelled out as strings.
+Each text is tokenized once and its n-grams found by integer keys with the
+encoder of :mod:`newsciv.textproc`; only the n-grams a vocabulary keeps are
+ever spelled out as strings.
 """
 
 from __future__ import annotations
@@ -18,22 +14,27 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._checks import check_field_types, is_finite_number, is_nonnegative_int, read_model_json
 from ._output import write_json
-from .textproc import DEFAULT_STOPLIST, Vocabulary, remove_stopwords, tokenize
+from .textproc import (
+    DEFAULT_STOPLIST,
+    Ngrams,
+    Vocabulary,
+    chunks,
+    document_frequency,
+    gram_ids,
+    lookup_texts,
+    number_grams,
+    token_lookup,
+)
 
 TFIDF_FORMAT_VERSION = 1
-
-# Texts encoded at a time. Rows are independent, so the chunk size changes
-# no output bit; it bounds the token strings and id arrays alive at once.
-_CHUNK = 4096
 
 _INT32_MAX = np.iinfo(np.int32).max
 _KEY_MAX = np.iinfo(np.int64).max  # above every n-gram key
@@ -58,61 +59,9 @@ class TfidfConfig:
         if not 0.0 < self.max_df_ratio <= 1.0:
             raise ValueError(f"max_df_ratio must be in (0, 1], got {self.max_df_ratio}")
 
-
-def _chunks(texts: Iterable[str]) -> Iterator[list[str]]:
-    it = iter(texts)
-    while chunk := list(islice(it, _CHUNK)):
-        yield chunk
-
-
-def _tokens(texts: Sequence[str], use_stoplist: bool) -> tuple[list[str], np.ndarray]:
-    """The tokens of ``texts`` in order, each text followed by "" (which no
-    token equals, so no n-gram joins two texts), and the position of each
-    of those separators."""
-    flat: list[str] = []
-    ends: list[int] = []
-    for text in texts:
-        tokens = tokenize(text)
-        if use_stoplist:
-            tokens = remove_stopwords(tokens, DEFAULT_STOPLIST)
-        flat += tokens
-        ends.append(len(flat))
-        flat.append("")
-    return flat, np.array(ends, dtype=np.int64)
-
-
-def _grams(
-    ids: np.ndarray, n_max: int, n_tokens: int, find: Callable[[int, np.ndarray], np.ndarray]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """For k = 1, 2, ..., n_max, the id of the k-gram at each position of
-    token ids ``ids``, or -1 where it would cross a -1 or ``find`` does not
-    know it. ``find(k, keys)`` gives the ids of level-k keys (-1 for none).
-    Stops early once no k-gram is left."""
-    gram = ids
-    yield 1, gram
-    for k in range(2, n_max + 1):
-        prefix, last = gram[:-1], ids[k - 1:]
-        known = ((prefix >= 0) & (last >= 0)).nonzero()[0]
-        if len(known) == 0:
-            return
-        gram = np.full(len(prefix), -1, dtype=np.int64)
-        gram[known] = find(k, prefix[known] * n_tokens + last[known])
-        yield k, gram
-
-
-def _number_grams(
-    ids: np.ndarray, n_max: int, n_tokens: int
-) -> tuple[dict[int, np.ndarray], list[np.ndarray]]:
-    """Number the distinct k-grams of token ids ``ids`` in key order, for
-    k = 1, 2, ..., n_max: per level the sorted distinct keys (the token ids
-    at level 1), and per level the id of the k-gram at each position."""
-    tables = {1: np.arange(n_tokens)}
-
-    def find(k: int, keys: np.ndarray) -> np.ndarray:
-        tables[k], inverse = np.unique(keys, return_inverse=True)
-        return inverse
-
-    return tables, [gram for _, gram in _grams(ids, n_max, n_tokens, find)]
+    @property
+    def stoplist(self) -> frozenset[str]:
+        return DEFAULT_STOPLIST if self.use_stoplist else frozenset()
 
 
 def _hits(grams: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -191,15 +140,16 @@ class TfidfModel:
 
     @cached_property
     def _tables(self) -> tuple[dict[str, int], dict[int, np.ndarray], list[np.ndarray]]:
-        """Token ids; per level k >= 2 the sorted keys of the k-grams inside
-        the vocabulary terms, then a key above every k-gram's; and per
-        level k >= 1 the column of each k-gram id, -1 for a k-gram that is
-        not itself a term and at the end.
+        """The token ids as a ``token_lookup``; per level k the sorted keys
+        of the k-grams inside the vocabulary terms (the token ids at level
+        1), then a key above every k-gram's; and per level the column of
+        each k-gram id, -1 for a k-gram that is not itself a term and at
+        the end.
 
         The tokens are those of every term, not only the unigram terms:
         ``max_df_ratio`` can drop a unigram and keep a bigram that holds it.
-        A term outside the n-gram range, or with an empty part that the ""
-        separator would match, is left out; no text can spell it."""
+        A term outside the n-gram range, or with an empty part, is left
+        out; no text can spell it."""
         token_ids: dict[str, int] = {}
         ids: list[int] = []
         terms = []  # (position of the first token, token count, column)
@@ -209,14 +159,15 @@ class TfidfModel:
                 terms.append((len(ids), len(parts), col))
                 ids += [token_ids.setdefault(p, len(token_ids)) for p in parts]
                 ids.append(-1)
-        tables, grams = _number_grams(
+        tables, grams = number_grams(
             np.array(ids, dtype=np.int64), self.config.n_max, len(token_ids)
         )
         columns = [np.full(len(tables[k]) + 1, -1, dtype=np.int64)
                    for k in range(1, len(grams) + 1)]
         for at, n, col in terms:
             columns[n - 1][grams[n - 1][at]] = col
-        return token_ids, {k: np.append(t, _KEY_MAX) for k, t in tables.items()}, columns
+        lookup = token_lookup(token_ids, self.config.stoplist)
+        return lookup, {k: np.append(t, _KEY_MAX) for k, t in tables.items()}, columns
 
     def transform(self, texts: Sequence[str]) -> sp.csr_matrix:
         """Vectorize ``texts`` into one row each: raw count x idf per term
@@ -227,18 +178,18 @@ class TfidfModel:
         """
         if isinstance(texts, str):
             raise TypeError("transform takes a sequence of texts, not one str")
-        token_ids, tables, columns = self._tables
+        lookup, tables, columns = self._tables
+        n_tokens = len(tables[1]) - 1  # every token id, then the end key
 
         def find(k: int, keys: np.ndarray) -> np.ndarray:
             at = tables[k].searchsorted(keys)
             return np.where(tables[k][at] == keys, at, -1)
 
         parts = []
-        for chunk in _chunks(texts):
-            flat, ends = _tokens(chunk, self.config.use_stoplist)
-            ids = np.fromiter(map(token_ids.get, flat, repeat(-1)), np.int64, len(flat))
+        for chunk in chunks(texts):
+            ids, ends = lookup_texts(chunk, lookup)
             pos, cols = _hits((gram, columns[k - 1])
-                              for k, gram in _grams(ids, len(columns), len(token_ids), find)
+                              for k, gram in gram_ids(ids, len(columns), n_tokens, find)
                               if k >= self.config.n_min)
             parts.append(_weighted_rows(ends.searchsorted(pos), cols, len(chunk), self.idf))
         return _csr(parts, self.dimension)
@@ -258,48 +209,16 @@ def fit_transform(
         config = TfidfConfig()
     if len(documents) == 0:
         raise ValueError("cannot fit TF-IDF on an empty corpus")
-    index = {"": 0}  # token -> 1 + its id, so the separator gets -1
-    id_parts, end_parts, offset = [], [], 0
-    for chunk in _chunks(documents):
-        flat, ends = _tokens(chunk, config.use_stoplist)
-        id_parts.append(np.array([index.setdefault(t, len(index)) for t in flat]) - 1)
-        end_parts.append(ends + offset)
-        offset += len(flat)
-    ids, ends = np.concatenate(id_parts), np.concatenate(end_parts)
-    words = list(index)[1:]
-    n_tokens = len(words)
-    tables, level_grams = _number_grams(ids, config.n_max, n_tokens)
-    n = len(documents)
-    max_df = config.max_df_ratio * n
-    grams = []  # (gram ids, column of each id) per counted level
-    kept = []  # (term, index into grams, gram id, df) per kept n-gram
-    for k, gram in enumerate(level_grams[config.n_min - 1:], start=config.n_min):
-        size = len(tables[k])
-        pos = (gram >= 0).nonzero()[0]
-        pairs = np.unique(ends.searchsorted(pos) * size + gram[pos])
-        df = np.bincount(pairs % size, minlength=size)
-        keep = ((df >= config.min_df) & (df <= max_df)).nonzero()[0]
-        # Spell the kept ids: split each key into prefix and last token
-        # until only token ids are left.
-        spelled = [keep]
-        for j in range(k, 1, -1):
-            keys = tables[j][spelled[0]]
-            spelled[0:1] = [keys // n_tokens, keys % n_tokens]
-        terms = map(" ".join, zip(*([words[t] for t in part.tolist()] for part in spelled)))
-        kept += zip(terms, repeat(len(grams)), keep.tolist(), df[keep].tolist())
-        grams.append((gram, np.full(size + 1, -1, dtype=np.int64)))
-    kept.sort()
-    for col, (_, level, at, _) in enumerate(kept):
-        grams[level][1][at] = col
-    vocab = Vocabulary(
-        index={term: col for col, (term, _, _, _) in enumerate(kept)},
-        doc_freq={term: df for term, _, _, df in kept},
-        n_docs=n,
-    )
-    idf = np.array([math.log((1 + n) / (1 + df)) + 1.0 for _, _, _, df in kept])
+    grams = Ngrams(documents, config.n_min, config.n_max, config.stoplist)
+    n = grams.n_docs
+    df = document_frequency(grams.docs, grams.ids, grams.n_ids)
+    keep = ((df >= config.min_df) & (df <= config.max_df_ratio * n)).nonzero()[0]
+    vocab, index = grams.vocabulary(keep, df)
+    idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in vocab.doc_freq.values()])
     model = TfidfModel(vocabulary=vocab, idf=idf, config=config)
-    pos, cols = _hits(grams)
-    return model, _csr([_weighted_rows(ends.searchsorted(pos), cols, n, idf)], len(kept))
+    cols = index[grams.ids]
+    hit = (cols >= 0).nonzero()[0]
+    return model, _csr([_weighted_rows(grams.docs[hit], cols[hit], n, idf)], len(vocab))
 
 
 def fit_tfidf(documents: Sequence[str], config: TfidfConfig | None = None) -> TfidfModel:

@@ -10,6 +10,11 @@ assignments as the collapsed sampler of Griffiths & Steyvers (2004), but a
 sweep is a few numpy array operations rather than a Python loop over
 tokens. One pseudorandom stream drives the initialization and the sweeps,
 so a fixed seed reproduces the final state bit for bit.
+
+The sampler reads its documents as :class:`Bags`: integer term ids with
+the vocabulary in lexicographic order. ``subtext`` builds them from integer
+phrase ids and spells out only the phrases it keeps; lists of string terms
+go through :func:`bags_of`.
 """
 
 from __future__ import annotations
@@ -52,6 +57,32 @@ class TopicSummary:
     terms: tuple[tuple[str, float], ...]  # (phrase, probability), descending
 
 
+@dataclass(frozen=True, eq=False)
+class Bags:
+    """Documents as term ids: token i is term ``words[i]`` of document
+    ``docs[i]``, tokens in document order. ``vocabulary`` numbers the terms
+    in lexicographic order, so ids rank ties as the terms would, and
+    ``vocabulary.n_docs`` counts every document, empty ones too."""
+
+    words: np.ndarray
+    docs: np.ndarray
+    vocabulary: Vocabulary
+
+
+def bags_of(documents: Sequence[Sequence[str]]) -> Bags:
+    """The :class:`Bags` of documents given as lists of string terms."""
+    if len(documents) == 0:
+        raise ValueError("cannot fit LDA on zero documents")
+    vocabulary = build_vocabulary(documents, min_df=1)
+    index = vocabulary.index
+    lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
+    words = np.fromiter(
+        (index[t] for doc in documents for t in doc), dtype=np.int64, count=int(lengths.sum())
+    )
+    docs = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
+    return Bags(words=words, docs=docs, vocabulary=vocabulary)
+
+
 class LdaModel:
     """Sampler state: the tokens, their topics and the three count arrays.
 
@@ -66,32 +97,32 @@ class LdaModel:
 
     def __init__(
         self,
-        documents: Sequence[Sequence[str]],
+        documents: Sequence[Sequence[str]] | Bags,
         config: LdaConfig,
     ) -> None:
-        if len(documents) == 0:
-            raise ValueError("cannot fit LDA on zero documents")
+        bags = documents if isinstance(documents, Bags) else bags_of(documents)
         self.config = config
-        self.vocabulary: Vocabulary = build_vocabulary(documents, min_df=1)
-        index = self.vocabulary.index
-        lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
-        self.n_tokens = int(lengths.sum())
+        self.vocabulary: Vocabulary = bags.vocabulary
+        self.words, self.docs = bags.words, bags.docs
+        self.n_tokens = len(self.words)
         if self.n_tokens == 0:
             raise ValueError("all documents are empty")
-        self.words = np.fromiter(
-            (index[t] for doc in documents for t in doc), dtype=np.int64, count=self.n_tokens
-        )
-        self.docs = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
-        self._doc_ends = np.cumsum(lengths)[:-1]
+        n_docs, n_terms = self.vocabulary.n_docs, len(self.vocabulary)
+        self._doc_ends = np.cumsum(np.bincount(self.docs, minlength=n_docs))[:-1]
         # beta * V + n_tokens is the largest argument log_likelihood gives
         # lgamma and about what a row of phi sums to; past a finite lgamma
         # of it, a run ends in a math range error or NaN traces.
         try:
-            finite = math.isfinite(math.lgamma(config.beta * len(index) + self.n_tokens))
+            finite = math.isfinite(math.lgamma(config.beta * n_terms + self.n_tokens))
         except OverflowError:
             finite = False
         if not finite:
-            raise ValueError(f"beta {config.beta:g} is too large for {len(index)} terms")
+            raise ValueError(f"beta {config.beta:g} is too large for {n_terms} terms")
+        # The count arrays hold (documents + terms + 1) x n_topics integers.
+        too_large = (f"n_topics {config.n_topics} is too large for {n_docs} documents "
+                     f"and {n_terms} terms")
+        if (n_docs + n_terms + 1) * config.n_topics > np.iinfo(np.intp).max:
+            raise ValueError(too_large)
         # log Gamma(n + beta) - log Gamma(beta) for every count a term can
         # reach. A table of math.lgamma keeps scipy.special, which takes
         # about 0.1 s to import, out of the start-up of every CLI command.
@@ -103,7 +134,10 @@ class LdaModel:
         self._rng = np.random.default_rng(config.seed)
         self.z = self._rng.integers(0, config.n_topics, size=self.n_tokens)
         self.log_likelihoods: list[float] = []
-        self._recount()
+        try:
+            self._recount()
+        except MemoryError:  # more counts than the machine can hold
+            raise ValueError(too_large) from None
 
     @property
     def n_topics(self) -> int:
@@ -177,7 +211,9 @@ class LdaModel:
         return (counts + beta) / (self.topic_totals[topic] + beta * len(self.vocabulary))
 
 
-def fit_lda(documents: Sequence[Sequence[str]], config: LdaConfig | None = None) -> LdaModel:
+def fit_lda(
+    documents: Sequence[Sequence[str]] | Bags, config: LdaConfig | None = None
+) -> LdaModel:
     """Run blocked Gibbs sampling and return the final-state point estimate."""
     if config is None:
         config = LdaConfig()
@@ -189,16 +225,16 @@ def fit_lda(documents: Sequence[Sequence[str]], config: LdaConfig | None = None)
 def topic_terms(model: LdaModel, topic: int, t: int = 5) -> TopicSummary:
     """Top ``t`` terms of a topic by smoothed probability.
 
-    Equal probabilities break ties lexicographically, so output is fully
-    deterministic. Asking for more terms than the vocabulary holds returns
-    all of them.
+    Equal probabilities break ties lexicographically (term ids are in
+    lexicographic order), so output is fully deterministic. Asking for more
+    terms than the vocabulary holds returns all of them.
     """
     phi = model.topic_distribution(topic)
     terms = model.vocabulary.terms
-    ranked = sorted(zip(phi, terms), key=lambda pair: (-pair[0], pair[1]))
+    top = np.argsort(-phi, kind="stable")[:t].tolist()
     return TopicSummary(
         topic_id=topic,
-        terms=tuple((term, float(p)) for p, term in ranked[:t]),
+        terms=tuple((terms[w], float(phi[w])) for w in top),
     )
 
 

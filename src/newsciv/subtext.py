@@ -7,19 +7,26 @@ Exclusion removes whole n-gram phrases from each document's bag before
 fitting; the words inside an excluded phrase still participate in other
 n-grams. Because phase two never sees the excluded phrases, the two phrase
 sets are disjoint by construction.
+
+A phase's phrase bags are integer ids from the n-gram encoder of
+:mod:`newsciv.textproc`. Exclusion looks phrases up by key, rare phrases
+are pruned by counting texts per id, and only the phrases that are kept are
+spelled out, sorted as strings and renumbered, so the topic model sees the
+same terms in the same lexicographic order as it would from string bags.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ._output import write_json, write_lines
 from .corpus import Article, Comment
-from .lda import LdaConfig, TopicSummary, fit_lda, topic_terms, topics_by_size
-from .textproc import DEFAULT_STOPLIST, ngrams, remove_stopwords, tokenize
+from .lda import Bags, LdaConfig, TopicSummary, fit_lda, topic_terms, topics_by_size
+from .textproc import DEFAULT_STOPLIST, Ngrams, document_frequency, tokenize
 
 # Phrases rarer than this across the phase corpus are pruned as noise.
 DEFAULT_MIN_PHRASE_DF = 5
@@ -39,25 +46,57 @@ class SubtextReport:
     top_terms: int
 
 
+def _bags(grams: Ngrams, ids: np.ndarray, docs: np.ndarray, min_df: int) -> Bags:
+    """The occurrences (``ids[i]`` in text ``docs[i]``) of the phrases in at
+    least ``min_df`` texts, in the order ``textproc.ngrams`` emits them (by
+    text, then n, then position), over their lexicographic vocabulary."""
+    df = document_frequency(docs, ids, grams.n_ids)
+    vocabulary, index = grams.vocabulary((df >= max(min_df, 1)).nonzero()[0], df)
+    keep = index[ids] >= 0
+    order = docs[keep].argsort(kind="stable")
+    return Bags(words=index[ids[keep][order]], docs=docs[keep][order], vocabulary=vocabulary)
+
+
 def phrase_documents(
     texts: Iterable[str],
     config: LdaConfig,
     stoplist: frozenset[str] = DEFAULT_STOPLIST,
 ) -> list[list[str]]:
-    """Tokenize texts, drop stop words, and expand into n-gram bags."""
-    return [
-        ngrams(remove_stopwords(tokenize(t), stoplist), config.n_min, config.n_max)
-        for t in texts
-    ]
+    """Tokenize texts, drop stop words, and expand into n-gram bags: the
+    integer bags the subtext phases model, spelled out."""
+    grams = Ngrams(texts, config.n_min, config.n_max, stoplist)
+    bags = _bags(grams, grams.ids, grams.docs, 1)
+    terms = bags.vocabulary.terms
+    spelled = [terms[w] for w in bags.words.tolist()]
+    bounds = np.bincount(bags.docs, minlength=grams.n_docs).cumsum().tolist()
+    return [spelled[a:b] for a, b in zip([0, *bounds], bounds)]
 
 
-def _prune_rare(documents: list[list[str]], min_df: int) -> list[list[str]]:
-    if min_df <= 1:
-        return documents
-    df: Counter[str] = Counter()
-    for doc in documents:
-        df.update(set(doc))
-    return [[p for p in doc if df[p] >= min_df] for doc in documents]
+def _phrase_bags(
+    texts: Iterable[str],
+    config: LdaConfig,
+    exclude: Iterable[str],
+    min_phrase_df: int,
+    stoplist: frozenset[str],
+) -> Bags:
+    """The bags one phase models: phrase bags without the excluded phrases
+    (normalized by ``tokenize``) and without phrases in fewer than
+    ``min_phrase_df`` texts."""
+    excluded = {" ".join(tokenize(p)) for p in exclude}
+    grams = Ngrams(texts, config.n_min, config.n_max, stoplist)
+    ids, docs = grams.ids, grams.docs
+    if excluded:
+        keep = ~np.isin(ids, grams.find(excluded))
+        ids, docs = ids[keep], docs[keep]
+        if len(ids) == 0:
+            raise ValueError("phrase exclusion removed every phrase in the corpus")
+    bags = _bags(grams, ids, docs, min_phrase_df)
+    if len(bags.words) == 0:
+        raise ValueError(
+            "no phrases left to model (documents empty after pruning "
+            f"at min_df={min_phrase_df})"
+        )
+    return bags
 
 
 def extract_topic_phrases(
@@ -76,20 +115,7 @@ def extract_topic_phrases(
     assigned tokens; the deduplicated union of their top terms is returned
     together with the per-topic summaries.
     """
-    excluded = {" ".join(tokenize(p)) for p in exclude}
-    documents = phrase_documents(texts, config, stoplist)
-    if excluded:
-        documents = [[p for p in doc if p not in excluded] for doc in documents]
-        if not any(documents):
-            raise ValueError("phrase exclusion removed every phrase in the corpus")
-    documents = _prune_rare(documents, min_phrase_df)
-    if not any(documents):
-        raise ValueError(
-            "no phrases left to model (documents empty after pruning "
-            f"at min_df={min_phrase_df})"
-        )
-
-    model = fit_lda(documents, config)
+    model = fit_lda(_phrase_bags(texts, config, exclude, min_phrase_df, stoplist), config)
     summaries = tuple(
         topic_terms(model, k, top_terms) for k in topics_by_size(model)[:top_topics]
     )

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from newsciv.cli import RunConfig, _load_run_config, build_parser, main
 from newsciv.corpus import Article, save_articles
 from newsciv.features import TfidfConfig
+from newsciv.textproc import tokenize
 
 
 def write_config(path: Path, data: dict) -> str:
@@ -469,6 +470,28 @@ class TestConfigHandling:
         assert main(["mine-subtext", "--config", config, "--out", str(tmp_path / "o"),
                      "--set", f"lda.beta={beta}"]) == 2
         assert f"beta {float(beta):g} is too large" in capsys.readouterr().err
+
+    def test_unallocatable_lda_n_topics_exits_2(self, pipeline_dir, tmp_path, capsys):
+        """10**9 topics need count arrays of hundreds of GB on this corpus,
+        which numpy refuses before it allocates anything."""
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["mine-subtext", "--config", config, "--out", str(tmp_path / "o"),
+                     "--set", "lda.n_topics=1000000000"]) == 2
+        assert "n_topics 1000000000 is too large" in capsys.readouterr().err
+
+    def test_n_max_past_the_longest_text_changes_nothing(self, pipeline_dir, tmp_path):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        data = pipeline_dir / "data"
+        longest = max(len(tokenize(row[key]))
+                      for name, key in (("articles.jsonl", "body"), ("comments.jsonl", "text"))
+                      for row in jsonl(data / name))
+        reports = []
+        for n_max in (longest, 1000000):
+            out = tmp_path / str(n_max)
+            assert main(["mine-subtext", "--config", config, "--out", str(out),
+                         "--set", "lda.iterations=5", "--set", f"lda.n_max={n_max}"]) == 0
+            reports.append((out / "subtext.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_mistyped_lda_config_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "bad.json", {"lda": {"n_topics": "five"}})

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import features_reference as reference
-from newsciv import features
+from newsciv import textproc
 from newsciv.features import (
     TfidfConfig,
     fit_tfidf,
@@ -268,7 +268,7 @@ class TestMatchesStringReference:
                                                config, chunk):
         docs = docs or [""]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(features, "_CHUNK", chunk)
+            mp.setattr(textproc, "_CHUNK", chunk)
             expected = reference.fit_tfidf(docs, config)
             model, x = fit_transform(docs, config)
             assert_same_model(model, expected)
@@ -311,7 +311,7 @@ class TestMatchesStringReference:
             SyntheticConfig(n_articles=30, comments_per_article=10, n_annotated=1, seed=4)
         )
         texts = [c.text for c in comments]
-        monkeypatch.setattr(features, "_CHUNK", 7)
+        monkeypatch.setattr(textproc, "_CHUNK", 7)
         expected = reference.fit_tfidf(texts, config)
         model, x = fit_transform(texts, config)
         assert_same_model(model, expected)

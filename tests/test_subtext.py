@@ -3,11 +3,16 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import subtext_reference as reference
 from newsciv.corpus import Article, Comment
-from newsciv.lda import LdaConfig
+from newsciv.lda import LdaConfig, LdaModel, fit_lda, topic_terms
 from newsciv.subtext import (
+    _phrase_bags,
     extract_topic_phrases,
     mine_subtext,
     phrase_documents,
@@ -15,6 +20,7 @@ from newsciv.subtext import (
     report_to_markdown,
     save_report,
 )
+from newsciv.textproc import DEFAULT_STOPLIST, remove_stopwords, tokenize
 
 FAST = LdaConfig(n_topics=3, iterations=40, seed=0, n_min=2, n_max=2)
 
@@ -34,6 +40,134 @@ class TestPhraseDocuments:
     def test_ngram_range_follows_config(self):
         docs = phrase_documents(["alpha beta gamma"], LdaConfig(n_min=2, n_max=3))
         assert docs == [["alpha beta", "beta gamma", "alpha beta gamma"]]
+
+
+# Words for the reference tests: stop words, Unicode letters whose
+# lowercasing is special ("Σ" at a word's end, "İ"), apostrophes and "_",
+# which splits tokens.
+REF_WORDS = ["alpha", "beta", "gamma", "the", "and", "don't", "Don't", "rock'n'roll",
+             "naïve", "ΣΟΦΟΣ", "İstanbul", "日本", "foo_bar", "x2", "2016"]
+REF_GAPS = [" ", "  ", "\n", ", ", "! ", " -- ", "\t", "'"]
+
+
+@st.composite
+def ref_texts(draw):
+    """A text of REF_WORDS joined by assorted gaps; some are empty or have
+    no token at all."""
+    words = draw(st.lists(st.sampled_from(REF_WORDS), max_size=12))
+    text = ""
+    for word in words:
+        text += word + draw(st.sampled_from(REF_GAPS))
+    return draw(st.sampled_from([text, text, text, "", "!!! ..."]))
+
+
+@st.composite
+def ref_exclusions(draw, texts, config, stoplist):
+    """Phrases to exclude, with odd spacing, case, punctuation or stop
+    words: runs of words from REF_WORDS, or from ``texts`` with or without
+    their stop words, most with a length in the config's n range, so that
+    many of them occur."""
+    pools = [REF_WORDS]
+    for text in texts:
+        pools += [text.split(), remove_stopwords(tokenize(text), stoplist)]
+    pools = [pool for pool in pools if pool]
+    phrases = []
+    for _ in range(draw(st.integers(0, 4))):
+        pool = draw(st.sampled_from(pools))
+        start = draw(st.integers(0, len(pool) - 1))
+        words = pool[start:start + draw(st.integers(config.n_min, config.n_max) | st.integers(1, 4))]
+        gap = draw(st.sampled_from([" ", "   ", " , ", "\t"]))
+        phrase = gap.join(words)
+        phrases.append(draw(st.sampled_from([phrase, phrase, phrase.upper(), f"  {phrase}!", ""])))
+    return phrases
+
+
+@st.composite
+def ref_configs(draw):
+    n_min = draw(st.integers(1, 4))
+    n_max = draw(st.integers(n_min, 4))
+    return LdaConfig(n_topics=2, iterations=2, seed=draw(st.integers(0, 3)),
+                     n_min=n_min, n_max=n_max)
+
+
+def assert_same_bags(texts, config, exclude, min_df, stoplist):
+    try:
+        expected = reference.modelled_documents(texts, config, exclude, min_df, stoplist)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            _phrase_bags(texts, config, exclude, min_df, stoplist)
+        assert str(raised.value) == str(exc)
+        return
+    bags = _phrase_bags(texts, config, exclude, min_df, stoplist)
+    words, docs, vocabulary = reference.model_arrays(expected)
+    for got, want in ((bags.words, words), (bags.docs, docs)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert bags.vocabulary.index == vocabulary.index
+    assert bags.vocabulary.doc_freq == vocabulary.doc_freq
+    assert bags.vocabulary.n_docs == vocabulary.n_docs
+    assert list(bags.vocabulary.doc_freq) == list(vocabulary.doc_freq)
+    # The sampler reads nothing else, so two sweeps must agree bit for bit.
+    if len(words):
+        got_model, want_model = LdaModel(bags, config), LdaModel(expected, config)
+        got_model._run_sweeps(2)
+        want_model._run_sweeps(2)
+        assert np.array_equal(got_model.z, want_model.z)
+        assert got_model.log_likelihoods == want_model.log_likelihoods
+
+
+class TestMatchesStringReference:
+    """Integer phrase bags against ``subtext_reference``, the string path
+    they replaced."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), texts=st.lists(ref_texts(), max_size=8), config=ref_configs(),
+           min_df=st.sampled_from([0, 1, 1, 2, 3]),
+           stoplist=st.sampled_from([DEFAULT_STOPLIST, frozenset(), frozenset({"beta", "日本"})]))
+    def test_bags_and_errors_match(self, data, texts, config, min_df, stoplist):
+        exclude = data.draw(ref_exclusions(texts, config, stoplist))
+        assert_same_bags(texts, config, exclude, min_df, stoplist)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(texts=st.lists(ref_texts(), max_size=8), config=ref_configs(),
+           stoplist=st.sampled_from([DEFAULT_STOPLIST, frozenset()]))
+    def test_phrase_documents_match(self, texts, config, stoplist):
+        expected = reference.phrase_documents(texts, config, stoplist)
+        assert phrase_documents(texts, config, stoplist) == expected
+        assert phrase_documents(iter(texts), config, stoplist) == expected
+
+    @pytest.mark.parametrize("exclude", [(), ("granite firewall",)])
+    def test_synthetic_phases_match(self, exclude):
+        articles, comments = build_corpus(random.Random(3), planted="granite firewall")
+        config = LdaConfig(n_topics=3, iterations=2, n_min=1, n_max=3)
+        assert_same_bags([a.body for a in articles], config, exclude, 3, DEFAULT_STOPLIST)
+        assert_same_bags([c.text for c in comments], config, exclude, 3, DEFAULT_STOPLIST)
+
+    def test_error_messages(self):
+        config = LdaConfig(n_topics=1, iterations=1, n_min=2, n_max=2)
+        with pytest.raises(ValueError, match="exclusion"):
+            _phrase_bags(["alpha beta", "Alpha, BETA"], config, ["ALPHA  beta"], 1,
+                         DEFAULT_STOPLIST)
+        with pytest.raises(ValueError, match="min_df=3"):
+            _phrase_bags(["alpha beta", "gamma delta"], config, (), 3, DEFAULT_STOPLIST)
+        # Excluding only unknown phrases still goes through the exclusion check.
+        with pytest.raises(ValueError, match="exclusion"):
+            _phrase_bags(["the", "!!!"], config, ["!!!"], 1, DEFAULT_STOPLIST)
+
+
+class TestTopicTermsRanking:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(docs=st.lists(st.lists(st.sampled_from(["b a", "a", "c", "a b", "d", "e e"]),
+                                  max_size=6), min_size=1, max_size=6),
+           n_topics=st.integers(1, 3), t=st.integers(0, 8))
+    def test_ties_break_as_sorted_did(self, docs, n_topics, t):
+        if not any(docs):
+            return
+        model = fit_lda(docs, LdaConfig(n_topics=n_topics, iterations=3, n_min=1, n_max=1))
+        for k in range(n_topics):
+            summary = topic_terms(model, k, t)
+            assert list(summary.terms) == reference.ranked_terms(
+                model.topic_distribution(k), model.vocabulary.terms, t)
 
 
 class TestExtractTopicPhrases:

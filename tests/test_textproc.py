@@ -1,17 +1,27 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsciv.textproc import (
     DEFAULT_STOPLIST,
     build_vocabulary,
+    document_frequency,
+    encode_texts,
     load_stoplist,
     ngrams,
     remove_stopwords,
     tokenize,
+    tokenize_texts,
 )
+
+# Characters whose tokenizing or lowercasing depends on their neighbours:
+# a final "Σ" lowercases to "ς", "İ" to "i" plus a combining dot, "'" joins
+# tokens only inside a word, "_" splits them, and "\n" ends a text in a
+# joined batch.
+TRICKY = st.lists(st.sampled_from([*"aΣσİi'_\n \r.-1é", "ΟΣ", "don't"]), max_size=12).map("".join)
 
 
 class TestTokenize:
@@ -44,6 +54,45 @@ class TestTokenize:
             assert tok
             assert tok == tok.lower()
             assert not any(ch.isspace() for ch in tok)
+
+
+class TestTokenizeTexts:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(TRICKY | st.text(max_size=30), max_size=8))
+    def test_matches_per_text_tokenize(self, texts):
+        expected = [tok for text in texts for tok in [*tokenize(text), "\n"]]
+        assert tokenize_texts(texts) == expected
+
+    def test_newline_inside_a_text_and_final_sigma(self):
+        # "İ" lowers to "i" and a combining dot, which splits "i" from "'a".
+        assert tokenize_texts(["ΟΔΟΣ\nΟΔΟΣ", "İ'a_b\n", ""]) == [
+            "οδος", "οδος", "\n", "i", "a", "b", "\n", "\n"]
+        assert tokenize_texts([]) == []
+
+
+class TestEncodeTexts:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(TRICKY | st.text(max_size=30), max_size=8),
+           st.sampled_from([frozenset(), DEFAULT_STOPLIST, frozenset({"a", "\n"})]))
+    def test_ids_spell_the_tokens_without_stop_words(self, texts, stoplist):
+        ids, ends, words = encode_texts(texts, stoplist)
+        assert len(ends) == len(texts)
+        assert len(set(words)) == len(words)
+        expected = []
+        for text in texts:
+            expected += remove_stopwords(tokenize(text), stoplist)
+            expected.append(None)
+        assert [words[i] if i >= 0 else None for i in ids.tolist()] == expected
+        assert ends.tolist() == [i for i, tok in enumerate(expected) if tok is None]
+
+
+class TestDocumentFrequency:
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=30))
+    def test_counts_distinct_documents_per_id(self, occurrences):
+        docs = np.array([d for d, _ in occurrences], dtype=np.int64)
+        ids = np.array([i for _, i in occurrences], dtype=np.int64)
+        expected = [len({d for d, i in occurrences if i == w}) for w in range(6)]
+        assert document_frequency(docs, ids, 6).tolist() == expected
 
 
 class TestRemoveStopwords:
@@ -84,6 +133,13 @@ class TestNgrams:
                     for n in range(n_min, n_max + 1)
                     for i in range(len(tokens) - n + 1)]
         assert ngrams(tokens, n_min, n_max) == expected
+
+    @given(st.lists(st.sampled_from("abc"), max_size=8), st.integers(1, 9))
+    def test_n_max_past_the_length_changes_nothing(self, tokens, n_min):
+        """n stops at the token count; building every n up to 10**6 would
+        take hours."""
+        expected = ngrams(tokens, n_min, max(n_min, len(tokens)))
+        assert ngrams(tokens, n_min, 10**6) == expected
 
 
 class TestBuildVocabulary:
