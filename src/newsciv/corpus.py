@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, TypeVar
 
 from ._checks import _KINDS
 from ._output import write_jsonl
-from .textproc import tokenize
+from .textproc import tokenize_each
 
 T = TypeVar("T")
 
@@ -196,9 +196,11 @@ def load_comments(path: str | Path, min_words: int = 0) -> list[Comment]:
         if comment.id in seen:
             raise CorpusError(f"duplicate comment id {comment.id!r}")
         seen.add(comment.id)
-        if min_words <= 0 or len(tokenize(comment.text)) >= min_words:
-            comments.append(comment)
-    return comments
+        comments.append(comment)
+    if min_words <= 0:
+        return comments
+    sizes = map(len, tokenize_each(c.text for c in comments))
+    return [c for c, size in zip(comments, sizes) if size >= min_words]
 
 
 def _as_rating_list(value, lineno: int, name: str) -> list[int]:
@@ -329,12 +331,10 @@ def filter_by_keywords(articles: Iterable[Article], keywords: Iterable[str]) -> 
     keyset = {k.lower() for k in keywords}
     if not keyset:
         raise ValueError("keyword set must be non-empty")
-    kept = []
-    for a in articles:
-        tokens = set(tokenize(a.title)) | set(tokenize(a.body))
-        if tokens & keyset:
-            kept.append(a)
-    return kept
+    articles = list(articles)
+    tokens = tokenize_each(text for a in articles for text in (a.title, a.body))
+    return [a for a, title, body in zip(articles, tokens, tokens)
+            if not keyset.isdisjoint(title + body)]
 
 
 def filter_by_tag(articles: Iterable[Article], tag: str) -> list[Article]:

@@ -1,10 +1,23 @@
-"""Tokenization, stop-word removal, n-gram extraction, and vocabularies.
+r"""Tokenization, stop-word removal, n-gram extraction, and vocabularies.
 
 Everything downstream (TF-IDF features, topic models, phrase mining) works
 on the output of these functions, so the rules here are deliberately small
 and fixed: lowercase tokens made of letters/digits with internal
 apostrophes, n-grams joined by single spaces, and vocabularies with
 deterministic (lexicographic) index order.
+
+A token is a maximal run of characters that are ``str.isalnum()`` or "'",
+taken from the lowercased text, with its leading and trailing apostrophes
+removed; a run of apostrophes alone is no token. This is exactly what the
+regex ``[^\W_']+(?:'+[^\W_']+)*`` finds, because its class ``[^\W_']``
+holds exactly the characters for which ``str.isalnum()`` is true (the tests
+check every code point), but it is computed without a match per token:
+non-ASCII characters that are not letters or digits become spaces (one
+``re.sub`` with few matches, run only on non-ASCII text), each ASCII byte
+but a letter, a digit, "'" or "\n" becomes a space through one 256-byte
+``bytes.translate`` table (the UTF-8 bytes of non-ASCII characters are all
+>= 0x80 and pass unchanged). Spaces and newlines are then the only
+whitespace left, so ``str.split`` finds the tokens.
 
 The batch encoder below gives the same n-grams as integer ids. Tokens are
 numbered, and n-grams are then found level by level with integer keys: the
@@ -27,11 +40,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-# A token is a maximal run of Unicode letters/digits, optionally joined by
-# internal apostrophes ("don't" is one token, "'tis" loses the leading mark).
-_TOKEN_RE = re.compile(r"[^\W_']+(?:'+[^\W_']+)*")
-# The same tokens, or the newline that ends a text in a joined batch.
-_TOKEN_OR_END_RE = re.compile(_TOKEN_RE.pattern + r"|\n")
+# A non-ASCII character that is not a letter or digit ("_" is ASCII).
+_NON_ASCII_SEPARATOR = re.compile(r"[^\x00-\x7f\w]")
+# UTF-8 bytes to spaces: every ASCII byte but letters, digits, "'" and "\n".
+_SEPARATOR_BYTES = bytes(b if chr(b).isalnum() or chr(b) in "'\n" else 32
+                         for b in range(128)) + bytes(range(128, 256))
 
 # Texts encoded at a time. Texts are independent, so the chunk size changes
 # no output bit; it bounds the token strings alive at once.
@@ -45,22 +58,49 @@ TokenSequence = list[str]
 
 def tokenize(text: str) -> TokenSequence:
     """Lowercase ``text`` and split it into tokens, dropping punctuation."""
-    return _TOKEN_RE.findall(text.lower())
+    return tokenize_texts([text])[:-1]
 
 
 def tokenize_texts(texts: Sequence[str]) -> TokenSequence:
     """``tokenize`` of every text, concatenated, with "\\n" after each
     text's tokens.
 
-    One ``findall`` runs over the texts joined by newlines. A newline inside
-    a text becomes a space first: both split tokens alike, and lowercasing,
-    whose final-sigma rule looks at the letters around a "Σ", stops at
-    either.
+    The texts are joined by newlines and lowercased as one string, and
+    every character but letters, digits, "'" and newlines becomes a space,
+    as the module docstring says. The string is then split at its newlines
+    and each text at its spaces. A newline inside a text becomes a space
+    first: both split tokens alike, and lowercasing, whose final-sigma rule
+    looks at the letters around a "Σ", stops at either. Lone surrogates are
+    not letters or digits, so they are spaces before the text is encoded.
     """
     joined = "\n".join([*texts, ""])
     if joined.count("\n") != len(texts):
         joined = "\n".join([*(t.replace("\n", " ") for t in texts), ""])
-    return _TOKEN_OR_END_RE.findall(joined.lower())
+    joined = joined.lower()
+    if not joined.isascii():
+        joined = _NON_ASCII_SEPARATOR.sub(" ", joined)
+    joined = joined.encode().translate(_SEPARATOR_BYTES).decode()
+    apostrophes = "'" in joined
+    lines = joined.split("\n")[:-1]
+    del joined  # one copy of the chunk at a time keeps the peak memory down
+    tokens: TokenSequence = []
+    for line in lines:
+        tokens += line.split()
+        tokens.append("\n")
+    if apostrophes:
+        tokens = list(filter(None, map(str.strip, tokens, repeat("'"))))
+    return tokens
+
+
+def tokenize_each(texts: Iterable[str]) -> Iterator[TokenSequence]:
+    """``tokenize`` of each text in turn, from one ``tokenize_texts`` call
+    per chunk of texts."""
+    for chunk in chunks(texts):
+        tokens, start = tokenize_texts(chunk), 0
+        for _ in chunk:
+            end = tokens.index("\n", start)
+            yield tokens[start:end]
+            start = end + 1
 
 
 def remove_stopwords(tokens: Sequence[str], stoplist: Iterable[str]) -> TokenSequence:

@@ -204,6 +204,22 @@ class TestScore:
         assert f"line 5: invalid {field} {value!r}, must be a string" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_lone_surrogate_in_text_is_a_separator(self, pipeline_dir, tmp_path):
+        """A JSON "\\ud800" escape loads as a lone surrogate, which UTF-8
+        cannot encode; the tokenizer must drop it like punctuation."""
+        rows = jsonl(pipeline_dir / "data" / "comments.jsonl")
+        config = (pipeline_dir / "config_path.txt").read_text()
+        scores = {}
+        for name, mark in (("surrogate", "\ud800"), ("space", " ")):
+            rows[4]["text"] = rows[4]["text"].replace(" ", mark, 1)
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+            assert main(["score", "--config", config, "--comments", str(path),
+                         "--min-comment-words", "2", "--out", str(tmp_path / name)]) == 0
+            scores[name] = (tmp_path / name / "scores.jsonl").read_bytes()
+            rows[4]["text"] = rows[4]["text"].replace(mark, " ")
+        assert scores["surrogate"] == scores["space"]
+
     @pytest.mark.parametrize("field", ["id", "source", "title", "body", "date"])
     def test_non_string_article_field_exits_2(self, pipeline_dir, tmp_path, capsys, field):
         rows = jsonl(pipeline_dir / "data" / "articles.jsonl")

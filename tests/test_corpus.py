@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import textproc_reference as reference
 from newsciv.corpus import (
     AnnotatedComment,
     Article,
@@ -22,6 +23,14 @@ from newsciv.corpus import (
     save_comments,
     train_test_split,
 )
+
+
+def random_texts(n: int, seed: int) -> list[str]:
+    """Texts of 1 to 8 pieces: words, apostrophes, separators and
+    characters whose lowercasing or tokenizing depends on their neighbours."""
+    rng = random.Random(seed)
+    pieces = ["vote", "Vote", "tax", "don't", "'", "''", " ", "\n", "_", ".", "Σ", "é", "İ", "7"]
+    return ["".join(rng.choices(pieces, k=rng.randint(1, 8))) for _ in range(n)]
 
 
 def article_line(i: int, **overrides) -> str:
@@ -127,6 +136,18 @@ class TestLoadComments:
         assert len(load_comments(path)) == 2  # off by default
         kept = load_comments(path, min_words=5)
         assert [c.id for c in kept] == ["c2"]
+
+    @pytest.mark.parametrize("min_words", [1, 2, 3])
+    def test_min_words_matches_per_text_tokenize(self, tmp_path, monkeypatch, min_words):
+        """The batch token count keeps exactly the comments that counting
+        the regex tokenizer's tokens text by text keeps, across chunks."""
+        monkeypatch.setattr("newsciv.textproc._CHUNK", 7)
+        rows = [{"id": f"c{i}", "article_id": "a1", "text": text}
+                for i, text in enumerate(random_texts(200, seed=min_words))]
+        path = tmp_path / "comments.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        expected = [r["id"] for r in rows if len(reference.tokenize(r["text"])) >= min_words]
+        assert [c.id for c in load_comments(path, min_words=min_words)] == expected
 
 
     @pytest.mark.parametrize("field, value", [
@@ -274,6 +295,16 @@ class TestFilters:
         both = {a.id for a in filter_by_keywords(articles, k1 | k2)}
         assert {a.id for a in filter_by_keywords(articles, k1)} <= both
         assert {a.id for a in filter_by_keywords(articles, k2)} <= both
+
+    @pytest.mark.parametrize("keywords", [{"vote"}, {"don't", "7"}, {"σ", "tax"}, {"'"}])
+    def test_matches_per_text_tokenize(self, monkeypatch, keywords):
+        monkeypatch.setattr("newsciv.textproc._CHUNK", 5)
+        texts = random_texts(120, seed=1)
+        articles = [Article(id=f"a{i}", source="s", title=title, body=body, tags=frozenset())
+                    for i, (title, body) in enumerate(zip(texts[::2], texts[1::2]))]
+        expected = [a for a in articles
+                    if keywords & (set(reference.tokenize(a.title)) | set(reference.tokenize(a.body)))]
+        assert filter_by_keywords(iter(articles), keywords) == expected
 
     def test_tag_filter(self):
         tagged = self.make("b1", tags={"Immigration", "Border"})

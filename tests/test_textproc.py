@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import textproc_reference as reference
 from newsciv.textproc import (
     DEFAULT_STOPLIST,
     build_vocabulary,
@@ -14,6 +18,7 @@ from newsciv.textproc import (
     ngrams,
     remove_stopwords,
     tokenize,
+    tokenize_each,
     tokenize_texts,
 )
 
@@ -22,6 +27,15 @@ from newsciv.textproc import (
 # tokens only inside a word, "_" splits them, and "\n" ends a text in a
 # joined batch.
 TRICKY = st.lists(st.sampled_from([*"aΣσİi'_\n \r.-1é", "ΟΣ", "don't"]), max_size=12).map("".join)
+# Texts whose characters the tokenizer's steps treat apart: any code point,
+# lone surrogates included; the TRICKY characters; separators that
+# ``str.split`` takes for whitespace ("\r", "\x85", "\u2028"); and runs of
+# apostrophes.
+TEXTS = (
+    st.text(st.characters(blacklist_categories=()), max_size=30)
+    | TRICKY
+    | st.lists(st.sampled_from([*"\r\x85\u2028 a'\n", "''", "'''"]), max_size=12).map("".join)
+)
 
 
 class TestTokenize:
@@ -60,14 +74,47 @@ class TestTokenizeTexts:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(TRICKY | st.text(max_size=30), max_size=8))
     def test_matches_per_text_tokenize(self, texts):
-        expected = [tok for text in texts for tok in [*tokenize(text), "\n"]]
+        expected = [tok for text in texts for tok in [*reference.tokenize(text), "\n"]]
         assert tokenize_texts(texts) == expected
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(TEXTS, max_size=8))
+    def test_matches_the_regex_tokenizer(self, texts):
+        assert tokenize_texts(texts) == reference.tokenize_texts(texts)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(TEXTS)
+    def test_tokenize_matches_the_regex_tokenizer(self, text):
+        assert tokenize(text) == reference.tokenize(text)
 
     def test_newline_inside_a_text_and_final_sigma(self):
         # "İ" lowers to "i" and a combining dot, which splits "i" from "'a".
         assert tokenize_texts(["ΟΔΟΣ\nΟΔΟΣ", "İ'a_b\n", ""]) == [
             "οδος", "οδος", "\n", "i", "a", "b", "\n", "\n"]
         assert tokenize_texts([]) == []
+
+    def test_separators_and_apostrophe_runs(self):
+        assert tokenize_texts(["a\rb\x85c\u2028d\x1ce_f", "'' x''y' '''\n'"]) == [
+            "a", "b", "c", "d", "e", "f", "\n", "x''y", "\n"]
+
+    def test_lone_surrogates_are_separators(self):
+        assert tokenize_texts(["ab\ud800cd\udfff", "\udc00"]) == ["ab", "cd", "\n", "\n"]
+
+    def test_token_class_is_isalnum_on_every_code_point(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert "".join(re.findall(r"[^\W_']", every)) == "".join(filter(str.isalnum, every))
+
+
+class TestTokenizeEach:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(TEXTS, max_size=8))
+    def test_one_token_list_per_text(self, texts):
+        assert list(tokenize_each(texts)) == [reference.tokenize(t) for t in texts]
+
+    def test_crosses_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr("newsciv.textproc._CHUNK", 2)
+        texts = ["a b", "", "c'd e", "f\ng", "h i"]
+        assert list(tokenize_each(iter(texts))) == [reference.tokenize(t) for t in texts]
 
 
 class TestEncodeTexts:
