@@ -27,7 +27,6 @@ from .corpus import (
     load_annotated,
     load_articles,
     load_comments,
-    sample_articles,
     save_annotated,
     save_articles,
     save_comments,

@@ -5,7 +5,7 @@ Subcommands cover the whole pipeline: ``train-aspects``, ``score``,
 ``generate-synthetic``, and ``evaluate``. Every run is configured by a
 single JSON document (``--config``), then by ``--set dotted.key=value``
 items, then by the dedicated flags, each of which is shorthand for the
-config key(s) in ``_FLAG_KEYS``; all randomness comes from explicit seeds
+config key(s) it names in ``_FLAGS``; all randomness comes from explicit seeds
 in that configuration.
 
 Exit codes: 0 success, 1 internal error, 2 input or configuration error.
@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -85,22 +84,25 @@ def _from_dict(base, data: dict, what: str = "config keys"):
     return dataclasses.replace(base, **kwargs)
 
 
-# Each dedicated flag is shorthand for the config key(s) it names. Flags are
-# applied after the --set items, through the same setter, so a flag wins.
-_FLAG_KEYS = {
-    "articles": ("articles",),
-    "comments": ("comments",),
-    "annotated": ("annotated",),
-    "model_dir": ("model_dir",),
-    "out": ("out_dir",),
-    "seed": ("split_seed", "lda.seed", "synthetic.seed"),  # every seed a command uses
-    "tag": ("tag",),
-    "test_fraction": ("test_fraction",),
-    "min_phrase_df": ("min_phrase_df",),
-    "min_comment_words": ("min_comment_words",),
-    "n_articles": ("synthetic.n_articles",),
-    "comments_per_article": ("synthetic.comments_per_article",),
-    "n_annotated": ("synthetic.n_annotated",),
+# Each dedicated flag: its value type, help text and the config key(s) it is
+# shorthand for. Flags are applied after the --set items, through the same
+# setter, so a flag wins. The option is the name with dashes (--model-dir).
+_FLAGS = {
+    "seed": (int, "override every seed the command uses",
+             ("split_seed", "lda.seed", "synthetic.seed")),
+    "out": (str, "output directory", ("out_dir",)),
+    "model_dir": (str, "model directory", ("model_dir",)),
+    "articles": (str, "articles.jsonl", ("articles",)),
+    "comments": (str, "comments.jsonl", ("comments",)),
+    "annotated": (str, "annotated comments (.jsonl or .tsv)", ("annotated",)),
+    "tag": (str, "restrict articles to this tag", ("tag",)),
+    "test_fraction": (float, "held-out share of the training items", ("test_fraction",)),
+    "min_phrase_df": (int, "least document frequency of a mined phrase", ("min_phrase_df",)),
+    "min_comment_words": (int, "drop comments with fewer tokens", ("min_comment_words",)),
+    "n_articles": (int, "synthetic articles", ("synthetic.n_articles",)),
+    "comments_per_article": (int, "synthetic comments per article",
+                             ("synthetic.comments_per_article",)),
+    "n_annotated": (int, "synthetic annotated comments", ("synthetic.n_annotated",)),
 }
 
 
@@ -130,7 +132,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         except json.JSONDecodeError:
             value = raw  # bare strings need no quoting
         _set_path(data, key, value)
-    for flag, keys in _FLAG_KEYS.items():
+    for flag, (_, _, keys) in _FLAGS.items():
         value = getattr(args, flag, None)
         if value is not None:
             for key in keys:
@@ -246,16 +248,13 @@ def cmd_label_train_provoking(args: argparse.Namespace) -> int:
     rows = read_rows(
         weights_path,
         {"article_id": "str", "weight": "float", "n_comments": "int", "source": "str"},
+        key="article_id",
     )
     if not rows:
         raise ValueError("article weights file is empty")
-    ids = [row["article_id"] for row in rows]
-    missing = [i for i in ids if i not in body_of]
+    missing = [row["article_id"] for row in rows if row["article_id"] not in body_of]
     if missing:
         raise ValueError(f"weights reference unknown article ids: {missing[:5]}")
-    repeated = [i for i, n in Counter(ids).items() if n > 1]
-    if repeated:
-        raise ValueError(f"weights repeat article ids: {repeated[:5]}")
 
     weights = [
         incivility.ArticleIncivility(row["article_id"], float(row["weight"]), row["n_comments"])
@@ -382,7 +381,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValueError(f"labels file not found: {labels_path}")
         label_of = {
             row["article_id"]: row["label"]
-            for row in read_rows(labels_path, {"article_id": "str", "label": "bool"})
+            for row in read_rows(labels_path, {"article_id": "str", "label": "bool"},
+                                 key="article_id")
         }
         pipeline = _load_provoking(model_dir)
         articles = [a for a in load_articles(cfg.articles) if a.id in label_of]
@@ -400,15 +400,27 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 # --- parser ----------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON run configuration")
-    sub.add_argument("--seed", type=int, help="override every seed the command uses")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--model-dir", dest="model_dir", help="model directory")
-    sub.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="override any config value by dotted path, e.g. --set lda.iterations=200",
-    )
+_COMMON = ("seed", "out", "model_dir")  # the dedicated flags every subcommand takes
+
+# Subcommand -> (function, help text, its dedicated flags besides _COMMON).
+_COMMANDS = {
+    "train-aspects": (cmd_train_aspects, "train the three comment-aspect classifiers",
+                      ("annotated", "test_fraction")),
+    "score": (cmd_score, "score comments and compute article weights",
+              ("articles", "comments", "min_comment_words")),
+    "label-train-provoking": (
+        cmd_label_train_provoking,
+        "label articles by source-median weight and train the provoking classifier",
+        ("articles", "test_fraction")),
+    "predict-provoking": (cmd_predict_provoking, "predict provocation from article text",
+                          ("articles",)),
+    "mine-subtext": (cmd_mine_subtext, "mine comment-only topic phrases",
+                     ("articles", "comments", "tag", "min_phrase_df", "min_comment_words")),
+    "generate-synthetic": (cmd_generate_synthetic, "emit a planted-signal synthetic corpus",
+                           ("n_articles", "comments_per_article", "n_annotated")),
+    "evaluate": (cmd_evaluate, "re-evaluate saved models on a corpus",
+                 ("annotated", "articles")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,59 +430,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "comment-subtext mining for news comment corpora.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("train-aspects", help="train the three comment-aspect classifiers")
-    _add_common(p)
-    p.add_argument("--annotated", help="annotated comments (.jsonl or .tsv)")
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.set_defaults(func=cmd_train_aspects)
-
-    p = subs.add_parser("score", help="score comments and compute article weights")
-    _add_common(p)
-    p.add_argument("--articles", help="articles.jsonl")
-    p.add_argument("--comments", help="comments.jsonl")
-    p.add_argument("--min-comment-words", dest="min_comment_words", type=int)
-    p.set_defaults(func=cmd_score)
-
-    p = subs.add_parser(
-        "label-train-provoking",
-        help="label articles by source-median weight and train the provoking classifier",
-    )
-    _add_common(p)
-    p.add_argument("--articles", help="articles.jsonl")
-    p.add_argument("--weights", help="article_weights.jsonl from 'score'")
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.set_defaults(func=cmd_label_train_provoking)
-
-    p = subs.add_parser("predict-provoking", help="predict provocation from article text")
-    _add_common(p)
-    p.add_argument("--articles", help="articles.jsonl")
-    p.set_defaults(func=cmd_predict_provoking)
-
-    p = subs.add_parser("mine-subtext", help="mine comment-only topic phrases")
-    _add_common(p)
-    p.add_argument("--articles", help="articles.jsonl")
-    p.add_argument("--comments", help="comments.jsonl")
-    p.add_argument("--tag", help="restrict articles to this tag")
-    p.add_argument("--min-phrase-df", dest="min_phrase_df", type=int)
-    p.add_argument("--min-comment-words", dest="min_comment_words", type=int)
-    p.set_defaults(func=cmd_mine_subtext)
-
-    p = subs.add_parser("generate-synthetic", help="emit a planted-signal synthetic corpus")
-    _add_common(p)
-    p.add_argument("--n-articles", dest="n_articles", type=int)
-    p.add_argument("--comments-per-article", dest="comments_per_article", type=int)
-    p.add_argument("--n-annotated", dest="n_annotated", type=int)
-    p.set_defaults(func=cmd_generate_synthetic)
-
-    p = subs.add_parser("evaluate", help="re-evaluate saved models on a corpus")
-    _add_common(p)
-    p.add_argument("--target", choices=("aspects", "provoking"), required=True)
-    p.add_argument("--annotated", help="annotated comments for --target aspects")
-    p.add_argument("--articles", help="articles.jsonl for --target provoking")
-    p.add_argument("--labels", help="article_labels.jsonl for --target provoking")
-    p.set_defaults(func=cmd_evaluate)
-
+    for command, (func, help_text, flags) in _COMMANDS.items():
+        p = subs.add_parser(command, help=help_text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON run configuration")
+        p.add_argument(
+            "--set", action="append", metavar="KEY=VALUE",
+            help="override any config value by dotted path, e.g. --set lda.iterations=200",
+        )
+        for flag in _COMMON + flags:
+            kind, flag_help, _ = _FLAGS[flag]
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=kind, help=flag_help)
+        if command == "label-train-provoking":
+            p.add_argument("--weights", help="article_weights.jsonl from 'score'")
+        elif command == "evaluate":
+            p.add_argument("--target", choices=("aspects", "provoking"), required=True)
+            p.add_argument("--labels", help="article_labels.jsonl for --target provoking")
     return parser
 
 

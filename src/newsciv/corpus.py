@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from ._checks import _KINDS
 from ._output import write_jsonl
@@ -112,20 +113,6 @@ class Corpus:
         return list(self.by_article.get(article_id, ()))
 
 
-def _read_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise CorpusError(f"line {lineno}: expected a JSON object")
-            yield lineno, obj
-
-
 def _require(obj: dict, fields: dict[str, str | None], lineno: int) -> None:
     """Raise CorpusError naming the line unless ``obj`` holds every field
     of ``fields``, each of the kind (a key of ``_checks._KINDS``, such as
@@ -140,43 +127,59 @@ def _require(obj: dict, fields: dict[str, str | None], lineno: int) -> None:
             raise CorpusError(f"line {lineno}: invalid {name} {obj[name]!r}, must be {what}")
 
 
-def read_rows(path: str | Path, fields: dict[str, str]) -> list[dict]:
-    """Read JSONL objects that each hold ``fields`` (see ``_require``)."""
-    rows = []
-    for lineno, row in _read_jsonl(path):
-        _require(row, fields, lineno)
-        rows.append(row)
-    return rows
+def _rows(path: str | Path, fields: dict[str, str | None],
+          key: str | None = None) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of JSONL file ``path``,
+    each checked to hold ``fields`` (see ``_require``). With ``key``, a string
+    field of ``fields``, a row whose ``key`` value an earlier row had is rejected."""
+    seen: set = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+            if not isinstance(row, dict):
+                raise CorpusError(f"line {lineno}: expected a JSON object")
+            _require(row, fields, lineno)
+            if key is not None:
+                if row[key] in seen:
+                    raise CorpusError(f"line {lineno}: duplicate {key} {row[key]!r}")
+                seen.add(row[key])
+            yield lineno, row
+
+
+def read_rows(path: str | Path, fields: dict[str, str], key: str | None = None) -> list[dict]:
+    """Read JSONL objects that each hold ``fields`` (see ``_require``),
+    rejecting a repeated ``key`` value if ``key`` is given."""
+    return [row for _, row in _rows(path, fields, key)]
 
 
 _ARTICLE_FIELDS = {"id": "str", "source": "str", "title": "str", "body": "str",
                    "tags": "tuple[str, ...]", "date": "str"}
+_COMMENT_FIELDS = {"id": "str", "article_id": "str", "text": "str"}
 _ANNOTATED_FIELDS = {"id": "str", "text": "str", "toxicity": None, "aggression": None,
                      "attack": None}
 
 
-def load_articles(path: str | Path) -> list[Article]:
-    """Load an articles.jsonl file, preserving file order."""
-    articles: list[Article] = []
-    seen: set[str] = set()
-    for lineno, obj in _read_jsonl(path):
-        _require(obj, _ARTICLE_FIELDS, lineno)
+def _load(path: str | Path, fields: dict[str, str], cls: type[T]) -> list[T]:
+    """One ``cls`` per row of ``path``, in file order, built from the values
+    of ``fields`` in order; ids must be unique."""
+    values = itemgetter(*fields)
+    items = []
+    for lineno, row in _rows(path, fields, key="id"):
         try:
-            article = Article(
-                id=obj["id"],
-                source=obj["source"],
-                title=obj["title"],
-                body=obj["body"],
-                tags=frozenset(obj["tags"]),
-                date=obj["date"],
-            )
+            items.append(cls(*values(row)))
         except (TypeError, ValueError) as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc
-        if article.id in seen:
-            raise CorpusError(f"duplicate article id {article.id!r}")
-        seen.add(article.id)
-        articles.append(article)
-    return articles
+    return items
+
+
+def load_articles(path: str | Path) -> list[Article]:
+    """Load an articles.jsonl file, preserving file order."""
+    return _load(path, _ARTICLE_FIELDS, Article)
 
 
 def load_comments(path: str | Path, min_words: int = 0) -> list[Comment]:
@@ -185,18 +188,7 @@ def load_comments(path: str | Path, min_words: int = 0) -> list[Comment]:
     ``min_words`` optionally drops comments with fewer tokens (off by
     default; every loaded comment counts toward article weights).
     """
-    comments: list[Comment] = []
-    seen: set[str] = set()
-    for lineno, obj in _read_jsonl(path):
-        _require(obj, {"id": "str", "article_id": "str", "text": "str"}, lineno)
-        try:
-            comment = Comment(id=obj["id"], article_id=obj["article_id"], text=obj["text"])
-        except ValueError as exc:
-            raise CorpusError(f"line {lineno}: {exc}") from exc
-        if comment.id in seen:
-            raise CorpusError(f"duplicate comment id {comment.id!r}")
-        seen.add(comment.id)
-        comments.append(comment)
+    comments = _load(path, _COMMENT_FIELDS, Comment)
     if min_words <= 0:
         return comments
     sizes = map(len, tokenize_each(c.text for c in comments))
@@ -280,8 +272,7 @@ def load_annotated(path: str | Path) -> list[AnnotatedComment]:
                     att_raw in ("1", "true"),
                 )
     else:
-        for lineno, obj in _read_jsonl(path):
-            _require(obj, _ANNOTATED_FIELDS, lineno)
+        for lineno, obj in _rows(path, _ANNOTATED_FIELDS):
             add_row(
                 lineno, obj["id"], obj["text"], obj["toxicity"], obj["aggression"], obj["attack"]
             )
@@ -379,10 +370,3 @@ def train_test_split(
     test = [items[i] for i in sorted(test_idx)]
     return train, test
 
-
-def sample_articles(articles: Sequence[Article], n: int, seed: int) -> list[Article]:
-    """Seeded uniform sample without replacement, in original order."""
-    if n < 0 or n > len(articles):
-        raise ValueError(f"cannot sample {n} of {len(articles)} articles")
-    idx = sorted(random.Random(seed).sample(range(len(articles)), n))
-    return [articles[i] for i in idx]

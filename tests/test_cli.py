@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsciv import cli
 from newsciv.cli import RunConfig, _load_run_config, build_parser, main
 from newsciv.corpus import Article, save_articles
 from newsciv.features import TfidfConfig
@@ -307,7 +309,7 @@ class TestLabelTrainProvoking:
 
     @pytest.mark.parametrize("rows, message", [
         ([("a0", "s"), ("zz", "s")], "unknown article ids: ['zz']"),
-        ([("a0", "s"), ("a1", "s"), ("a0", "s")], "repeat article ids: ['a0']"),
+        ([("a0", "s"), ("a1", "s"), ("a0", "s")], "line 3: duplicate article_id 'a0'"),
     ])
     def test_bad_article_ids_exit_2_before_writing(self, tmp_path, capsys, rows, message):
         save_articles([Article(id=a, source="s", title="t", body="alpha beta")
@@ -401,6 +403,21 @@ class TestEvaluate:
         assert main(["evaluate", "--target", "provoking", "--config", config,
                      "--labels", str(labels), "--out", str(tmp_path / "out")]) == 2
         assert "line 2: missing field label" in capsys.readouterr().err
+
+    def test_repeated_label_row_exits_2(self, pipeline_dir, tmp_path, capsys):
+        """A second row for one article must not overwrite the first label."""
+        config = (pipeline_dir / "config_path.txt").read_text()
+        lines = (pipeline_dir / "out" / "article_labels.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        first["label"] = not first["label"]
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("\n".join(lines + [json.dumps(first)]) + "\n")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--target", "provoking", "--config", config,
+                     "--labels", str(labels), "--out", str(out)]) == 2
+        assert (f"line {len(lines) + 1}: duplicate article_id {first['article_id']!r}"
+                in capsys.readouterr().err)
+        assert not (out / "evaluation.json").exists()
 
 
 class TestConfigHandling:
@@ -591,6 +608,44 @@ class TestConfigHandling:
         assert main(["score", "--config", config]) == 0
         after = {p.name: p.read_bytes() for p in data.iterdir()}
         assert before == after
+
+
+
+# Each subcommand's options, written out so that an edit to cli._FLAGS or
+# cli._COMMANDS cannot add or drop one unnoticed.
+COMMON_OPTIONS = {"--help", "--config", "--set", "--seed", "--out", "--model-dir"}
+OPTIONS = {
+    "train-aspects": {"--annotated", "--test-fraction"},
+    "score": {"--articles", "--comments", "--min-comment-words"},
+    "label-train-provoking": {"--articles", "--weights", "--test-fraction"},
+    "predict-provoking": {"--articles"},
+    "mine-subtext": {"--articles", "--comments", "--tag", "--min-phrase-df",
+                     "--min-comment-words"},
+    "generate-synthetic": {"--n-articles", "--comments-per-article", "--n-annotated"},
+    "evaluate": {"--target", "--annotated", "--articles", "--labels"},
+}
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("flag", sorted(cli._FLAGS))
+    def test_config_keys_are_run_config_fields(self, flag):
+        for key in cli._FLAGS[flag][2]:
+            node = RunConfig()
+            for part in key.split("."):
+                assert part in {f.name for f in dataclasses.fields(node)}, key
+                node = getattr(node, part)
+
+    @pytest.mark.parametrize("flag", sorted(cli._FLAGS))
+    def test_flag_belongs_to_a_subcommand(self, flag):
+        assert any(flag in cli._COMMON + flags for _, _, flags in cli._COMMANDS.values())
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_lists_exactly_the_subcommand_options(self, command, capsys):
+        assert set(OPTIONS) == set(cli._COMMANDS)
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == COMMON_OPTIONS | OPTIONS[command]
 
 
 # Any JSON value, with the numbers that break naive checks drawn often.
