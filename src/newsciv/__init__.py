@@ -72,14 +72,6 @@ from .linmodel import (
 )
 from .subtext import SubtextReport, extract_topic_phrases, mine_subtext
 from .synthetic import SyntheticConfig, generate_corpus
-from .textproc import (
-    DEFAULT_STOPLIST,
-    Vocabulary,
-    build_vocabulary,
-    load_stoplist,
-    ngrams,
-    remove_stopwords,
-    tokenize,
-)
+from .textproc import DEFAULT_STOPLIST, Vocabulary, load_stoplist, tokenize
 
 __version__ = "0.1.0"

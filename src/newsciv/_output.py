@@ -15,10 +15,12 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each of ``lines`` plus a newline to ``path``, atomically.
 
     The lines stream into a dot-named temp file in the target's directory,
-    which ``os.replace`` then renames onto ``path``. Any exception removes
-    the temp file and leaves ``path`` as it was. The temp file is made by
-    plain ``open``, so a new file's mode follows the umask."""
+    which ``os.replace`` then renames onto ``path``; a missing directory is
+    made first. Any exception removes the temp file and leaves ``path`` as it
+    was. The temp file is made by plain ``open``, so a new file's mode
+    follows the umask."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

@@ -166,8 +166,7 @@ def _maybe_filter_keywords(articles, cfg: RunConfig):
 
 # --- subcommands -----------------------------------------------------------
 
-def cmd_train_aspects(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
+def cmd_train_aspects(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_paths(cfg, "annotated")
     annotated = load_annotated(cfg.annotated)
     classifiers, reports = incivility.train_aspect_classifiers(
@@ -178,15 +177,11 @@ def cmd_train_aspects(args: argparse.Namespace) -> int:
         test_fraction=cfg.test_fraction,
     )
     model_dir = Path(cfg.model_dir)
-    model_dir.mkdir(parents=True, exist_ok=True)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     save_tfidf(classifiers.tfidf, model_dir / "aspects_tfidf.json")
     for aspect in incivility.ASPECTS:
         save_logistic(getattr(classifiers, aspect), model_dir / f"aspect_{aspect}.json")
     write_json(
-        out_dir / "aspect_reports.json",
+        Path(cfg.out_dir) / "aspect_reports.json",
         {aspect: dataclasses.asdict(report) for aspect, report in reports.items()},
     )
     for aspect in incivility.ASPECTS:
@@ -202,16 +197,12 @@ def _load_aspect_classifiers(model_dir: Path) -> incivility.AspectClassifiers:
     )
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
+def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_paths(cfg, "articles", "comments")
     classifiers = _load_aspect_classifiers(Path(cfg.model_dir))
     articles = _maybe_filter_keywords(load_articles(cfg.articles), cfg)
     comments = load_comments(cfg.comments, min_words=cfg.min_comment_words)
-
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     scores, weights = incivility.article_weights(classifiers, comments)
     write_lines(out_dir / "scores.jsonl", (
         f'{{"comment_id": {json.dumps(comment.id)}, '
@@ -236,8 +227,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_label_train_provoking(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
+def cmd_label_train_provoking(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_paths(cfg, "articles")
     out_dir = Path(cfg.out_dir)
     weights_path = Path(getattr(args, "weights", None) or out_dir / "article_weights.jsonl")
@@ -278,12 +268,10 @@ def cmd_label_train_provoking(args: argparse.Namespace) -> int:
         test_fraction=cfg.test_fraction,
     )
     # Written only once training succeeded, so a rejected run leaves no labels.
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "thresholds.json", [dataclasses.asdict(t) for t in thresholds])
     write_jsonl(out_dir / "article_labels.jsonl", map(dataclasses.asdict, labeled))
 
     model_dir = Path(cfg.model_dir)
-    model_dir.mkdir(parents=True, exist_ok=True)
     save_tfidf(pipeline.tfidf, model_dir / "provoking_tfidf.json")
     save_logistic(pipeline.model, model_dir / "provoking_model.json")
     write_json(out_dir / "provoking_report.json", dataclasses.asdict(report))
@@ -301,15 +289,12 @@ def _load_provoking(model_dir: Path) -> incivility.ProvokingClassifier:
     )
 
 
-def cmd_predict_provoking(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
+def cmd_predict_provoking(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_paths(cfg, "articles")
     pipeline = _load_provoking(Path(cfg.model_dir))
     articles = load_articles(cfg.articles)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     probs = pipeline.model.predict_proba(pipeline.tfidf.transform([a.body for a in articles]))
-    write_lines(out_dir / "provoking_predictions.jsonl", (
+    write_lines(Path(cfg.out_dir) / "provoking_predictions.jsonl", (
         f'{{"article_id": {json.dumps(article.id)}, '
         f'"probability": {proba:.6f}, '
         f'"label": {"true" if proba > incivility.PROVOKING_THRESHOLD else "false"}}}'
@@ -319,8 +304,7 @@ def cmd_predict_provoking(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_mine_subtext(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
+def cmd_mine_subtext(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_paths(cfg, "articles", "comments")
     articles = _maybe_filter_keywords(load_articles(cfg.articles), cfg)
     if cfg.tag:
@@ -337,18 +321,15 @@ def cmd_mine_subtext(args: argparse.Namespace) -> int:
         min_phrase_df=cfg.min_phrase_df,
     )
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_report(report, out_dir / "subtext.json", out_dir / "subtext.md")
     print(f"{len(report.content_phrases)} content phrases, "
           f"{len(report.comment_phrases)} comment phrases")
     return 0
 
 
-def cmd_generate_synthetic(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
+def cmd_generate_synthetic(cfg: RunConfig, args: argparse.Namespace) -> int:
     articles, comments, annotated = generate_corpus(cfg.synthetic)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_articles(articles, out_dir / "articles.jsonl")
     save_comments(comments, out_dir / "comments.jsonl")
     save_annotated(annotated, out_dir / "annotated.jsonl")
@@ -357,12 +338,9 @@ def cmd_generate_synthetic(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
+def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     model_dir = Path(cfg.model_dir)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.target == "aspects":
         _require_paths(cfg, "annotated")
         annotated = load_annotated(cfg.annotated)
@@ -452,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load_run_config(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ._checks import _KINDS
 from ._output import write_jsonl
@@ -220,6 +220,49 @@ def _as_flag_list(value, lineno: int) -> list[bool]:
     return flags
 
 
+def _tsv_rating(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ValueError("non-integer rating") from exc
+
+
+def _tsv_flag(raw: str) -> bool:
+    flag = raw.strip().lower()
+    if flag not in ("0", "1", "true", "false"):
+        raise ValueError(f"attack flag {flag!r} is not a boolean")
+    return flag in ("1", "true")
+
+
+_ANNOTATED_TSV_FIELDS = {"id": str, "text": str, "toxicity": _tsv_rating,
+                         "aggression": _tsv_rating, "attack": _tsv_flag}
+
+
+def _tsv_rows(path: str | Path, fields: dict[str, Callable]) -> Iterator[tuple[int, dict]]:
+    """(line number, row) for each non-blank line after the header of the
+    tab-separated file ``path``. The header must name every field of
+    ``fields``; a row maps each field to its column parsed by ``fields[name]``,
+    whose ValueError becomes a CorpusError naming the line."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        for name in fields:
+            if name not in header:
+                raise CorpusError(f"line 1: missing field {name}")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != len(header):
+                raise CorpusError(f"line {lineno}: expected {len(header)} columns, "
+                                  f"got {len(parts)}")
+            columns = dict(zip(header, parts))
+            try:
+                row = {name: parse(columns[name]) for name, parse in fields.items()}
+            except ValueError as exc:
+                raise CorpusError(f"line {lineno}: {exc}") from exc
+            yield lineno, row
+
+
 def load_annotated(path: str | Path) -> list[AnnotatedComment]:
     """Load annotated comments, aggregating per-annotator rows by id.
 
@@ -227,70 +270,27 @@ def load_annotated(path: str | Path) -> list[AnnotatedComment]:
     one line per comment with rating arrays ({"toxicity": [3, 4], ...}),
     or one line per annotator with scalars ({"toxicity": 3, ...}).
     A .tsv file with header columns id/text/toxicity/aggression/attack is
-    read as per-annotator rows.
+    read as per-annotator rows. Rows that repeat an id must repeat its text.
     """
-    path = Path(path)
-    grouped: dict[str, dict] = {}
-
-    def add_row(lineno: int, cid: str, text: str, tox, agg, att) -> None:
-        entry = grouped.setdefault(
-            cid, {"text": text, "toxicity": [], "aggression": [], "attack": []}
-        )
-        entry["toxicity"].extend(_as_rating_list(tox, lineno, "toxicity"))
-        entry["aggression"].extend(_as_rating_list(agg, lineno, "aggression"))
-        entry["attack"].extend(_as_flag_list(att, lineno))
-
-    if path.suffix.lower() == ".tsv":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            cols = {name: i for i, name in enumerate(header)}
-            for name in ("id", "text", "toxicity", "aggression", "attack"):
-                if name not in cols:
-                    raise CorpusError(f"line 1: missing field {name}")
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != len(header):
-                    raise CorpusError(
-                        f"line {lineno}: expected {len(header)} columns, got {len(parts)}"
-                    )
-                try:
-                    tox = int(parts[cols["toxicity"]])
-                    agg = int(parts[cols["aggression"]])
-                except ValueError as exc:
-                    raise CorpusError(f"line {lineno}: non-integer rating") from exc
-                att_raw = parts[cols["attack"]].strip().lower()
-                if att_raw not in ("0", "1", "true", "false"):
-                    raise CorpusError(f"line {lineno}: attack flag {att_raw!r} is not a boolean")
-                add_row(
-                    lineno,
-                    parts[cols["id"]],
-                    parts[cols["text"]],
-                    tox,
-                    agg,
-                    att_raw in ("1", "true"),
-                )
+    if Path(path).suffix.lower() == ".tsv":
+        rows = _tsv_rows(path, _ANNOTATED_TSV_FIELDS)
     else:
-        for lineno, obj in _rows(path, _ANNOTATED_FIELDS):
-            add_row(
-                lineno, obj["id"], obj["text"], obj["toxicity"], obj["aggression"], obj["attack"]
-            )
+        rows = _rows(path, _ANNOTATED_FIELDS)
+    grouped: dict[str, tuple[str, list, list, list]] = {}
+    for lineno, row in rows:
+        text, tox, agg, att = grouped.setdefault(row["id"], (row["text"], [], [], []))
+        if row["text"] != text:
+            raise CorpusError(f"line {lineno}: id {row['id']!r} repeats with another text")
+        tox.extend(_as_rating_list(row["toxicity"], lineno, "toxicity"))
+        agg.extend(_as_rating_list(row["aggression"], lineno, "aggression"))
+        att.extend(_as_flag_list(row["attack"], lineno))
 
     out = []
-    for cid, entry in grouped.items():
-        if not (entry["toxicity"] and entry["aggression"] and entry["attack"]):
+    for cid, (text, tox, agg, att) in grouped.items():
+        if not (tox and agg and att):
             raise CorpusError(f"comment {cid!r} has zero annotators for some aspect")
         try:
-            out.append(
-                AnnotatedComment(
-                    id=cid,
-                    text=entry["text"],
-                    toxicity_ratings=tuple(entry["toxicity"]),
-                    aggression_ratings=tuple(entry["aggression"]),
-                    attack_flags=tuple(entry["attack"]),
-                )
-            )
+            out.append(AnnotatedComment(cid, text, tuple(tox), tuple(agg), tuple(att)))
         except ValueError as exc:
             raise CorpusError(str(exc)) from exc
     return out

@@ -262,14 +262,13 @@ def roc_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
         raise ValueError("ROC AUC requires both classes to be present")
 
     order = np.argsort(s, kind="mergesort")
+    ordered = s[order]
+    # A tie group is a run of equal neighbours (NaN ties nothing); each of its
+    # members gets the group's average 1-based rank.
+    start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    end = np.r_[start[1:], s.size] - 1
     ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
 
     pos_rank_sum = float(ranks[lab].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 from pathlib import Path
@@ -136,6 +137,19 @@ class TestTrainAspects:
                      "--model-dir", str(tmp_path / "models")]) == 2
         assert f"line 3: invalid {field} {value!r}, must be a string" in capsys.readouterr().err
         assert not (tmp_path / "models").exists()
+
+    def test_repeated_id_with_another_text_exits_2(self, pipeline_dir, tmp_path, capsys):
+        """A later row for an id must not add its ratings to another text."""
+        rows = jsonl(pipeline_dir / "data" / "annotated.jsonl")
+        rows.append({**rows[0], "text": rows[0]["text"] + " but longer"})
+        path = tmp_path / "annotated.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["train-aspects", "--annotated", str(path), "--out", str(tmp_path / "out"),
+                     "--model-dir", str(tmp_path / "models")]) == 2
+        assert (f"line {len(rows)}: id {rows[0]['id']!r} repeats with another text"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "models").exists()
+        assert not (tmp_path / "out").exists()
 
 
 class TestScore:
@@ -394,6 +408,13 @@ class TestEvaluate:
         assert main(["evaluate", "--target", "aspects", "--config", config,
                      "--annotated", str(empty), "--out", str(tmp_path / "out")]) == 2
         assert "cannot evaluate on zero examples" in capsys.readouterr().err
+
+    def test_aspects_without_annotated_exits_2_and_makes_no_directory(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["evaluate", "--target", "aspects"]) == 2
+        assert "no annotated path configured" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_labels_row_without_label_exits_2(self, pipeline_dir, tmp_path, capsys):
         config = (pipeline_dir / "config_path.txt").read_text()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -162,6 +163,9 @@ class TestLoadComments:
             load_comments(path)
 
 
+TSV_HEADER = "id\ttext\ttoxicity\taggression\tattack"
+
+
 class TestLoadAnnotated:
     def test_aggregated_arrays(self, tmp_path):
         path = tmp_path / "annotated.jsonl"
@@ -228,6 +232,35 @@ class TestLoadAnnotated:
         path.write_text("id\ttext\ttoxicity\taggression\tattack\n"
                         "w0\tfine\t2\t1\t0\n" + row + "\n")
         with pytest.raises(CorpusError, match=f"line 3: expected 5 columns, got {columns}"):
+            load_annotated(path)
+
+    @pytest.mark.parametrize("header, row, message", [
+        (TSV_HEADER.replace("\tattack", ""), "w1\tx\t2\t1", "line 1: missing field attack"),
+        ("", "", "line 1: missing field id"),
+        (TSV_HEADER, "w1\tx\tthree\t1\t1", "line 2: non-integer rating"),
+        (TSV_HEADER, "w1\tx\t2\t1.5\t1", "line 2: non-integer rating"),
+        (TSV_HEADER, "w1\tx\t2\t1\tyes", "line 2: attack flag 'yes' is not a boolean"),
+        (TSV_HEADER, "w1\tx\t2\t1\t 2 ", "line 2: attack flag '2' is not a boolean"),
+        (TSV_HEADER, "w1\tx\t6\t1\t1", "line 2: toxicity rating 6 outside [1, 5]"),
+        (TSV_HEADER, "w1\tx\t2\t0\t1", "line 2: aggression rating 0 outside [1, 5]"),
+    ])
+    def test_tsv_bad_row_names_line(self, tmp_path, header, row, message):
+        path = tmp_path / "annotated.tsv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            load_annotated(path)
+
+    @pytest.mark.parametrize("suffix, line", [(".jsonl", 3), (".tsv", 4)])
+    def test_repeated_id_with_another_text_names_line(self, tmp_path, suffix, line):
+        rows = [("w1", "first text"), ("w2", "other text"), ("w1", "other text")]
+        path = tmp_path / f"annotated{suffix}"
+        if suffix == ".tsv":
+            path.write_text(TSV_HEADER + "\n" + "".join(f"{i}\t{t}\t3\t3\t0\n" for i, t in rows))
+        else:
+            path.write_text("".join(json.dumps({"id": i, "text": t, "toxicity": 3,
+                                                "aggression": 5, "attack": False}) + "\n"
+                                    for i, t in rows))
+        with pytest.raises(CorpusError, match=f"line {line}: id 'w1' repeats with another text"):
             load_annotated(path)
 
     @pytest.mark.parametrize("field, value", [("text", None), ("text", {"x": 1}), ("id", 7)])

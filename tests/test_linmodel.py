@@ -8,6 +8,8 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsciv import linmodel
 from newsciv.linmodel import (
@@ -53,6 +55,35 @@ def brute_force_auc(scores, labels) -> float:
     neg = [s for s, l in zip(scores, labels) if not l]
     wins = sum(1.0 if p > n else 0.5 if p == n else 0.0 for p in pos for n in neg)
     return wins / (len(pos) * len(neg))
+
+
+def loop_roc_auc(scores, labels) -> float:
+    """The tie loop ``roc_auc`` used before its tie groups were found from
+    neighbour inequality: each group is walked element by element."""
+    s = np.asarray(scores, dtype=np.float64)
+    lab = np.asarray(labels, dtype=bool)
+    n_pos = int(lab.sum())
+    n_neg = int(lab.size - n_pos)
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(s.size, dtype=np.float64)
+    i = 0
+    while i < s.size:
+        j = i
+        while j + 1 < s.size and s[order[j + 1]] == s[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
+        i = j + 1
+    pos_rank_sum = float(ranks[lab].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+# Scores drawn mostly from a few values, so most lists hold ties, with NaN,
+# both zeros and both infinities among them.
+TIED_SCORES = st.lists(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -3.0, math.inf, -math.inf, math.nan])
+    | st.floats(allow_nan=True, allow_infinity=True),
+    min_size=2, max_size=60,
+)
 
 
 def random_instance(rng: np.random.Generator, n: int, d: int):
@@ -346,6 +377,19 @@ class TestRocAuc:
             assert roc_auc(scores, labels) == pytest.approx(
                 brute_force_auc(scores, labels), abs=1e-12
             )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_tie_groups_match_the_loop_exactly(self, data):
+        scores = data.draw(TIED_SCORES)
+        labels = data.draw(st.lists(st.booleans(), min_size=len(scores), max_size=len(scores)))
+        labels[:2] = [True, False]
+        assert roc_auc(scores, labels) == loop_roc_auc(scores, labels)
+
+    def test_nan_scores_tie_nothing(self):
+        nan = math.nan
+        assert roc_auc([nan, nan, 0.1], [True, False, False]) == 0.5  # tied NaN: 0.75
+        assert roc_auc([-0.0, 0.0, nan], [True, False, True]) == 0.75
 
     def test_invariant_under_monotone_transform(self):
         rng = random.Random(4)

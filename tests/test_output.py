@@ -1,5 +1,6 @@
 """The writer module: a failed write leaves no trace, a new file gets the
-mode plain ``open`` gives it, and no other module writes files."""
+mode plain ``open`` gives it, a missing directory is made on the first
+write into it, and no other module writes files or makes directories."""
 
 from __future__ import annotations
 
@@ -34,6 +35,20 @@ def test_failed_write_leaves_previous_file_and_no_temp_file(tmp_path, existing):
     assert (sorted(os.listdir(tmp_path)), path.read_bytes() if existing else None) == before
 
 
+def test_write_into_missing_nested_directory_makes_it(tmp_path):
+    path = tmp_path / "a" / "b" / "comments.jsonl"
+    save_comments(comments(2), path)
+    assert path.read_text(encoding="utf-8").count("\n") == 2
+    assert os.listdir(path.parent) == ["comments.jsonl"]
+
+
+def test_failed_write_into_missing_directory_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "a" / "b" / "comments.jsonl"
+    with pytest.raises(RuntimeError, match="stream broke"):
+        save_comments(comments(5, fail_after=2), path)
+    assert os.listdir(path.parent) == []
+
+
 def test_new_file_mode_follows_the_umask_like_plain_open(tmp_path):
     old = os.umask(0o022)
     try:
@@ -50,13 +65,14 @@ def test_new_file_mode_follows_the_umask_like_plain_open(tmp_path):
 def _file_writes(tree: ast.AST):
     """(line, call) of every call in ``tree`` that can write a file: an
     ``open`` whose mode is not a constant read mode, ``os.open``,
-    ``write_text`` and ``write_bytes``."""
+    ``write_text``, ``write_bytes``, and ``mkdir`` or ``makedirs`` by any
+    owner (``Path.mkdir``, ``os.mkdir``, ``os.makedirs``)."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name in ("write_text", "write_bytes"):
+        if name in ("write_text", "write_bytes", "mkdir", "makedirs"):
             yield node.lineno, name
         elif name == "open":
             owner = getattr(func, "value", None)
@@ -90,11 +106,17 @@ def test_only_the_writer_module_writes_files():
     ("os.open(p, os.O_RDONLY)", True),
     ("Path(p).write_text(s)", True),
     ("p.write_bytes(b)", True),
+    ("Path(p).mkdir(parents=True, exist_ok=True)", True),
+    ("out_dir.mkdir()", True),
+    ("os.mkdir(p)", True),
+    ("os.makedirs(p, exist_ok=True)", True),
+    ("makedirs(p)", True),
     ("open(p)", False),
     ("open(p, encoding='utf-8')", False),
     ("open(p, 'rb')", False),
     ("Path(p).open()", False),
     ("p.read_text()", False),
+    ("p.exists()", False),
 ])
 def test_write_guard_sees_each_way_to_write(source, flagged):
     assert bool(list(_file_writes(ast.parse(source)))) == flagged
