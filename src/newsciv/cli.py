@@ -203,14 +203,11 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     articles = _maybe_filter_keywords(load_articles(cfg.articles), cfg)
     comments = load_comments(cfg.comments, min_words=cfg.min_comment_words)
     out_dir = Path(cfg.out_dir)
-    scores, weights = incivility.article_weights(classifiers, comments)
+    columns, weights = incivility.article_weights(classifiers, comments)
+    line = ('{"comment_id": %s, "toxicity": %.6f, "aggression": %.6f, "attack": %.6f, '
+            '"incivility": %.6f}')
     write_lines(out_dir / "scores.jsonl", (
-        f'{{"comment_id": {json.dumps(comment.id)}, '
-        f'"toxicity": {score.toxicity:.6f}, '
-        f'"aggression": {score.aggression:.6f}, '
-        f'"attack": {score.attack:.6f}, '
-        f'"incivility": {score.value:.6f}}}'
-        for comment, score in zip(comments, scores)
+        line % row for row in zip(map(json.dumps, [c.id for c in comments]), *columns)
     ))
 
     weight_of = {w.article_id: w for w in weights}
@@ -269,7 +266,11 @@ def cmd_label_train_provoking(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     # Written only once training succeeded, so a rejected run leaves no labels.
     write_json(out_dir / "thresholds.json", [dataclasses.asdict(t) for t in thresholds])
-    write_jsonl(out_dir / "article_labels.jsonl", map(dataclasses.asdict, labeled))
+    write_jsonl(out_dir / "article_labels.jsonl", (
+        {"article_id": w.article_id, "weight": w.weight, "n_comments": w.n_comments,
+         "label": w.label}
+        for w in labeled
+    ))
 
     model_dir = Path(cfg.model_dir)
     save_tfidf(pipeline.tfidf, model_dir / "provoking_tfidf.json")
@@ -380,24 +381,22 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 _COMMON = ("seed", "out", "model_dir")  # the dedicated flags every subcommand takes
 
-# Subcommand -> (function, help text, its dedicated flags besides _COMMON).
+# Subcommand -> (help text, its dedicated flags besides _COMMON). ``main``
+# runs the module's ``cmd_<name>`` function, looked up by name at each call.
 _COMMANDS = {
-    "train-aspects": (cmd_train_aspects, "train the three comment-aspect classifiers",
+    "train-aspects": ("train the three comment-aspect classifiers",
                       ("annotated", "test_fraction")),
-    "score": (cmd_score, "score comments and compute article weights",
+    "score": ("score comments and compute article weights",
               ("articles", "comments", "min_comment_words")),
     "label-train-provoking": (
-        cmd_label_train_provoking,
         "label articles by source-median weight and train the provoking classifier",
         ("articles", "test_fraction")),
-    "predict-provoking": (cmd_predict_provoking, "predict provocation from article text",
-                          ("articles",)),
-    "mine-subtext": (cmd_mine_subtext, "mine comment-only topic phrases",
+    "predict-provoking": ("predict provocation from article text", ("articles",)),
+    "mine-subtext": ("mine comment-only topic phrases",
                      ("articles", "comments", "tag", "min_phrase_df", "min_comment_words")),
-    "generate-synthetic": (cmd_generate_synthetic, "emit a planted-signal synthetic corpus",
+    "generate-synthetic": ("emit a planted-signal synthetic corpus",
                            ("n_articles", "comments_per_article", "n_annotated")),
-    "evaluate": (cmd_evaluate, "re-evaluate saved models on a corpus",
-                 ("annotated", "articles")),
+    "evaluate": ("re-evaluate saved models on a corpus", ("annotated", "articles")),
 }
 
 
@@ -408,9 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "comment-subtext mining for news comment corpora.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (func, help_text, flags) in _COMMANDS.items():
+    for command, (help_text, flags) in _COMMANDS.items():
         p = subs.add_parser(command, help=help_text)
-        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument(
             "--set", action="append", metavar="KEY=VALUE",
@@ -430,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(_load_run_config(args), args)
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(_load_run_config(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

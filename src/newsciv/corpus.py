@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -127,28 +128,103 @@ def _require(obj: dict, fields: dict[str, str | None], lineno: int) -> None:
             raise CorpusError(f"line {lineno}: invalid {name} {obj[name]!r}, must be {what}")
 
 
+# Rows that ``_rows`` checks a column at a time; only one chunk is held.
+_CHUNK = 1024
+
+
+def _check_row(row, fields: dict[str, str | None], key: str | None, seen: set,
+               lineno: int) -> None:
+    """Raise CorpusError naming the line unless ``row`` is an object that
+    holds ``fields`` (see ``_require``) and, with ``key``, has a ``key`` value
+    not in ``seen``, which is then added to it. A line that did not decode
+    comes here as its JSONDecodeError."""
+    if isinstance(row, json.JSONDecodeError):
+        raise CorpusError(f"line {lineno}: invalid JSON: {row.msg}") from row
+    if not isinstance(row, dict):
+        raise CorpusError(f"line {lineno}: expected a JSON object")
+    _require(row, fields, lineno)
+    if key is not None:
+        if row[key] in seen:
+            raise CorpusError(f"line {lineno}: duplicate {key} {row[key]!r}")
+        seen.add(row[key])
+
+
+def _columns_pass(rows: list, fields: dict[str, str | None], key: str | None,
+                  seen: set) -> bool:
+    """Whether every row of ``rows`` would pass ``_check_row``, checked a
+    field at a time over all of them; ``seen`` is left as it was."""
+    if not all(map(isinstance, rows, repeat(dict))):
+        return False
+    for name, kind in fields.items():
+        try:
+            column = list(map(itemgetter(name), rows))
+        except KeyError:
+            return False
+        if kind is not None and not all(map(_KINDS[kind][0], column)):
+            return False
+        if name == key and (len(set(column)) < len(column) or not seen.isdisjoint(column)):
+            return False
+    return True
+
+
+def _checked(linenos: list[int], rows: list, fields: dict[str, str | None],
+             key: str | None, seen: set) -> Iterator[tuple[int, dict]]:
+    """(line number, row) for each row of one chunk, in file order. A chunk
+    that fails its column checks is checked row by row, each row just before
+    it is yielded, so the first bad line, in file order, is the one named."""
+    if _columns_pass(rows, fields, key, seen):
+        if key is not None:
+            seen.update(map(itemgetter(key), rows))
+        yield from zip(linenos, rows)
+        return
+    for lineno, row in zip(linenos, rows):
+        _check_row(row, fields, key, seen, lineno)
+        yield lineno, row
+
+
 def _rows(path: str | Path, fields: dict[str, str | None],
           key: str | None = None) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of JSONL file ``path``,
     each checked to hold ``fields`` (see ``_require``). With ``key``, a string
-    field of ``fields``, a row whose ``key`` value an earlier row had is rejected."""
+    field of ``fields``, a row whose ``key`` value an earlier row had is rejected.
+
+    Lines are decoded one at a time and checked ``_CHUNK`` rows at a time; an
+    error names the same line, with the same message, as checking each row
+    as it is read would."""
     seen: set = set()
+    scan = json.JSONDecoder().scan_once
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+        numbered = enumerate(fh, start=1)
+        while True:
+            linenos: list[int] = []
+            rows: list = []
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(row, dict):
-                raise CorpusError(f"line {lineno}: expected a JSON object")
-            _require(row, fields, lineno)
-            if key is not None:
-                if row[key] in seen:
-                    raise CorpusError(f"line {lineno}: duplicate {key} {row[key]!r}")
-                seen.add(row[key])
-            yield lineno, row
+                for lineno, line in numbered:
+                    try:  # the fast path: one value from column 0, then the line end
+                        row, end = scan(line, 0)
+                        clean = line[end:] in ("\n", "")
+                    except (StopIteration, json.JSONDecodeError):
+                        clean = False
+                    if not clean:
+                        if not line.strip():
+                            continue
+                        try:
+                            row = json.loads(line)
+                        except json.JSONDecodeError as exc:
+                            row = exc
+                    linenos.append(lineno)
+                    rows.append(row)
+                    if len(rows) == _CHUNK:
+                        break
+            except (UnicodeDecodeError, RecursionError):
+                # A line that cannot be read (a byte that is not UTF-8) or
+                # decoded at all (nesting too deep) comes after the errors of
+                # the lines before it.
+                yield from _checked(linenos, rows, fields, key, seen)
+                raise
+            if not rows:
+                return
+            yield from _checked(linenos, rows, fields, key, seen)
 
 
 def read_rows(path: str | Path, fields: dict[str, str], key: str | None = None) -> list[dict]:

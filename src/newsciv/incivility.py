@@ -163,18 +163,23 @@ def train_aspect_classifiers(
     return classifiers, reports
 
 
-def score_comments(
+def _score_columns(
     classifiers: AspectClassifiers, texts: Sequence[str]
-) -> list[IncivilityScore]:
-    """Score comments in one batch; each value is the max aspect score."""
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """Score ``texts`` in one batch: the toxicity, aggression, attack and
+    incivility (the max of the three) of each text, as four lists."""
     x = classifiers.tfidf.transform(texts)
     toxicity, aggression, attack = (
         getattr(classifiers, aspect).predict_proba(x).tolist() for aspect in ASPECTS
     )
-    return [
-        IncivilityScore.from_components(*components)
-        for components in zip(toxicity, aggression, attack)
-    ]
+    return toxicity, aggression, attack, list(map(max, toxicity, aggression, attack))
+
+
+def score_comments(
+    classifiers: AspectClassifiers, texts: Sequence[str]
+) -> list[IncivilityScore]:
+    """Score comments in one batch; each value is the max aspect score."""
+    return list(map(IncivilityScore, *_score_columns(classifiers, texts)))
 
 
 def score_comment(classifiers: AspectClassifiers, text: str) -> IncivilityScore:
@@ -193,21 +198,23 @@ def mean_score(values: Sequence[float]) -> float:
 
 def article_weights(
     classifiers: AspectClassifiers, comments: Sequence[Comment]
-) -> tuple[list[IncivilityScore], list[ArticleIncivility]]:
+) -> tuple[tuple[list[float], list[float], list[float], list[float]],
+           list[ArticleIncivility]]:
     """Score ``comments`` in one batch and average the scores per article.
 
-    Returns the scores in comment order and one weight per article, in
-    order of the article's first comment.
+    Returns the toxicity, aggression, attack and incivility lists in comment
+    order (the fields of :func:`score_comments`' scores, as columns) and one
+    weight per article, in order of the article's first comment.
     """
-    scores = score_comments(classifiers, [c.text for c in comments])
+    columns = _score_columns(classifiers, [c.text for c in comments])
     by_article: dict[str, list[float]] = {}
-    for comment, score in zip(comments, scores):
-        by_article.setdefault(comment.article_id, []).append(score.value)
+    for comment, value in zip(comments, columns[3]):
+        by_article.setdefault(comment.article_id, []).append(value)
     weights = [
         ArticleIncivility(article_id=a, weight=mean_score(v), n_comments=len(v))
         for a, v in by_article.items()
     ]
-    return scores, weights
+    return columns, weights
 
 
 def article_weight(

@@ -17,6 +17,7 @@ from newsciv import cli
 from newsciv.cli import RunConfig, _load_run_config, build_parser, main
 from newsciv.corpus import Article, save_articles
 from newsciv.features import TfidfConfig
+from newsciv.incivility import score_comments
 from newsciv.textproc import tokenize
 
 
@@ -63,6 +64,15 @@ def pipeline_dir(tmp_path_factory) -> Path:
 
 def jsonl(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+
+
+def f_string_score_line(comment_id: str, score) -> str:
+    """A scores.jsonl line as ``score`` wrote it with one f-string per comment."""
+    return (f'{{"comment_id": {json.dumps(comment_id)}, '
+            f'"toxicity": {score.toxicity:.6f}, '
+            f'"aggression": {score.aggression:.6f}, '
+            f'"attack": {score.attack:.6f}, '
+            f'"incivility": {score.value:.6f}}}')
 
 
 class TestGenerateSynthetic:
@@ -235,6 +245,40 @@ class TestScore:
             scores[name] = (tmp_path / name / "scores.jsonl").read_bytes()
             rows[4]["text"] = rows[4]["text"].replace(mark, " ")
         assert scores["surrogate"] == scores["space"]
+
+    def test_comment_ids_are_written_byte_for_byte(self, pipeline_dir, tmp_path):
+        """Ids that JSON must escape, or may write raw, come out as json.dumps
+        writes them, in the line format that one f-string per comment wrote."""
+        rows = jsonl(pipeline_dir / "data" / "comments.jsonl")
+        ids = ["caf\u00e9 \u00fc\u00df \u4e2d", 'say "hi"', "back\\slash \\u0041",
+               "tab\tnul\x00bell\x07del\x7f", "line\u2028para\u2029", "\U0001f642",
+               "\ud800 lone", "nl\nend"]
+        for row, cid in zip(rows, ids):
+            row["id"] = cid
+        path = tmp_path / "comments.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--comments", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        classifiers = cli._load_aspect_classifiers(pipeline_dir / "models")
+        scores = score_comments(classifiers, [row["text"] for row in rows])
+        expected = "".join(f_string_score_line(row["id"], score) + "\n"
+                           for row, score in zip(rows, scores))
+        assert (tmp_path / "out" / "scores.jsonl").read_bytes() == expected.encode("utf-8")
+
+    def test_main_runs_the_module_attribute(self, pipeline_dir, tmp_path, monkeypatch):
+        """A wrapper put on cli.cmd_score, as a tracer does, is the one main runs."""
+        calls = []
+        original = cli.cmd_score
+
+        def counting(cfg, args):
+            calls.append(args.command)
+            return original(cfg, args)
+
+        monkeypatch.setattr(cli, "cmd_score", counting)
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert calls == ["score"]
 
     @pytest.mark.parametrize("field", ["id", "source", "title", "body", "date"])
     def test_non_string_article_field_exits_2(self, pipeline_dir, tmp_path, capsys, field):
@@ -658,7 +702,7 @@ class TestFlagTable:
 
     @pytest.mark.parametrize("flag", sorted(cli._FLAGS))
     def test_flag_belongs_to_a_subcommand(self, flag):
-        assert any(flag in cli._COMMON + flags for _, _, flags in cli._COMMANDS.values())
+        assert any(flag in cli._COMMON + flags for _, flags in cli._COMMANDS.values())
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_help_lists_exactly_the_subcommand_options(self, command, capsys):

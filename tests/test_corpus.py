@@ -3,10 +3,17 @@ from __future__ import annotations
 import json
 import random
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import corpus_reference
 import textproc_reference as reference
+from newsciv import corpus as corpus_module
 from newsciv.corpus import (
     AnnotatedComment,
     Article,
@@ -18,6 +25,7 @@ from newsciv.corpus import (
     load_annotated,
     load_articles,
     load_comments,
+    read_rows,
     save_annotated,
     save_articles,
     save_comments,
@@ -270,6 +278,162 @@ class TestLoadAnnotated:
         path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: value}) + "\n")
         with pytest.raises(CorpusError, match=f"line 2: invalid {field} .*, must be a string"):
             load_annotated(path)
+
+
+def comment_line(cid, **overrides) -> str:
+    return json.dumps({"id": cid, "article_id": "a1", "text": "some words", **overrides})
+
+
+def weight_line(aid, **overrides) -> str:
+    return json.dumps({"article_id": aid, "weight": 0.25, "n_comments": 2, "source": "s",
+                       **overrides})
+
+
+def annotated_line(wid, **overrides) -> str:
+    return json.dumps({"id": wid, "text": "some words", "toxicity": [3], "aggression": 4,
+                       "attack": [True], **overrides})
+
+
+WEIGHT_FIELDS = {"article_id": "str", "weight": "float", "n_comments": "int", "source": "str"}
+
+# Lines that damage any JSONL file: values that are not objects, lines that
+# are not one JSON value, a byte-order mark, lines that str.strip() empties
+# (U+2028 and U+0085 do not end a line when a file is read), and a byte that
+# is not UTF-8 ("\udcff" is written as the byte 0xff), and nesting too deep
+# to decode.
+DAMAGE = [
+    "[" * 100_000,
+    "[1, 2]", '"text"', "7", "null",
+    "{not json", '{"a":"}', '{"}', '{"c":1},{"d":2}', '{"id": "c1"} x', "",
+    "\ufeff" + comment_line("c9"),
+    "   ", "\t", "\x0c", "\u2028", "\x85",
+    '{"id": "c9", "article_id": "a1", "text": "bad \udcff byte"}',
+]
+
+# (loader, fields of the rows it reads, key, lines it accepts or rejects).
+# Ids repeat across lines, so duplicates are drawn often.
+CASES = {
+    "comments": (load_comments, corpus_module._COMMENT_FIELDS, "id", [
+        comment_line("c1"), comment_line("c2"), comment_line("c3"),
+        comment_line('é "q" \\ \x01 \u2028'),
+        '{"id": "c4", "article_id": "a1", "text": "raw \u2028 separator"}',
+        " \t" + comment_line("c5") + " \t",
+        comment_line("c6", score=float("nan")),
+        comment_line("c7", text=""),
+        comment_line("c8", text=None), comment_line(8), '{"id": "c8", "text": "t"}',
+        comment_line("c10", text="long " * 2000),
+    ]),
+    "weights": (lambda path: read_rows(path, WEIGHT_FIELDS, key="article_id"), WEIGHT_FIELDS,
+                "article_id", [
+        weight_line("a1"), weight_line("a2"), weight_line("a3", weight=1),
+        weight_line("a4", weight=float("nan")), weight_line("a4", weight=float("inf")),
+        weight_line("a5", weight="0.5"), weight_line("a5", n_comments=1.5),
+        weight_line("a5", n_comments=True), '{"article_id": "a6", "weight": 1e999}',
+        weight_line("a7", weight=10**400),
+    ]),
+    "annotated": (load_annotated, corpus_module._ANNOTATED_FIELDS, None, [
+        annotated_line("w1"), annotated_line("w1", toxicity=2), annotated_line("w2"),
+        annotated_line("w1", text="other words"), annotated_line("w3", aggression="x"),
+        annotated_line("w3", attack=None), annotated_line("w4", toxicity=[]),
+        '{"id": "w5", "text": "t", "toxicity": 3}',
+    ]),
+}
+
+
+def read_outcome(read, path) -> str:
+    """The repr of what ``read(path)`` returns, or the error it raises."""
+    try:
+        return repr(read(path))
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+def reference_outcomes(case: str, path) -> tuple[str, str]:
+    """What the per-line reader, and the loader on top of it, make of ``path``."""
+    loader, fields, key, _ = CASES[case]
+    rows = read_outcome(lambda p: list(corpus_reference._rows(p, fields, key)), path)
+    with mock.patch.object(corpus_module, "_rows", corpus_reference._rows):
+        return rows, read_outcome(loader, path)
+
+
+def outcomes(case: str, path) -> tuple[str, str]:
+    loader, fields, key, _ = CASES[case]
+    return read_outcome(lambda p: list(corpus_module._rows(p, fields, key)), path), \
+        read_outcome(loader, path)
+
+
+class TestColumnReader:
+    """``corpus._rows`` checks rows a chunk at a time; the per-line reader in
+    ``corpus_reference`` is the oracle for every row and every message."""
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), chunk=st.sampled_from([2, 3]))
+    def test_matches_the_per_line_reader(self, case, data, chunk):
+        lines = data.draw(st.lists(st.tuples(
+            st.sampled_from(CASES[case][3] * 2 + DAMAGE),
+            st.sampled_from(["\n", "\n", "\r\n", "\r", ""])), max_size=12))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.jsonl"
+            path.write_bytes("".join(line + end for line, end in lines)
+                             .encode("utf-8", "surrogateescape"))
+            with mock.patch.object(corpus_module, "_CHUNK", chunk):
+                assert outcomes(case, path) == reference_outcomes(case, path)
+
+    @pytest.mark.parametrize("text, chunk, message", [
+        # Each line fails on its own, though joined into one JSON array the
+        # three decode to three objects.
+        ('{"a":"}\n{"}\n{"c":1},{"d":2}\n', 1024,
+         "line 1: invalid JSON: Invalid control character at"),
+        # A missing field ahead of a repeated id in one chunk is the error
+        # named, not a duplicate of ids the chunk itself holds.
+        (f'{comment_line("c1")}\n{{"id": "c2", "article_id": "a1"}}\n{comment_line("c1")}\n',
+         3, "line 2: missing field text"),
+        (f'{comment_line("c1")}\n{{"id": "c2", "article_id": "a1"}}\n', 2,
+         "line 2: missing field text"),
+        (f'{comment_line("c1")}\n{comment_line("c2")}\n\n{comment_line("c1")}\n', 2,
+         "line 4: duplicate id 'c1'"),
+        ("\ufeff" + comment_line("c1") + "\n", 2,
+         "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (f'{comment_line("c1")}\n[{comment_line("c2")}]\n', 2, "line 2: expected a JSON object"),
+        (f'{comment_line("c1", text="")}\n{{not json\n', 1024,
+         "line 1: comment 'c1' has empty text"),
+        (f'{comment_line("c1")}\n{comment_line("c2")}\n{comment_line("c3", text=None)}\n{{\n', 2,
+         "line 3: invalid text None, must be a string"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, monkeypatch, text, chunk, message):
+        monkeypatch.setattr(corpus_module, "_CHUNK", chunk)
+        path = tmp_path / "comments.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            load_comments(path)
+        assert outcomes("comments", path) == reference_outcomes("comments", path)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_ends_whitespace_and_raw_separators(self, tmp_path, monkeypatch, end):
+        monkeypatch.setattr(corpus_module, "_CHUNK", 2)
+        lines = [" " + comment_line("c1") + " \t", "", "\u2028", "   ",
+                 '{"id": "c\u2028", "article_id": "a1", "text": "x\u2028y"}',
+                 comment_line("c3", score=float("nan"))]
+        path = tmp_path / "comments.jsonl"
+        path.write_text(end.join(lines), encoding="utf-8", newline="")
+        assert [c.id for c in load_comments(path)] == ["c1", "c\u2028", "c3"]
+        assert outcomes("comments", path) == reference_outcomes("comments", path)
+
+    @pytest.mark.parametrize("first", [comment_line("c1", text=None), comment_line("c1", text="")])
+    def test_bad_byte_past_the_first_read_comes_after_earlier_lines(self, tmp_path, first):
+        """A byte that is not UTF-8 is raised when the file is read that
+        far, after the errors of every line read before it."""
+        good = "".join(comment_line(f"c{i}", text="words " * 20) + "\n" for i in range(2, 200))
+        path = tmp_path / "comments.jsonl"
+        path.write_bytes(f"{first}\n{good}".encode() + b'{"id": "\xff"}\n')
+        expected = reference_outcomes("comments", path)
+        assert expected[1].startswith("CorpusError: line 1: ")
+        assert outcomes("comments", path) == expected
+        path.write_bytes(f"{good}".encode() + b'{"id": "\xff"}\n')
+        expected = reference_outcomes("comments", path)
+        assert expected[1].startswith("UnicodeDecodeError: ")
+        assert outcomes("comments", path) == expected
 
 
 class TestRoundTrip:

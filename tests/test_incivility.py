@@ -177,8 +177,10 @@ class TestArticleWeight:
             Comment(id=f"c{i}", article_id=("a2", "a1")[i % 2], text=t)
             for i, t in enumerate(texts)
         ]
-        scores, weights = article_weights(crafted_classifiers, comments)
-        assert scores == score_comments(crafted_classifiers, texts)
+        columns, weights = article_weights(crafted_classifiers, comments)
+        scores = score_comments(crafted_classifiers, texts)
+        assert columns == tuple([getattr(s, field) for s in scores]
+                                for field in ("toxicity", "aggression", "attack", "value"))
         assert [w.article_id for w in weights] == ["a2", "a1"]
         for w in weights:
             group = [c for c in comments if c.article_id == w.article_id]
