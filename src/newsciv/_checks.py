@@ -1,7 +1,7 @@
 """Checks shared by the config dataclasses, the JSONL row readers and the
 model-file loaders, so that a mistyped value from a JSON config, a ``--set``
 item, an input row or a damaged model file raises ValueError (exit 2 at the
-CLI) instead of a TypeError, KeyError or IndexError later on."""
+CLI) instead of a RecursionError, TypeError, KeyError or IndexError."""
 
 from __future__ import annotations
 
@@ -55,10 +55,19 @@ def check_field_types(config) -> None:
             raise ValueError(f"{field.name} must be {what}, got {value!r}")
 
 
+def loads(text: str, where: str):
+    """``json.loads(text)``, but JSON nested too deep to decode raises
+    ValueError naming ``where`` (a file, a line or a key), not RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{where}: JSON nested too deep") from None
+
+
 def read_model_json(path: str | Path, version: int, keys: tuple[str, ...]) -> dict:
     """The JSON object in model file ``path``, checked to carry format
     ``version`` and every key in ``keys``."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = loads(Path(path).read_text(encoding="utf-8"), str(path))
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a model file must hold a JSON object")
     if payload.get("format_version") != version:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import incivility
-from ._checks import check_field_types
+from ._checks import check_field_types, loads
 from ._output import write_json, write_jsonl, write_lines
 from .corpus import (
     filter_by_keywords,
@@ -120,7 +121,7 @@ def _set_path(data: dict, key: str, value) -> None:
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        data = loads(Path(args.config).read_text(encoding="utf-8"), args.config)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
     for item in args.set or ():
@@ -128,7 +129,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         if not sep or not key:
             raise ValueError(f"--set expects key=value, got {item!r}")
         try:
-            value = json.loads(raw)
+            value = loads(raw, f"--set {key}")
         except json.JSONDecodeError:
             value = raw  # bare strings need no quoting
         _set_path(data, key, value)
@@ -427,6 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # A command's rows hold no reference cycles, so the cyclic collector
+    # would only walk them over and over; it is paused for the command and
+    # left as the caller had it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         command = globals()["cmd_" + args.command.replace("-", "_")]
         return command(_load_run_config(args), args)
@@ -436,6 +442,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

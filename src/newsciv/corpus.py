@@ -16,7 +16,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from ._checks import _KINDS
+from ._checks import _KINDS, loads
 from ._output import write_jsonl
 from .textproc import tokenize_each
 
@@ -137,9 +137,11 @@ def _check_row(row, fields: dict[str, str | None], key: str | None, seen: set,
     """Raise CorpusError naming the line unless ``row`` is an object that
     holds ``fields`` (see ``_require``) and, with ``key``, has a ``key`` value
     not in ``seen``, which is then added to it. A line that did not decode
-    comes here as its JSONDecodeError."""
+    comes here as the ValueError ``loads`` raised."""
     if isinstance(row, json.JSONDecodeError):
         raise CorpusError(f"line {lineno}: invalid JSON: {row.msg}") from row
+    if isinstance(row, ValueError):  # nested too deep; ``loads`` named the line
+        raise CorpusError(str(row)) from None
     if not isinstance(row, dict):
         raise CorpusError(f"line {lineno}: expected a JSON object")
     _require(row, fields, lineno)
@@ -203,23 +205,22 @@ def _rows(path: str | Path, fields: dict[str, str | None],
                     try:  # the fast path: one value from column 0, then the line end
                         row, end = scan(line, 0)
                         clean = line[end:] in ("\n", "")
-                    except (StopIteration, json.JSONDecodeError):
+                    except (StopIteration, json.JSONDecodeError, RecursionError):
                         clean = False
                     if not clean:
                         if not line.strip():
                             continue
                         try:
-                            row = json.loads(line)
-                        except json.JSONDecodeError as exc:
+                            row = loads(line, f"line {lineno}")
+                        except ValueError as exc:
                             row = exc
                     linenos.append(lineno)
                     rows.append(row)
                     if len(rows) == _CHUNK:
                         break
-            except (UnicodeDecodeError, RecursionError):
-                # A line that cannot be read (a byte that is not UTF-8) or
-                # decoded at all (nesting too deep) comes after the errors of
-                # the lines before it.
+            except UnicodeDecodeError:
+                # A line that cannot be read (a byte that is not UTF-8) comes
+                # after the errors of the lines before it.
                 yield from _checked(linenos, rows, fields, key, seen)
                 raise
             if not rows:

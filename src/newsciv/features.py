@@ -93,14 +93,13 @@ def _weighted_rows(
     np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
     at = edge.nonzero()[0]
     keys = keys[at[:-1]]
-    lengths = np.bincount(keys // dim, minlength=n_rows)
+    rows = keys // dim
+    lengths = np.bincount(rows, minlength=n_rows)
     cols = (keys % dim).astype(np.int32 if dim <= _INT32_MAX else np.int64)
     data = (at[1:] - at[:-1]) * idf[cols]
-    # Each row's norm is sqrt(dot) over its own slice, which keeps the
-    # values bit-identical whatever batch the text arrives in.
-    bounds = lengths.cumsum().tolist()
-    norms = [math.sqrt(np.dot(data[a:b], data[a:b])) for a, b in zip([0, *bounds], bounds)]
-    data /= np.array(norms).repeat(lengths)
+    # Each row's norm is the square root of its squares summed left to right,
+    # so its bits depend on that row alone: not on the batch, nor on the CPU.
+    data /= np.sqrt(np.bincount(rows, weights=data * data, minlength=n_rows)).repeat(lengths)
     return lengths, cols, data
 
 

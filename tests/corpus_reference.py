@@ -1,7 +1,8 @@
 """Reference JSONL row reader for tests: the per-line path that
 ``newsciv.corpus._rows`` ran before it checked rows a column at a time.
 Each line is decoded with ``json.loads`` and checked on its own, in file
-order, so the first bad line is the one named.
+order, so the first bad line is the one named. A line nested too deep to
+decode is a CorpusError naming it, as in ``newsciv.corpus``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ def _rows(path: str | Path, fields: dict[str, str | None],
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+            except RecursionError:
+                raise CorpusError(f"line {lineno}: JSON nested too deep") from None
             if not isinstance(row, dict):
                 raise CorpusError(f"line {lineno}: expected a JSON object")
             _require(row, fields, lineno)

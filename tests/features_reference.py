@@ -56,9 +56,15 @@ def transform(model: TfidfModel, texts: Sequence[str]) -> sp.csr_matrix:
         indptr.append(len(indices))
     cols = np.array(indices, dtype=np.int64)
     data = np.array(counts, dtype=np.float64) * model.idf[cols]
-    # Each row's norm is sqrt(dot) over its own slice, which keeps the
-    # values bit-identical whatever batch the text arrives in.
-    norms = [math.sqrt(np.dot(data[a:b], data[a:b])) for a, b in zip(indptr, indptr[1:])]
+    # Each row's norm is the square root of its rounded squares summed left
+    # to right in column order. An explicit loop, as the built-in sum()
+    # compensates its float additions from Python 3.12.
+    norms = []
+    for a, b in zip(indptr, indptr[1:]):
+        s = 0.0
+        for v in data[a:b].tolist():
+            s += v * v
+        norms.append(math.sqrt(s))
     data /= np.repeat(norms, np.diff(indptr))
     return sp.csr_matrix((data, cols, indptr), shape=(len(indptr) - 1, model.dimension))
 

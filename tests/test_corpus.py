@@ -409,6 +409,22 @@ class TestColumnReader:
             load_comments(path)
         assert outcomes("comments", path) == reference_outcomes("comments", path)
 
+    def test_deep_line_is_named_after_the_lines_before_it(self, tmp_path):
+        """A line nested too deep to decode is a CorpusError naming it, raised
+        after the rows, and the errors, of the lines before it."""
+        path = tmp_path / "comments.jsonl"
+        path.write_text("".join(line + "\n" for line in (
+            comment_line("c1"), comment_line("c2"), "[" * 100_000, comment_line("c3"))))
+        rows = corpus_module._rows(path, corpus_module._COMMENT_FIELDS, "id")
+        assert [next(rows)[0], next(rows)[0]] == [1, 2]
+        with pytest.raises(CorpusError, match="^line 3: JSON nested too deep$"):
+            next(rows)
+        assert outcomes("comments", path) == reference_outcomes("comments", path)
+        path.write_text(f'{comment_line("c1", text="")}\n{"[" * 100_000}\n')
+        with pytest.raises(CorpusError, match="^line 1: comment 'c1' has empty text$"):
+            load_comments(path)
+        assert outcomes("comments", path) == reference_outcomes("comments", path)
+
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_line_ends_whitespace_and_raw_separators(self, tmp_path, monkeypatch, end):
         monkeypatch.setattr(corpus_module, "_CHUNK", 2)

@@ -3,9 +3,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import features_reference as reference
+import newsciv
 from newsciv import textproc
 from newsciv.features import (
     TfidfConfig,
@@ -376,3 +381,39 @@ class TestTransformMemory:
         out = x.data.nbytes + x.indices.nbytes + x.indptr.nbytes
         assert x.nnz > 50 * len(batch) / 4
         assert peak < 8 * out
+
+
+# Leaves in ``digest`` the sha256 of a fitted and a transformed matrix of a
+# fixed corpus.
+_MATRIX_DIGEST = """
+import hashlib
+from newsciv.features import fit_transform
+from newsciv.synthetic import SyntheticConfig, generate_corpus
+articles, comments, _ = generate_corpus(
+    SyntheticConfig(n_articles=30, comments_per_article=4, n_annotated=1, seed=5))
+texts = [a.body for a in articles] + [c.text for c in comments]
+model, x = fit_transform(texts)
+digest = hashlib.sha256()
+for m in (x, model.transform(texts[::-1])):
+    for part in (m.data, m.indices, m.indptr):
+        digest.update(part.tobytes())
+"""
+
+
+class TestKernelIndependence:
+    @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+    def test_matrix_bits_do_not_depend_on_the_openblas_kernel(self, kernel):
+        """Row norms are summed without BLAS, so a process that forces
+        another OpenBLAS kernel computes the same bits as this one. A numpy
+        build that ignores the variable passes trivially."""
+        src = str(Path(newsciv.__file__).parent.parent)
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", _MATRIX_DIGEST + "print(digest.hexdigest())"],
+                             capture_output=True, text=True, env=env)
+        if run.returncode < 0:  # a kernel this CPU cannot execute
+            pytest.skip(f"OPENBLAS_CORETYPE={kernel} died with signal {-run.returncode}")
+        assert run.returncode == 0, run.stderr
+        here: dict = {}
+        exec(_MATRIX_DIGEST, here)
+        assert run.stdout.strip() == here["digest"].hexdigest()
