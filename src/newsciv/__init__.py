@@ -4,7 +4,7 @@ for news article/comment corpora.
 The package is organized as a small numpy/scipy library:
 
 * :mod:`newsciv.corpus` — data model, JSONL ingestion, filtering, splitting
-* :mod:`newsciv.textproc` — tokens, stop words, n-grams, vocabularies
+* :mod:`newsciv.textproc` — tokens, stop lists, integer n-gram ids, vocabularies
 * :mod:`newsciv.features` — TF-IDF vectorization into CSR matrices
 * :mod:`newsciv.linmodel` — logistic regression on CSR matrices and
   evaluation metrics

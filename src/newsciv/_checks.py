@@ -56,12 +56,17 @@ def check_field_types(config) -> None:
 
 
 def loads(text: str, where: str):
-    """``json.loads(text)``, but JSON nested too deep to decode raises
-    ValueError naming ``where`` (a file, a line or a key), not RecursionError."""
+    """``json.loads(text)``, but JSON nested too deep to decode, or an
+    integer too long to convert, raises ValueError naming ``where`` (a file,
+    a line or a key). A JSONDecodeError passes through as it is."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{where}: JSON nested too deep") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def read_model_json(path: str | Path, version: int, keys: tuple[str, ...]) -> dict:

@@ -1,7 +1,9 @@
-"""The one writer of every file newsciv produces: UTF-8 text, JSON without
-``\\u`` escapes, and an atomic replace, so a crash or an exception part-way
-through a write leaves the previous file (or none), never a truncated one
-for the next stage to read."""
+"""The one writer of every file newsciv produces: UTF-8 text and an atomic
+replace, so a crash or an exception part-way through a write leaves the
+previous file (or none), never a truncated one for the next stage to read.
+``write_jsonl`` and ``write_json`` write JSON without ``\\u`` escapes;
+``write_lines`` writes its lines as given, so the ``\\u``-escaped ids that
+``cli`` formats into two files stay escaped."""
 
 from __future__ import annotations
 

@@ -140,7 +140,7 @@ def _check_row(row, fields: dict[str, str | None], key: str | None, seen: set,
     comes here as the ValueError ``loads`` raised."""
     if isinstance(row, json.JSONDecodeError):
         raise CorpusError(f"line {lineno}: invalid JSON: {row.msg}") from row
-    if isinstance(row, ValueError):  # nested too deep; ``loads`` named the line
+    if isinstance(row, ValueError):  # ``loads`` named the line
         raise CorpusError(str(row)) from None
     if not isinstance(row, dict):
         raise CorpusError(f"line {lineno}: expected a JSON object")
@@ -205,7 +205,7 @@ def _rows(path: str | Path, fields: dict[str, str | None],
                     try:  # the fast path: one value from column 0, then the line end
                         row, end = scan(line, 0)
                         clean = line[end:] in ("\n", "")
-                    except (StopIteration, json.JSONDecodeError, RecursionError):
+                    except (StopIteration, ValueError, RecursionError):
                         clean = False
                     if not clean:
                         if not line.strip():

@@ -60,15 +60,6 @@ class IncivilityScore:
     attack: float
     value: float
 
-    @classmethod
-    def from_components(cls, toxicity: float, aggression: float, attack: float) -> "IncivilityScore":
-        return cls(
-            toxicity=toxicity,
-            aggression=aggression,
-            attack=attack,
-            value=max(toxicity, aggression, attack),
-        )
-
 
 @dataclass(frozen=True)
 class ArticleIncivility:

@@ -20,13 +20,14 @@ go through :func:`bags_of`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._checks import check_field_types
-from .textproc import Vocabulary, build_vocabulary
+from .textproc import Vocabulary
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,11 @@ def bags_of(documents: Sequence[Sequence[str]]) -> Bags:
     """The :class:`Bags` of documents given as lists of string terms."""
     if len(documents) == 0:
         raise ValueError("cannot fit LDA on zero documents")
-    vocabulary = build_vocabulary(documents, min_df=1)
-    index = vocabulary.index
+    df = Counter(term for doc in documents for term in set(doc))
+    terms = sorted(df)
+    index = {term: i for i, term in enumerate(terms)}
+    vocabulary = Vocabulary(index=index, doc_freq={term: df[term] for term in terms},
+                            n_docs=len(documents))
     lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
     words = np.fromiter(
         (index[t] for doc in documents for t in doc), dtype=np.int64, count=int(lengths.sum())

@@ -48,8 +48,8 @@ class SubtextReport:
 
 def _bags(grams: Ngrams, ids: np.ndarray, docs: np.ndarray, min_df: int) -> Bags:
     """The occurrences (``ids[i]`` in text ``docs[i]``) of the phrases in at
-    least ``min_df`` texts, in the order ``textproc.ngrams`` emits them (by
-    text, then n, then position), over their lexicographic vocabulary."""
+    least ``min_df`` texts, ordered by text, then n, then position, over
+    their lexicographic vocabulary."""
     df = document_frequency(docs, ids, grams.n_ids)
     vocabulary, index = grams.vocabulary((df >= max(min_df, 1)).nonzero()[0], df)
     keep = index[ids] >= 0

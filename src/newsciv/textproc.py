@@ -1,10 +1,10 @@
-r"""Tokenization, stop-word removal, n-gram extraction, and vocabularies.
+r"""Tokenization and the integer n-gram encoder, with the vocabulary type.
 
 Everything downstream (TF-IDF features, topic models, phrase mining) works
-on the output of these functions, so the rules here are deliberately small
-and fixed: lowercase tokens made of letters/digits with internal
-apostrophes, n-grams joined by single spaces, and vocabularies with
-deterministic (lexicographic) index order.
+on the output of this module, so the rules here are deliberately small and
+fixed: lowercase tokens made of letters/digits with internal apostrophes,
+stop words dropped before n-grams are formed, n-grams spelled with single
+spaces, and vocabularies with deterministic (lexicographic) index order.
 
 A token is a maximal run of characters that are ``str.isalnum()`` or "'",
 taken from the lowercased text, with its leading and trailing apostrophes
@@ -19,7 +19,7 @@ but a letter, a digit, "'" or "\n" becomes a space through one 256-byte
 >= 0x80 and pass unchanged). Spaces and newlines are then the only
 whitespace left, so ``str.split`` finds the tokens.
 
-The batch encoder below gives the same n-grams as integer ids. Tokens are
+The batch encoder below gives the n-grams as integer ids. Tokens are
 numbered, and n-grams are then found level by level with integer keys: the
 k-gram at a position has key ``prefix * U + token``, where ``prefix`` is
 the id of its first k - 1 tokens among the (k - 1)-grams of that level,
@@ -31,7 +31,6 @@ n. Only the n-grams a caller keeps are ever spelled out as strings.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
@@ -103,31 +102,6 @@ def tokenize_each(texts: Iterable[str]) -> Iterator[TokenSequence]:
             start = end + 1
 
 
-def remove_stopwords(tokens: Sequence[str], stoplist: Iterable[str]) -> TokenSequence:
-    """Drop exact stoplist matches, preserving the order of the rest."""
-    stopset = stoplist if isinstance(stoplist, (set, frozenset)) else set(stoplist)
-    return [t for t in tokens if t not in stopset]
-
-
-def ngrams(tokens: Sequence[str], n_min: int, n_max: int) -> list[str]:
-    """All contiguous n-grams for each n in [n_min, n_max].
-
-    Output is ordered by n first, then by position, with tokens joined by
-    one space. A sequence shorter than n contributes no n-grams for that n.
-    """
-    if n_min < 1:
-        raise ValueError(f"n_min must be >= 1, got {n_min}")
-    if n_min > n_max:
-        raise ValueError(f"n_min ({n_min}) must not exceed n_max ({n_max})")
-    out: list[str] = []
-    for n in range(n_min, min(n_max, len(tokens)) + 1):
-        if n == 1:
-            out.extend(tokens)
-        else:
-            out.extend(map(" ".join, zip(*(tokens[k:] for k in range(n)))))
-    return out
-
-
 @dataclass(frozen=True)
 class Vocabulary:
     """Term-to-index mapping with document frequencies.
@@ -150,36 +124,6 @@ class Vocabulary:
     def terms(self) -> list[str]:
         """Terms in index order."""
         return sorted(self.index, key=self.index.__getitem__)
-
-
-def build_vocabulary(
-    documents: Sequence[Sequence[str]],
-    min_df: int = 1,
-    max_df_ratio: float = 1.0,
-) -> Vocabulary:
-    """Build a vocabulary over term sequences, filtered by document frequency.
-
-    Terms are kept when min_df <= df(term) <= max_df_ratio * n_docs, both
-    bounds inclusive on the keep side.
-    """
-    if min_df < 1:
-        raise ValueError(f"min_df must be >= 1, got {min_df}")
-    if not 0.0 < max_df_ratio <= 1.0:
-        raise ValueError(f"max_df_ratio must be in (0, 1], got {max_df_ratio}")
-    if len(documents) == 0:
-        raise ValueError("cannot build a vocabulary from zero documents")
-
-    df: Counter[str] = Counter()
-    for doc in documents:
-        df.update(set(doc))
-
-    max_df = max_df_ratio * len(documents)
-    kept = sorted(t for t, c in df.items() if min_df <= c <= max_df)
-    return Vocabulary(
-        index={t: i for i, t in enumerate(kept)},
-        doc_freq={t: df[t] for t in kept},
-        n_docs=len(documents),
-    )
 
 
 def chunks(texts: Iterable[str]) -> Iterator[list[str]]:
@@ -220,8 +164,8 @@ def encode_texts(
 
 def token_lookup(token_ids: dict[str, int], stoplist: Iterable[str] = ()) -> dict[str, int]:
     """``token_ids`` prepared for :func:`lookup_texts`: stop words are
-    dropped even where ``token_ids`` has them, as ``remove_stopwords``
-    would before the lookup."""
+    dropped even where ``token_ids`` has them, as :func:`encode_texts`
+    drops them."""
     return {**token_ids, **dict.fromkeys(stoplist, _STOP), "\n": _END}
 
 

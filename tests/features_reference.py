@@ -1,8 +1,8 @@
 """Reference TF-IDF for tests: the per-term string path that
 ``newsciv.features`` ran before its integer-key encoder. Each text becomes a
 list of n-gram strings, the vocabulary is built with
-``textproc.build_vocabulary``, and ``transform`` counts terms per row in a
-dict.
+``textproc_reference.build_vocabulary``, and ``transform`` counts terms per
+row in a dict.
 """
 
 from __future__ import annotations
@@ -14,13 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from newsciv.features import TfidfConfig, TfidfModel
-from newsciv.textproc import (
-    DEFAULT_STOPLIST,
-    build_vocabulary,
-    ngrams,
-    remove_stopwords,
-    tokenize,
-)
+from newsciv.textproc import DEFAULT_STOPLIST, tokenize
+from textproc_reference import build_vocabulary, ngrams, remove_stopwords
 
 
 def document_terms(config: TfidfConfig, text: str) -> list[str]:

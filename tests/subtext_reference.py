@@ -2,7 +2,8 @@
 ran before its integer phrase ids. Each text becomes a list of n-gram
 strings, excluded phrases and rare phrases are filtered out of those lists,
 and the topic model's vocabulary and token arrays are built from them with
-``build_vocabulary``. ``topic_terms`` ranked terms with ``sorted``.
+``textproc_reference.build_vocabulary``. ``topic_terms`` ranked terms with
+``sorted``.
 """
 
 from __future__ import annotations
@@ -13,56 +14,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from newsciv.lda import LdaConfig
-from newsciv.textproc import DEFAULT_STOPLIST, Vocabulary, remove_stopwords, tokenize
-
-
-def ngrams(tokens: Sequence[str], n_min: int, n_max: int) -> list[str]:
-    """All contiguous n-grams for each n in [n_min, n_max].
-
-    Output is ordered by n first, then by position, with tokens joined by
-    one space. A sequence shorter than n contributes no n-grams for that n.
-    """
-    if n_min < 1:
-        raise ValueError(f"n_min must be >= 1, got {n_min}")
-    if n_min > n_max:
-        raise ValueError(f"n_min ({n_min}) must not exceed n_max ({n_max})")
-    out: list[str] = []
-    for n in range(n_min, n_max + 1):
-        if n == 1:
-            out.extend(tokens)
-        else:
-            out.extend(map(" ".join, zip(*(tokens[k:] for k in range(n)))))
-    return out
-
-
-def build_vocabulary(
-    documents: Sequence[Sequence[str]],
-    min_df: int = 1,
-    max_df_ratio: float = 1.0,
-) -> Vocabulary:
-    """Build a vocabulary over term sequences, filtered by document frequency.
-
-    Terms are kept when min_df <= df(term) <= max_df_ratio * n_docs, both
-    bounds inclusive on the keep side.
-    """
-    if min_df < 1:
-        raise ValueError(f"min_df must be >= 1, got {min_df}")
-    if not 0.0 < max_df_ratio <= 1.0:
-        raise ValueError(f"max_df_ratio must be in (0, 1], got {max_df_ratio}")
-    if len(documents) == 0:
-        raise ValueError("cannot build a vocabulary from zero documents")
-
-    df: Counter[str] = Counter()
-    for doc in documents:
-        df.update(set(doc))
-
-    max_df = max_df_ratio * len(documents)
-    kept = sorted(t for t, c in df.items() if min_df <= c <= max_df)
-    return Vocabulary(
-        index={t: i for i, t in enumerate(kept)},
-        doc_freq={t: df[t] for t in kept},
-        n_docs=len(documents),
-    )
+from newsciv.textproc import DEFAULT_STOPLIST, Vocabulary, tokenize
+from textproc_reference import build_vocabulary, ngrams, remove_stopwords
 
 
 def phrase_documents(

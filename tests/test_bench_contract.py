@@ -55,6 +55,11 @@ def _boundaries() -> dict[str, tuple[str, ...]]:
 CHILD_ATTRIBUTES = _child_attributes()
 TRACED = [(layer, name) for layer, names in _boundaries().items()
           if layer in ("lda", "subtext", "textproc") for name in names]
+# Traced names that newsciv no longer has: the string n-gram helpers, which
+# live on only as test oracles in ``textproc_reference``. The tracer lists
+# them as missing; any other traced name that disappears still fails here.
+RETIRED = [("textproc", "ngrams"), ("textproc", "remove_stopwords"),
+           ("textproc", "build_vocabulary")]
 
 
 def test_child_reads_the_names_the_checks_need():
@@ -72,6 +77,8 @@ def test_child_attribute_resolves(module, attribute):
 
 @pytest.mark.parametrize("layer, qualname", TRACED, ids=[f"{l}.{q}" for l, q in TRACED])
 def test_traced_name_resolves(layer, qualname):
+    if (layer, qualname) in RETIRED:
+        pytest.skip(f"newsciv.{layer}.{qualname} is retired")
     owner = importlib.import_module(f"newsciv.{layer}")
     for part in qualname.split("."):
         owner = getattr(owner, part, None)
@@ -95,7 +102,8 @@ def test_traced_subtext_run_fills_the_lda_and_subtext_counters():
         subtext.mine_subtext(articles, comments, config=config, min_phrase_df=3)
     finally:
         tracer.uninstall()
-    assert not [m for m in tracer.missing if m.split(".")[0] in ("lda", "subtext", "textproc")]
+    assert [m for m in tracer.missing if m.split(".")[0] in ("lda", "subtext", "textproc")] \
+        == [f"{layer}.{name}" for layer, name in RETIRED]
     metrics = tracer.layer_metrics()
     assert metrics["lda.sweeps"] == 2 * config.iterations
     assert metrics["lda.tokens"] > 0 and metrics["lda.vocab_size"] > 0

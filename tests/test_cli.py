@@ -681,7 +681,8 @@ DEEP = "[" * 100_000  # JSON nested too deep for the decoder to recurse through
 
 class TestDeepNesting:
     """JSON nested too deep to decode is an input error (exit 2) that names
-    where it was, at each place the CLI reads JSON."""
+    where it was, at each place the CLI reads JSON; so is an integer too
+    long to convert."""
 
     def test_jsonl_row(self, pipeline_dir, tmp_path, capsys):
         lines = (pipeline_dir / "data" / "comments.jsonl").read_text().splitlines()
@@ -716,6 +717,13 @@ class TestDeepNesting:
         assert main(["generate-synthetic", "--out", str(tmp_path / "out"),
                      "--set", "synthetic.seed=" + DEEP]) == 2
         assert "error: --set synthetic.seed: JSON nested too deep" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_set_value_with_a_long_integer(self, tmp_path, capsys):
+        """An integer too long to convert is an input error naming the key."""
+        assert main(["generate-synthetic", "--out", str(tmp_path / "out"),
+                     "--set", "synthetic.seed=" + "9" * 5000]) == 2
+        assert "error: --set synthetic.seed: Exceeds the limit" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

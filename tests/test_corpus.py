@@ -296,13 +296,16 @@ def annotated_line(wid, **overrides) -> str:
 
 WEIGHT_FIELDS = {"article_id": "str", "weight": "float", "n_comments": "int", "source": "str"}
 
+# An integer with more digits than ``int`` converts from a string by default.
+LONG_INT_LINE = '{"id": "c9", "article_id": "a1", "text": "t", "n": ' + "9" * 5000 + "}"
+
 # Lines that damage any JSONL file: values that are not objects, lines that
 # are not one JSON value, a byte-order mark, lines that str.strip() empties
 # (U+2028 and U+0085 do not end a line when a file is read), and a byte that
-# is not UTF-8 ("\udcff" is written as the byte 0xff), and nesting too deep
-# to decode.
+# is not UTF-8 ("\udcff" is written as the byte 0xff), nesting too deep to
+# decode, and an integer too long to convert.
 DAMAGE = [
-    "[" * 100_000,
+    "[" * 100_000, LONG_INT_LINE,
     "[1, 2]", '"text"', "7", "null",
     "{not json", '{"a":"}', '{"}', '{"c":1},{"d":2}', '{"id": "c1"} x', "",
     "\ufeff" + comment_line("c9"),
@@ -400,6 +403,11 @@ class TestColumnReader:
          "line 1: comment 'c1' has empty text"),
         (f'{comment_line("c1")}\n{comment_line("c2")}\n{comment_line("c3", text=None)}\n{{\n', 2,
          "line 3: invalid text None, must be a string"),
+        # An integer too long to convert is named, after the lines before it.
+        pytest.param(f'{LONG_INT_LINE}\n', 1024, "line 1: Exceeds the limit",
+                     id="long-integer"),
+        pytest.param(f'{comment_line("c1", text="")}\n{LONG_INT_LINE}\n', 1024,
+                     "line 1: comment 'c1' has empty text", id="long-integer-after-empty-text"),
     ])
     def test_first_bad_line_is_named(self, tmp_path, monkeypatch, text, chunk, message):
         monkeypatch.setattr(corpus_module, "_CHUNK", chunk)

