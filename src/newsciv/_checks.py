@@ -69,10 +69,19 @@ def loads(text: str, where: str):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def read_json(path: str | Path):
+    """The JSON value in file ``path``, as :func:`loads` decodes it, but
+    text that is not JSON raises ValueError naming the file."""
+    try:
+        return loads(Path(path).read_text(encoding="utf-8"), str(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_model_json(path: str | Path, version: int, keys: tuple[str, ...]) -> dict:
     """The JSON object in model file ``path``, checked to carry format
     ``version`` and every key in ``keys``."""
-    payload = loads(Path(path).read_text(encoding="utf-8"), str(path))
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a model file must hold a JSON object")
     if payload.get("format_version") != version:

@@ -19,11 +19,12 @@ import gc
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
 from . import incivility
-from ._checks import check_field_types, loads
+from ._checks import check_field_types, loads, read_json
 from ._output import write_json, write_jsonl, write_lines
 from .corpus import (
     filter_by_keywords,
@@ -121,9 +122,9 @@ def _set_path(data: dict, key: str, value) -> None:
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
-        data = loads(Path(args.config).read_text(encoding="utf-8"), args.config)
+        data = read_json(args.config)
         if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError(f"{args.config}: config file must hold a JSON object")
     for item in args.set or ():
         key, sep, raw = item.partition("=")
         if not sep or not key:
@@ -205,10 +206,11 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     comments = load_comments(cfg.comments, min_words=cfg.min_comment_words)
     out_dir = Path(cfg.out_dir)
     columns, weights = incivility.article_weights(classifiers, comments)
+    # Ids are strings, for which json.dumps is exactly encode_basestring_ascii.
     line = ('{"comment_id": %s, "toxicity": %.6f, "aggression": %.6f, "attack": %.6f, '
             '"incivility": %.6f}')
     write_lines(out_dir / "scores.jsonl", (
-        line % row for row in zip(map(json.dumps, [c.id for c in comments]), *columns)
+        line % row for row in zip(map(encode_basestring_ascii, [c.id for c in comments]), *columns)
     ))
 
     weight_of = {w.article_id: w for w in weights}
@@ -297,7 +299,7 @@ def cmd_predict_provoking(cfg: RunConfig, args: argparse.Namespace) -> int:
     articles = load_articles(cfg.articles)
     probs = pipeline.model.predict_proba(pipeline.tfidf.transform([a.body for a in articles]))
     write_lines(Path(cfg.out_dir) / "provoking_predictions.jsonl", (
-        f'{{"article_id": {json.dumps(article.id)}, '
+        f'{{"article_id": {encode_basestring_ascii(article.id)}, '
         f'"probability": {proba:.6f}, '
         f'"label": {"true" if proba > incivility.PROVOKING_THRESHOLD else "false"}}}'
         for article, proba in zip(articles, probs.tolist())

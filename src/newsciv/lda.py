@@ -5,11 +5,12 @@ The sampler is uncollapsed. Each sweep draws every topic's term
 distribution phi ~ Dir(beta + term counts) and every document's topic
 distribution theta ~ Dir(alpha + document counts), then redraws all token
 topics at once from p(k) proportional to theta[d, k] * phi[w, k] and
-recounts. It has the same model and the same posterior over topic
-assignments as the collapsed sampler of Griffiths & Steyvers (2004), but a
-sweep is a few numpy array operations rather than a Python loop over
-tokens. One pseudorandom stream drives the initialization and the sweeps,
-so a fixed seed reproduces the final state bit for bit.
+recounts. The weights are formed once per sweep, in blocks of tokens, so
+working memory stays small. It has the same model and the same posterior
+over topic assignments as the collapsed sampler of Griffiths & Steyvers
+(2004), but a sweep is a few numpy array operations rather than a Python
+loop over tokens. One pseudorandom stream drives the initialization and the
+sweeps, so a fixed seed reproduces the final state bit for bit.
 
 The sampler reads its documents as :class:`Bags`: integer term ids with
 the vocabulary in lexicographic order. ``subtext`` builds them from integer
@@ -28,6 +29,9 @@ import numpy as np
 
 from ._checks import check_field_types
 from .textproc import Vocabulary
+
+# Tokens whose topic weights one sweep forms at a time.
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,9 @@ class LdaModel:
             math.lgamma(n + config.beta) - lgamma_beta
             for n in range(int(np.bincount(self.words).max()) + 1)
         ])
+        # _recount's keys: topic k of document d counts at d * n_topics + k.
+        self._doc_keys = self.docs * config.n_topics
+        self._word_keys = self.words * config.n_topics
         self._rng = np.random.default_rng(config.seed)
         self.z = self._rng.integers(0, config.n_topics, size=self.n_tokens)
         self.log_likelihoods: list[float] = []
@@ -155,8 +162,8 @@ class LdaModel:
     def _recount(self) -> None:
         k = self.n_topics
         n_docs, n_terms = len(self._doc_ends) + 1, len(self.vocabulary)
-        self.doc_topic = np.bincount(self.docs * k + self.z, minlength=n_docs * k).reshape(n_docs, k)
-        self.term_topic = np.bincount(self.words * k + self.z, minlength=n_terms * k).reshape(n_terms, k)
+        self.doc_topic = np.bincount(self._doc_keys + self.z, minlength=n_docs * k).reshape(n_docs, k)
+        self.term_topic = np.bincount(self._word_keys + self.z, minlength=n_terms * k).reshape(n_terms, k)
         self.topic_totals = np.bincount(self.z, minlength=k)
 
     def log_likelihood(self) -> float:
@@ -174,10 +181,14 @@ class LdaModel:
 
     def _run_sweeps(self, n_sweeps: int) -> None:
         # A token's current topic has a count of at least 1 in both draws,
-        # so its weights are not all zero. They are accumulated one topic
-        # at a time: a tokens x topics matrix would dominate peak memory.
-        k = self.n_topics
+        # so its weights are not all zero. They are formed once per sweep,
+        # _BLOCK tokens at a time: a tokens x topics matrix would dominate
+        # peak memory.
+        k, n = self.n_topics, self.n_tokens
         rng = self._rng
+        block = min(_BLOCK, n)
+        sums = np.empty((k, block))
+        scratch = np.empty(block)
         for _ in range(n_sweeps):
             # Row j of phi is topic j's term distribution. A Dirichlet draw
             # is a normalized gamma draw; an all-zero row (every gamma
@@ -186,22 +197,29 @@ class LdaModel:
             phi /= np.maximum(phi.sum(axis=1, keepdims=True), np.finfo(float).tiny)
             # theta stays unnormalized: a document's scale cancels in p(k).
             theta = rng.standard_gamma(self.config.alpha + self.doc_topic.T)
-
-            def weight(j: int) -> np.ndarray:
-                return theta[j].take(self.docs) * phi[j].take(self.words)
-
-            total = weight(0)
-            for j in range(1, k):
-                total += weight(j)
-            target = rng.random(self.n_tokens) * total
-            # The topic is the first j whose cumulative weight exceeds the
-            # target, or the last topic: cum is nondecreasing in j, so that
-            # is the number of j < k - 1 with cum <= target.
-            z = np.zeros(self.n_tokens, dtype=np.int64)
-            cum = np.zeros(self.n_tokens)
-            for j in range(k - 1):
-                cum += weight(j)
-                z += cum <= target
+            # One call after theta, whatever the block size: the stream a
+            # fixed seed reproduces.
+            u = rng.random(n)
+            z = np.empty(n, dtype=np.int64)
+            for start in range(0, n, block):
+                stop = min(start + block, n)
+                docs, words = self.docs[start:stop], self.words[start:stop]
+                cum, tmp = sums[:, :stop - start], scratch[:stop - start]
+                # A token's running sums add its weights left to right, as
+                # an all-token pass adds them, so every sum and the total
+                # cum[k - 1] has that pass's bits.
+                # Every index is in range, so mode="wrap" takes the same
+                # elements as "raise" without buffering out.
+                for j in range(k):
+                    theta[j].take(docs, out=cum[j], mode="wrap")
+                    cum[j] *= phi[j].take(words, out=tmp, mode="wrap")
+                    if j:
+                        cum[j] += cum[j - 1]
+                target = np.multiply(u[start:stop], cum[k - 1], out=tmp)
+                # The topic is the first j whose cumulative weight exceeds
+                # the target, or the last topic: cum is nondecreasing in j,
+                # so that is the number of j < k - 1 with cum <= target.
+                np.sum(cum[:k - 1] <= target, axis=0, out=z[start:stop])
             self.z = z
             self._recount()
             self.log_likelihoods.append(self.log_likelihood())

@@ -497,6 +497,24 @@ class TestConfigHandling:
         bad.write_text("{not json")
         assert main(["generate-synthetic", "--config", bad.as_posix()]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"synthetic": ', "Expecting value"),
+        ("[1, 2]", "config file must hold a JSON object"),
+    ])
+    def test_bad_config_error_names_the_file(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["generate-synthetic", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_set_value_that_is_not_json_is_a_string(self):
+        cfg = _load_run_config(build_parser().parse_args([
+            "generate-synthetic", "--set", "synthetic.tag=abc",
+        ]))
+        assert cfg.synthetic.tag == "abc"
+
     def test_flag_overrides_config_value(self, tmp_path):
         config = write_config(
             tmp_path / "cfg.json",

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from newsciv import lda
 from newsciv.lda import (
     LdaConfig,
     LdaModel,
@@ -20,7 +21,7 @@ from newsciv.lda import (
 )
 
 import subtext_reference
-from lda_reference import collapsed_sweeps
+from lda_reference import collapsed_sweeps, per_topic_sweeps
 
 UNIGRAM = dict(n_min=1, n_max=1)
 
@@ -181,6 +182,84 @@ class TestLogLikelihood:
         trace = fit_lda(docs, LdaConfig(n_topics=2, iterations=50, seed=3, **UNIGRAM)).log_likelihoods
         assert len(trace) == 50
         assert max(trace[:5]) < min(trace[-5:])
+
+
+# Block sizes for the blocked weights, as functions of the token count n.
+BLOCKS = {
+    "1": lambda n: 1,
+    "7": lambda n: 7,
+    "n - 1": lambda n: max(n - 1, 1),
+    "n": lambda n: n,
+    "n + 1": lambda n: n + 1,
+}
+
+
+class TestBlockedWeights:
+    """The sampler forms its topic weights in token blocks. It must give the
+    bits of the per-topic sampler it replaced, which draws the same stream
+    and forms each weight over all tokens at once."""
+
+    @staticmethod
+    def assert_same_chain(bags, config, n_sweeps):
+        model, oracle = LdaModel(bags, config), LdaModel(bags, config)
+        model._run_sweeps(n_sweeps)
+        per_topic_sweeps(oracle, n_sweeps)
+        assert np.array_equal(model.z, oracle.z)
+        assert model.log_likelihoods == oracle.log_likelihoods
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        docs=st.lists(st.lists(st.sampled_from("abcdefg"), max_size=12), min_size=1, max_size=8)
+        .filter(lambda docs: any(docs)),
+        n_topics=st.sampled_from([1, 2, 3, 5, 8]),
+        # 1e-300 lets the gamma draws of an empty topic or document underflow
+        # to zero, so weights are zero and running sums tie.
+        alpha=st.sampled_from([0.1, 1e-300]),
+        beta=st.sampled_from([0.01, 1e-300]),
+        seed=st.integers(0, 2**32 - 1),
+        n_sweeps=st.integers(1, 30),
+        block=st.sampled_from(sorted(BLOCKS)),
+    )
+    def test_matches_per_topic_sampler(self, docs, n_topics, alpha, beta, seed, n_sweeps, block):
+        bags = bags_of(docs)
+        config = LdaConfig(n_topics=n_topics, alpha=alpha, beta=beta, seed=seed, **UNIGRAM)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lda, "_BLOCK", BLOCKS[block](len(bags.words)))
+            self.assert_same_chain(bags, config, n_sweeps)
+
+    def test_a_zero_uniform_takes_the_first_topic_with_weight(self):
+        """A uniform of 0 makes the target 0, and ``cum <= target`` then
+        holds for exactly the topics before the first with nonzero weight.
+        With priors of 1e-300 the gamma draws of unused counts underflow to
+        zero, so that is the first topic the token's document and term both
+        use."""
+
+        class ZeroUniforms:
+            def __init__(self, rng):
+                self.standard_gamma = rng.standard_gamma
+
+            def random(self, size):
+                return np.zeros(size)
+
+        rng = random.Random(8)
+        docs = [[rng.choice("abcdef") for _ in range(rng.randint(1, 9))] for _ in range(12)]
+        model = LdaModel(docs, LdaConfig(n_topics=4, alpha=1e-300, beta=1e-300, seed=2,
+                                         **UNIGRAM))
+        used = (model.doc_topic[model.docs] > 0) & (model.term_topic[model.words] > 0)
+        expected = used.argmax(axis=1)
+        assert expected.any()
+        model._rng = ZeroUniforms(model._rng)
+        model.sweep()
+        assert np.array_equal(model.z, expected)
+
+    def test_matches_per_topic_sampler_across_default_blocks(self):
+        """Several full blocks of the default size and a partial last one."""
+        rng = random.Random(3)
+        docs = [[rng.choice("abcdefghijklmnop") for _ in range(rng.randint(0, 40))]
+                for _ in range(2000)]
+        bags = bags_of(docs)
+        assert len(bags.words) > 2 * lda._BLOCK and len(bags.words) % lda._BLOCK
+        self.assert_same_chain(bags, LdaConfig(n_topics=5, seed=7, **UNIGRAM), 3)
 
 
 # Two documents, five tokens and two topics: 2**5 assignments, few enough to

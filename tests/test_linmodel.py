@@ -457,6 +457,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_logistic(path)
 
+    def test_file_that_is_not_json_raises_value_error_naming_it(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("{")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Expecting"):
+            load_logistic(path)
+
     @pytest.mark.parametrize("key, value, message", [
         ("dimension", -1, "dimension must be a non-negative integer"),
         ("dimension", 2.0, "dimension must be a non-negative integer"),
