@@ -8,13 +8,11 @@ threshold keeps the two classes balanced by construction.
 """
 
 from newsciv import (
-    Corpus,
     SyntheticConfig,
-    article_weight,
+    article_weights,
     generate_corpus,
-    label_articles,
+    label_by_source,
     predict_provoking,
-    source_median,
     train_aspect_classifiers,
     train_provoking_classifier,
 )
@@ -22,22 +20,23 @@ from newsciv.linmodel import TrainConfig
 
 config = SyntheticConfig(n_articles=160, comments_per_article=12, n_annotated=600, seed=19)
 articles, comments, annotated = generate_corpus(config)
-corpus = Corpus.build(articles, comments)
 
 classifiers, _ = train_aspect_classifiers(
     annotated, train_config=TrainConfig(max_iterations=200), split_seed=0
 )
 
-weights = [article_weight(classifiers, corpus.comments_for(a.id)) for a in articles]
-threshold = source_median(weights, source="daily")
-labeled = label_articles(weights, threshold, source="daily")
+# One batch scores every comment and averages the scores per article.
+_, weights = article_weights(classifiers, comments)
+body_of = {a.id: a for a in articles}
+thresholds, labeled = label_by_source(weights, [body_of[w.article_id].source for w in weights])
+for threshold in thresholds:
+    print(f"median incivility weight: {threshold.median_weight:.4f} "
+          f"over {threshold.n_articles} articles")
 positives = sum(1 for w in labeled if w.label)
-print(f"median incivility weight: {threshold.median_weight:.4f} "
-      f"over {threshold.n_articles} articles")
 print(f"articles labeled provoking: {positives}/{len(labeled)}")
 
 pipeline, report = train_provoking_classifier(
-    articles,
+    [body_of[w.article_id] for w in labeled],
     [bool(w.label) for w in labeled],
     train_config=TrainConfig(max_iterations=300),
     split_seed=1,

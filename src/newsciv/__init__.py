@@ -35,7 +35,6 @@ from .corpus import (
 from .features import (
     TfidfConfig,
     TfidfModel,
-    fit_tfidf,
     fit_transform,
     load_tfidf,
     save_tfidf,
@@ -51,6 +50,7 @@ from .incivility import (
     article_weights,
     binarize_aspect,
     label_articles,
+    label_by_source,
     predict_provoking,
     score_comment,
     score_comments,
@@ -72,6 +72,6 @@ from .linmodel import (
 )
 from .subtext import SubtextReport, extract_topic_phrases, mine_subtext
 from .synthetic import SyntheticConfig, generate_corpus
-from .textproc import DEFAULT_STOPLIST, Vocabulary, load_stoplist, tokenize
+from .textproc import DEFAULT_STOPLIST, Vocabulary, tokenize
 
 __version__ = "0.1.0"

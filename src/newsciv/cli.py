@@ -250,15 +250,7 @@ def cmd_label_train_provoking(cfg: RunConfig, args: argparse.Namespace) -> int:
         incivility.ArticleIncivility(row["article_id"], float(row["weight"]), row["n_comments"])
         for row in rows
     ]
-    sources = [row["source"] for row in rows]
-    thresholds = []
-    labeled = list(weights)  # labeled in place, so file order is kept
-    for source in sorted(set(sources)):
-        at = [i for i, s in enumerate(sources) if s == source]
-        group = [weights[i] for i in at]
-        thresholds.append(incivility.source_median(group, source))
-        for i, w in zip(at, incivility.label_articles(group, thresholds[-1], source=source)):
-            labeled[i] = w
+    thresholds, labeled = incivility.label_by_source(weights, [row["source"] for row in rows])
     pipeline, report = incivility.train_provoking_classifier(
         [body_of[w.article_id] for w in labeled],
         [bool(w.label) for w in labeled],

@@ -220,11 +220,6 @@ def fit_transform(
     return model, _csr([_weighted_rows(grams.docs[hit], cols[hit], n, idf)], len(vocab))
 
 
-def fit_tfidf(documents: Sequence[str], config: TfidfConfig | None = None) -> TfidfModel:
-    """Fit a TF-IDF model on raw document texts (see :func:`fit_transform`)."""
-    return fit_transform(documents, config)[0]
-
-
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
     """Write a fitted model as versioned JSON."""
     terms = model.vocabulary.terms

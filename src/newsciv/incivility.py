@@ -7,6 +7,8 @@ and personal-attack probabilities. An article's incivility weight is the
 mean score of its comments. Per source, articles whose weight strictly
 exceeds the source's median weight are labeled as provoking, which makes
 the two classes balanced by construction whenever weights are distinct.
+Scoring runs in batches; :func:`score_comment`, :func:`article_weight` and
+:func:`predict_provoking` are conveniences that run a batch of one.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ ASPECT_TFIDF_CONFIG = TfidfConfig(n_min=1, n_max=2, min_df=3, max_df_ratio=1.0)
 
 # The article classifier uses bigrams of the article body only.
 ARTICLE_TFIDF_CONFIG = TfidfConfig(n_min=2, n_max=2, min_df=1, max_df_ratio=1.0)
+
+ASPECT_RULE_THRESHOLD = 0.5  # the share of votes an aspect label must exceed
 
 # An article is predicted provoking when its probability strictly exceeds this.
 PROVOKING_THRESHOLD = 0.5
@@ -93,30 +97,30 @@ class ProvokingClassifier:
             raise ValueError("model dimension does not match vectorizer dimension")
 
 
-def binarize_aspect(
-    ac: AnnotatedComment, aspect: str, rule_threshold: float = 0.5
-) -> bool:
+def binarize_aspect(ac: AnnotatedComment, aspect: str) -> bool:
     """Collapse per-annotator judgements to one binary aspect label.
 
     For the 1..5 scales (3 neutral) the positive class is "below neutral":
     the fraction of annotators rating < 3 must strictly exceed
-    ``rule_threshold``. For the attack flags the fraction of True flags
-    must strictly exceed it.
+    ``ASPECT_RULE_THRESHOLD``; for the attack flags, the fraction of True
+    flags. ``AnnotatedComment`` holds at least one vote per aspect.
     """
-    if aspect == "toxicity":
-        ratings = ac.toxicity_ratings
-    elif aspect == "aggression":
-        ratings = ac.aggression_ratings
-    elif aspect == "attack":
-        flags = ac.attack_flags
-        if not flags:
-            raise ValueError(f"comment {ac.id!r} has no attack annotations")
-        return sum(flags) / len(flags) > rule_threshold
+    if aspect == "attack":
+        votes = ac.attack_flags
+    elif aspect in ("toxicity", "aggression"):
+        votes = [r < 3 for r in getattr(ac, f"{aspect}_ratings")]
     else:
         raise ValueError(f"unknown aspect {aspect!r}")
-    if not ratings:
-        raise ValueError(f"comment {ac.id!r} has no {aspect} ratings")
-    return sum(r < 3 for r in ratings) / len(ratings) > rule_threshold
+    return sum(votes) / len(votes) > ASPECT_RULE_THRESHOLD
+
+
+def _fit_features(texts: Sequence[str], config: TfidfConfig):
+    """``fit_transform`` for a trainer: no terms would score every text alike."""
+    tfidf, x = fit_transform(texts, config)
+    if tfidf.dimension == 0:
+        raise ValueError(f"TF-IDF keeps no terms at min_df={config.min_df}, max_df_ratio="
+                         f"{config.max_df_ratio} over {len(texts)} training texts")
+    return tfidf, x
 
 
 def train_aspect_classifiers(
@@ -125,7 +129,6 @@ def train_aspect_classifiers(
     train_config: TrainConfig | None = None,
     split_seed: int = 0,
     test_fraction: float = 0.2,
-    rule_threshold: float = 0.5,
 ) -> tuple[AspectClassifiers, dict[str, EvalReport]]:
     """Fit the three aspect classifiers and report held-out metrics.
 
@@ -134,14 +137,14 @@ def train_aspect_classifiers(
     either side of the split raises, naming the aspect.
     """
     train, test = train_test_split(list(annotated), test_fraction, split_seed)
-    tfidf, x_train = fit_transform([ac.text for ac in train], tfidf_config)
+    tfidf, x_train = _fit_features([ac.text for ac in train], tfidf_config)
     x_test = tfidf.transform([ac.text for ac in test])
 
     models: dict[str, LogisticModel] = {}
     reports: dict[str, EvalReport] = {}
     for aspect in ASPECTS:
-        y_train = [binarize_aspect(ac, aspect, rule_threshold) for ac in train]
-        y_test = [binarize_aspect(ac, aspect, rule_threshold) for ac in test]
+        y_train = [binarize_aspect(ac, aspect) for ac in train]
+        y_test = [binarize_aspect(ac, aspect) for ac in test]
         for side, ys in (("training", y_train), ("test", y_test)):
             if len(set(ys)) < 2:
                 raise ValueError(
@@ -211,7 +214,7 @@ def article_weights(
 def article_weight(
     classifiers: AspectClassifiers, comments: Sequence[Comment]
 ) -> ArticleIncivility:
-    """Mean incivility score of one article's comments.
+    """Mean incivility score of one article's comments (a batch of one).
 
     Undefined for zero comments; callers should drop comment-less articles
     before computing source medians.
@@ -260,6 +263,25 @@ def label_articles(
     return [replace(w, label=w.weight > threshold.median_weight) for w in weights]
 
 
+def label_by_source(
+    weights: Sequence[ArticleIncivility], sources: Sequence[str]
+) -> tuple[list[SourceThreshold], list[ArticleIncivility]]:
+    """Label each weight against the median of its source, ``sources[i]``
+    for ``weights[i]``: one threshold per source, sources sorted, and the
+    labeled weights in input order."""
+    if len(weights) != len(sources):
+        raise ValueError(f"got {len(weights)} weights but {len(sources)} sources")
+    thresholds = []
+    labeled = list(weights)  # labeled in place, so input order is kept
+    for source in sorted(set(sources)):
+        at = [i for i, s in enumerate(sources) if s == source]
+        group = [weights[i] for i in at]
+        thresholds.append(source_median(group, source))
+        for i, w in zip(at, label_articles(group, thresholds[-1], source=source)):
+            labeled[i] = w
+    return thresholds, labeled
+
+
 def train_provoking_classifier(
     articles: Sequence[Article],
     labels: Sequence[bool],
@@ -283,7 +305,7 @@ def train_provoking_classifier(
         if len({lab for _, lab in part}) < 2:
             raise ValueError(f"provoking labels have a single class in the {side} split")
 
-    tfidf, x_train = fit_transform([a.body for a, _ in train], tfidf_config)
+    tfidf, x_train = _fit_features([a.body for a, _ in train], tfidf_config)
     model = train_logistic(x_train, [lab for _, lab in train], train_config)
     report = evaluate(
         model, tfidf.transform([a.body for a, _ in test]), [lab for _, lab in test]
@@ -291,12 +313,10 @@ def train_provoking_classifier(
     return ProvokingClassifier(tfidf=tfidf, model=model), report
 
 
-def predict_provoking(
-    pipeline: ProvokingClassifier, body: str, threshold: float = PROVOKING_THRESHOLD
-) -> tuple[float, bool]:
-    """Probability and strict-threshold label for one article body."""
+def predict_provoking(pipeline: ProvokingClassifier, body: str) -> tuple[float, bool]:
+    """Probability and label (above ``PROVOKING_THRESHOLD``) of one body."""
     proba = float(pipeline.model.predict_proba(pipeline.tfidf.transform([body]))[0])
-    return proba, proba > threshold
+    return proba, proba > PROVOKING_THRESHOLD
 
 
 def weights_by_source(

@@ -23,6 +23,7 @@ from ._checks import check_field_types, is_finite_number, is_nonnegative_int, re
 from ._output import write_json
 
 LOGISTIC_FORMAT_VERSION = 1
+DECISION_THRESHOLD = 0.5  # ``evaluate`` predicts positive strictly above this
 
 _MEMORY = 10  # curvature pairs kept by L-BFGS
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
@@ -278,7 +279,6 @@ def evaluate(
     model: LogisticModel,
     X: sp.csr_matrix,
     y: Sequence[bool],
-    threshold: float = 0.5,
 ) -> EvalReport:
     """Score a test set: confusion counts, rates, and ROC AUC."""
     if X.shape[0] != len(y):
@@ -287,7 +287,7 @@ def evaluate(
         raise ValueError("cannot evaluate on zero examples")
     truth = np.asarray(y, dtype=bool)
     probs = model.predict_proba(X)
-    preds = probs > threshold
+    preds = probs > DECISION_THRESHOLD
 
     tp = int(np.sum(preds & truth))
     fp = int(np.sum(preds & ~truth))

@@ -31,6 +31,9 @@ from .textproc import DEFAULT_STOPLIST, Ngrams, document_frequency, tokenize
 # Phrases rarer than this across the phase corpus are pruned as noise.
 DEFAULT_MIN_PHRASE_DF = 5
 
+TOP_TOPICS = 5  # topics each phase reports, largest first
+TOP_TERMS = 5  # terms reported per topic
+
 SUBTEXT_FORMAT_VERSION = 2
 
 
@@ -42,8 +45,6 @@ class SubtextReport:
     comment_topics: tuple[TopicSummary, ...]
     lda_config: LdaConfig
     min_phrase_df: int
-    top_topics: int
-    top_terms: int
 
 
 def _bags(grams: Ngrams, ids: np.ndarray, docs: np.ndarray, min_df: int) -> Bags:
@@ -104,20 +105,19 @@ def extract_topic_phrases(
     config: LdaConfig,
     exclude: Iterable[str] = (),
     min_phrase_df: int = DEFAULT_MIN_PHRASE_DF,
-    top_topics: int = 5,
-    top_terms: int = 5,
-    stoplist: frozenset[str] = DEFAULT_STOPLIST,
 ) -> tuple[frozenset[str], tuple[TopicSummary, ...]]:
-    """Fit LDA on phrase bags and collect the top terms of the top topics.
+    """Fit LDA on phrase bags (stop words dropped) and collect the top
+    ``TOP_TERMS`` terms of the top ``TOP_TOPICS`` topics.
 
     Excluded phrases are removed from every document before fitting, so
     they can never reappear in the output. Topics are ranked by total
     assigned tokens; the deduplicated union of their top terms is returned
     together with the per-topic summaries.
     """
-    model = fit_lda(_phrase_bags(texts, config, exclude, min_phrase_df, stoplist), config)
+    bags = _phrase_bags(texts, config, exclude, min_phrase_df, DEFAULT_STOPLIST)
+    model = fit_lda(bags, config)
     summaries = tuple(
-        topic_terms(model, k, top_terms) for k in topics_by_size(model)[:top_topics]
+        topic_terms(model, k, TOP_TERMS) for k in topics_by_size(model)[:TOP_TOPICS]
     )
     phrases = frozenset(term for s in summaries for term, _ in s.terms)
     return phrases, summaries
@@ -128,9 +128,6 @@ def mine_subtext(
     comments: Sequence[Comment],
     config: LdaConfig | None = None,
     min_phrase_df: int = DEFAULT_MIN_PHRASE_DF,
-    top_topics: int = 5,
-    top_terms: int = 5,
-    stoplist: frozenset[str] = DEFAULT_STOPLIST,
 ) -> SubtextReport:
     """Run both phases and return the content/comment phrase sets.
 
@@ -147,15 +144,12 @@ def mine_subtext(
         raise ValueError("subtext mining needs at least one comment")
 
     content_phrases, content_topics = extract_topic_phrases(
-        [a.body for a in articles], config,
-        min_phrase_df=min_phrase_df, top_topics=top_topics, top_terms=top_terms,
-        stoplist=stoplist,
+        [a.body for a in articles], config, min_phrase_df=min_phrase_df
     )
     phase_two = replace(config, seed=config.seed + 1)
     comment_phrases, comment_topics = extract_topic_phrases(
         [c.text for c in comments], phase_two, exclude=content_phrases,
-        min_phrase_df=min_phrase_df, top_topics=top_topics, top_terms=top_terms,
-        stoplist=stoplist,
+        min_phrase_df=min_phrase_df,
     )
     return SubtextReport(
         content_phrases=content_phrases,
@@ -164,8 +158,6 @@ def mine_subtext(
         comment_topics=comment_topics,
         lda_config=config,
         min_phrase_df=min_phrase_df,
-        top_topics=top_topics,
-        top_terms=top_terms,
     )
 
 
@@ -193,8 +185,8 @@ def report_to_dict(report: SubtextReport) -> dict:
         "content_topics": topic_dump(report.content_topics, cfg.seed),
         "comment_topics": topic_dump(report.comment_topics, cfg.seed + 1),
         "min_phrase_df": report.min_phrase_df,
-        "top_topics": report.top_topics,
-        "top_terms": report.top_terms,
+        "top_topics": TOP_TOPICS,
+        "top_terms": TOP_TERMS,
     }
 
 

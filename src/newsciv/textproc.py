@@ -34,7 +34,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -116,9 +115,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
 
     @cached_property
     def terms(self) -> list[str]:
@@ -295,16 +291,6 @@ class Ngrams:
             n_docs=self.n_docs,
         )
         return vocabulary, index
-
-
-def load_stoplist(path: str | Path) -> frozenset[str]:
-    """Read a stoplist file: one term per line, '#' starts a comment."""
-    terms = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        term = line.split("#", 1)[0].strip().lower()
-        if term:
-            terms.add(term)
-    return frozenset(terms)
 
 
 # Fixed English function-word list, applied before n-gram formation in the

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from newsciv.cli import main
 from newsciv.corpus import AnnotatedComment, train_test_split
-from newsciv.features import TfidfConfig, fit_tfidf
+from newsciv.features import TfidfConfig, fit_transform
 from newsciv.incivility import (
     ArticleIncivility,
     label_articles,
@@ -98,7 +98,7 @@ def test_a3_tfidf_matches_dense_oracle():
     start = time.perf_counter()
     unigrams = TfidfConfig(n_min=1, n_max=1)
 
-    model = fit_tfidf(["a b", "a c"], unigrams)
+    model = fit_transform(["a b", "a c"], unigrams)[0]
     by_term = row_terms(model, model.transform(["a b"]), 0)
     fixed_ok = (
         abs(by_term["a"] - 0.5797) <= 1e-3 and abs(by_term["b"] - 0.8148) <= 1e-3
@@ -112,7 +112,7 @@ def test_a3_tfidf_matches_dense_oracle():
             " ".join(rng.choices(terms, k=rng.randint(1, 20)))
             for _ in range(rng.randint(1, 10))
         ]
-        m = fit_tfidf(corpus, unigrams)
+        m = fit_transform(corpus, unigrams)[0]
         query = " ".join(rng.choices(terms, k=rng.randint(1, 20)))
         texts = corpus + [query]
         rows = m.transform(texts)
@@ -276,7 +276,7 @@ def test_a6_detox_aspect_classifiers():
     for aspect, (task, column, offset) in tasks.items():
         annotated = _detox_annotated(directory, task, column, offset)
         train, test = train_test_split(annotated, 0.2, seed=1)
-        tfidf = fit_tfidf([ac.text for ac in train], ASPECT_TFIDF_CONFIG)
+        tfidf = fit_transform([ac.text for ac in train], ASPECT_TFIDF_CONFIG)[0]
         x_train = tfidf.transform([ac.text for ac in train])
         x_test = tfidf.transform([ac.text for ac in test])
         y_train = [binarize_aspect(ac, aspect) for ac in train]

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import statistics
 from pathlib import Path
 
 import dataclasses
@@ -118,6 +119,17 @@ class TestTrainAspects:
                      "--model-dir", str(tmp_path / "models2")]) == 0
         assert (out2 / "aspect_reports.json").read_bytes() == \
             (pipeline_dir / "out" / "aspect_reports.json").read_bytes()
+
+    def test_tfidf_config_keeping_no_terms_exits_2(self, pipeline_dir, tmp_path, capsys):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["train-aspects", "--config", config, "--out", str(tmp_path / "out"),
+                     "--model-dir", str(tmp_path / "models"),
+                     "--set", "aspect_tfidf.min_df=100000"]) == 2
+        err = capsys.readouterr().err
+        assert "min_df=100000" in err and "max_df_ratio=1.0" in err
+        assert "over 128 training texts" in err  # 160 annotated, 20% held out
+        assert not (tmp_path / "models").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_warns_once_per_unconverged_model(self, pipeline_dir, tmp_path, capsys):
         config = (pipeline_dir / "config_path.txt").read_text()
@@ -342,6 +354,42 @@ class TestLabelTrainProvoking:
         assert captured.err.startswith(
             "warning: provoking model stopped on max_iterations after 1 iterations")
         assert len(captured.err.splitlines()) == 1
+
+    def test_tfidf_config_keeping_no_terms_exits_2(self, pipeline_dir, tmp_path, capsys):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["label-train-provoking", "--config", config,
+                     "--weights", str(pipeline_dir / "out" / "article_weights.jsonl"),
+                     "--out", str(tmp_path / "out"), "--model-dir", str(tmp_path / "models"),
+                     "--set", "article_tfidf.min_df=100000"]) == 2
+        err = capsys.readouterr().err
+        assert "min_df=100000" in err and "max_df_ratio=1.0" in err
+        assert "over 32 training texts" in err  # 40 articles, 20% held out
+        assert not (tmp_path / "models").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_labels_each_source_against_its_own_median(self, pipeline_dir, tmp_path):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        rows = jsonl(pipeline_dir / "out" / "article_weights.jsonl")
+        for i, row in enumerate(rows):
+            row["source"] = ("daily", "weekly")[i % 2]
+        (tmp_path / "weights.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert main(["label-train-provoking", "--config", config,
+                     "--weights", str(tmp_path / "weights.jsonl"),
+                     "--out", str(tmp_path / "out"),
+                     "--model-dir", str(tmp_path / "models")]) == 0
+
+        medians = {s: statistics.median(r["weight"] for r in rows if r["source"] == s)
+                   for s in ("daily", "weekly")}
+        assert medians["daily"] != medians["weekly"]
+        thresholds = json.loads((tmp_path / "out" / "thresholds.json").read_text())
+        assert thresholds == [{"source": s, "median_weight": medians[s], "n_articles": 20}
+                              for s in ("daily", "weekly")]
+        labels = jsonl(tmp_path / "out" / "article_labels.jsonl")
+        assert [r["article_id"] for r in labels] == [r["article_id"] for r in rows]
+        for row, label in zip(rows, labels):
+            assert label["weight"] == row["weight"]
+            assert label["label"] == (row["weight"] > medians[row["source"]])
+        assert sum(r["label"] for r in labels) == 20
 
     @pytest.mark.parametrize("row, message", [
         ({"article_id": "a0", "weight": 0.5, "source": "s"}, "missing field n_comments"),

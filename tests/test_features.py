@@ -21,7 +21,6 @@ import newsciv
 from newsciv import textproc
 from newsciv.features import (
     TfidfConfig,
-    fit_tfidf,
     fit_transform,
     load_tfidf,
     save_tfidf,
@@ -54,46 +53,46 @@ def row_terms(model, X, i: int) -> dict[str, float]:
 
 class TestFitTfidf:
     def test_smoothed_idf_values(self):
-        model = fit_tfidf(["a b", "a c"], UNIGRAMS)
+        model = fit_transform(["a b", "a c"], UNIGRAMS)[0]
         idf = dict(zip(model.vocabulary.terms, model.idf))
         assert idf["a"] == pytest.approx(1.0, abs=1e-12)
         assert idf["b"] == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)  # ~1.4055
         assert idf["c"] == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
 
     def test_single_document_idf_is_one(self):
-        model = fit_tfidf(["a b c"], UNIGRAMS)
+        model = fit_transform(["a b c"], UNIGRAMS)[0]
         assert np.allclose(model.idf, 1.0)
 
     def test_absent_terms_not_in_vocabulary(self):
-        model = fit_tfidf(["a b", "a c"], UNIGRAMS)
-        assert "z" not in model.vocabulary
+        model = fit_transform(["a b", "a c"], UNIGRAMS)[0]
+        assert "z" not in model.vocabulary.index
 
     def test_idf_at_least_one(self):
         rng = random.Random(0)
         docs = [" ".join(rng.choices("abcdefg", k=8)) for _ in range(12)]
-        model = fit_tfidf(docs, UNIGRAMS)
+        model = fit_transform(docs, UNIGRAMS)[0]
         assert np.all(model.idf >= 1.0)
 
     def test_empty_corpus_errors(self):
         with pytest.raises(ValueError):
-            fit_tfidf([], UNIGRAMS)
+            fit_transform([], UNIGRAMS)[0]
 
 
 class TestTransform:
     def test_two_document_example(self):
-        model = fit_tfidf(["a b", "a c"], UNIGRAMS)
+        model = fit_transform(["a b", "a c"], UNIGRAMS)[0]
         by_term = row_terms(model, model.transform(["a b"]), 0)
         assert by_term["a"] == pytest.approx(0.5797, abs=1e-3)
         assert by_term["b"] == pytest.approx(0.8148, abs=1e-3)
 
     def test_oov_document_is_zero_vector(self):
-        model = fit_tfidf(["a b", "a c"], UNIGRAMS)
+        model = fit_transform(["a b", "a c"], UNIGRAMS)[0]
         v = model.transform(["z"])
         assert v.nnz == 0
         assert v.shape == (1, 3)
 
     def test_scaling_invariance_of_single_term(self):
-        model = fit_tfidf(["a b", "a c"], UNIGRAMS)
+        model = fit_transform(["a b", "a c"], UNIGRAMS)[0]
         va = model.transform(["a"])
         vaa = model.transform(["a a"])
         assert va.indices.tolist() == vaa.indices.tolist()
@@ -102,7 +101,7 @@ class TestTransform:
     def test_unit_norm_whenever_any_term_known(self):
         rng = random.Random(1)
         docs = [" ".join(rng.choices("abcdefghij", k=10)) for _ in range(8)]
-        model = fit_tfidf(docs, UNIGRAMS)
+        model = fit_transform(docs, UNIGRAMS)[0]
         X = model.transform(docs)
         for i in range(len(docs)):
             row = X.data[X.indptr[i]:X.indptr[i + 1]]
@@ -116,7 +115,7 @@ class TestTransform:
             corpus = [
                 " ".join(rng.choices(terms, k=rng.randint(1, 20))) for _ in range(n_docs)
             ]
-            model = fit_tfidf(corpus, UNIGRAMS)
+            model = fit_transform(corpus, UNIGRAMS)[0]
             query = " ".join(rng.choices(terms, k=rng.randint(1, 20)))
             texts = corpus + [query]
             X = model.transform(texts)
@@ -130,8 +129,8 @@ class TestTransform:
     def test_fit_is_document_order_independent(self):
         rng = random.Random(6)
         docs = [" ".join(rng.choices("abcdefgh", k=6)) for _ in range(10)]
-        m1 = fit_tfidf(docs, UNIGRAMS)
-        m2 = fit_tfidf(list(reversed(docs)), UNIGRAMS)
+        m1 = fit_transform(docs, UNIGRAMS)[0]
+        m2 = fit_transform(list(reversed(docs)), UNIGRAMS)[0]
         assert m1.vocabulary.index == m2.vocabulary.index
         assert m1.idf.tolist() == m2.idf.tolist()
         v1, v2 = m1.transform(docs), m2.transform(docs)
@@ -143,7 +142,7 @@ class TestTransform:
             SyntheticConfig(n_articles=30, comments_per_article=10, n_annotated=1, seed=4)
         )
         texts = [c.text for c in comments]
-        model = fit_tfidf(texts[::2], TfidfConfig(n_min=1, n_max=2))
+        model = fit_transform(texts[::2], TfidfConfig(n_min=1, n_max=2))[0]
         X = model.transform(texts)
         assert X.shape == (len(texts), model.dimension)
         assert np.all(np.isfinite(X.data)) and np.all(X.data != 0.0)
@@ -155,27 +154,27 @@ class TestTransform:
             assert single.data.tobytes() == X.data[a:b].tobytes()
 
     def test_all_oov_text_gives_empty_row_in_batch(self):
-        model = fit_tfidf(["a b", "a c"], UNIGRAMS)
+        model = fit_transform(["a b", "a c"], UNIGRAMS)[0]
         X = model.transform(["a b", "zzz qqq", "", "c"])
         assert X.shape == (4, 3)
         assert np.diff(X.indptr).tolist() == [2, 0, 0, 1]
         assert row_terms(model, X, 3) == {"c": 1.0}
 
     def test_single_str_is_rejected(self):
-        model = fit_tfidf(["a b", "a c"], UNIGRAMS)
+        model = fit_transform(["a b", "a c"], UNIGRAMS)[0]
         with pytest.raises(TypeError):
             model.transform("a b")
 
     def test_stoplist_switch_drops_function_words(self):
         cfg = TfidfConfig(n_min=1, n_max=1, use_stoplist=True)
-        model = fit_tfidf(["the wall stands", "the gate stands"], cfg)
-        assert "the" not in model.vocabulary
-        assert "wall" in model.vocabulary
+        model = fit_transform(["the wall stands", "the gate stands"], cfg)[0]
+        assert "the" not in model.vocabulary.index
+        assert "wall" in model.vocabulary.index
 
 
 class TestSerialization:
     def test_round_trip_preserves_transforms(self, tmp_path):
-        model = fit_tfidf(["a b", "a c", "b c d"], TfidfConfig(n_min=1, n_max=2))
+        model = fit_transform(["a b", "a c", "b c d"], TfidfConfig(n_min=1, n_max=2))[0]
         path = tmp_path / "tfidf.json"
         save_tfidf(model, path)
         loaded = load_tfidf(path)
@@ -186,8 +185,8 @@ class TestSerialization:
         assert v1.data.tolist() == v2.data.tolist()
 
     def test_non_ascii_terms_are_written_unescaped_and_both_forms_load(self, tmp_path):
-        model = fit_tfidf(["café zürich", "naïve café", "東京 café"],
-                          TfidfConfig(n_min=1, n_max=1))
+        model = fit_transform(["café zürich", "naïve café", "東京 café"],
+                              TfidfConfig(n_min=1, n_max=1))[0]
         path, escaped = tmp_path / "tfidf.json", tmp_path / "escaped.json"
         save_tfidf(model, path)
         text = path.read_text(encoding="utf-8")
@@ -216,7 +215,7 @@ class TestSerialization:
     ])
     def test_damaged_file_raises_value_error_naming_it(self, tmp_path, key, value, message):
         path = tmp_path / "tfidf.json"
-        save_tfidf(fit_tfidf(["a b", "a c"], TfidfConfig(n_min=1, n_max=1)), path)
+        save_tfidf(fit_transform(["a b", "a c"], TfidfConfig(n_min=1, n_max=1))[0], path)
         payload = json.loads(path.read_text())
         assert len(payload["vocabulary"]) == 3
         path.write_text(json.dumps({**payload, key: value}))
@@ -277,7 +276,7 @@ class TestMatchesStringReference:
             expected = reference.fit_tfidf(docs, config)
             model, x = fit_transform(docs, config)
             assert_same_model(model, expected)
-            assert_same_model(fit_tfidf(docs, config), expected)
+            assert_same_model(fit_transform(docs, config)[0], expected)
             assert_same_matrix(x, reference.transform(expected, docs))
             path = tmp_path_factory.mktemp("tfidf") / "tfidf.json"
             save_tfidf(model, path)
@@ -327,12 +326,12 @@ class TestMatchesStringReference:
         """Token t{j} is in documents j..61, so df runs over 1..62; np.log
         differs from math.log by an ulp at df 59 and 61 of N = 62."""
         docs = [" ".join(f"t{j}" for j in range(i + 1)) for i in range(62)]
-        model = fit_tfidf(docs, TfidfConfig(n_min=1, n_max=1))
+        model = fit_transform(docs, TfidfConfig(n_min=1, n_max=1))[0]
         assert sorted(model.vocabulary.doc_freq.values()) == list(range(1, 63))
         assert_same_model(model, reference.fit_tfidf(docs, TfidfConfig(n_min=1, n_max=1)))
 
     def test_ngrams_do_not_join_neighbouring_texts(self):
-        model = fit_tfidf(["b c", "x y"], TfidfConfig(n_min=2, n_max=2))
+        model = fit_transform(["b c", "x y"], TfidfConfig(n_min=2, n_max=2))[0]
         x = model.transform(["a b", "c d", "b c"])
         assert np.diff(x.indptr).tolist() == [0, 0, 1]
 
@@ -340,12 +339,12 @@ class TestMatchesStringReference:
         docs = ["the wall", "the gate", "the hill", "a wall"]
         config = TfidfConfig(n_min=1, n_max=2, max_df_ratio=0.5)
         model, x = fit_transform(docs, config)
-        assert "the" not in model.vocabulary and "the wall" in model.vocabulary
+        assert "the" not in model.vocabulary.index and "the wall" in model.vocabulary.index
         assert row_terms(model, x, 0).keys() == {"the wall", "wall"}
         assert_same_matrix(x, reference.transform(reference.fit_tfidf(docs, config), docs))
 
     def test_empty_batch_and_token_less_texts(self):
-        model = fit_tfidf(["a b", "a c"], TfidfConfig())
+        model = fit_transform(["a b", "a c"], TfidfConfig())[0]
         assert model.transform([]).shape == (0, model.dimension)
         x = model.transform(["", "!!! ...", "a"])
         assert np.diff(x.indptr).tolist() == [0, 0, 1]
@@ -369,7 +368,7 @@ class TestTransformMemory:
         def text():
             return " ".join(rng.choices(words, k=rng.randint(0, 30)))
 
-        model = fit_tfidf([text() for _ in range(500)], TfidfConfig(min_df=3))
+        model = fit_transform([text() for _ in range(500)], TfidfConfig(min_df=3))[0]
         batch = [text() for _ in range(16_385)]
         model.transform(batch[:2])  # build the lookup tables outside the trace
         tracemalloc.start()

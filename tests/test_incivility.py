@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from newsciv.corpus import AnnotatedComment, Article, Comment
-from newsciv.features import fit_tfidf, TfidfConfig
+from newsciv.features import fit_transform, TfidfConfig
 from newsciv.incivility import (
+    ASPECT_RULE_THRESHOLD,
     ArticleIncivility,
     AspectClassifiers,
     SourceThreshold,
@@ -16,6 +17,7 @@ from newsciv.incivility import (
     article_weights,
     binarize_aspect,
     label_articles,
+    label_by_source,
     predict_provoking,
     score_comment,
     score_comments,
@@ -35,7 +37,7 @@ def logit(p: float) -> float:
 def crafted_classifiers() -> AspectClassifiers:
     """Classifiers with hand-set weights: the words low/mid/high score
     0.1/0.3/0.5 on toxicity; aggression and attack are pinned near zero."""
-    tfidf = fit_tfidf(["low", "mid", "high"], TfidfConfig(n_min=1, n_max=1))
+    tfidf = fit_transform(["low", "mid", "high"], TfidfConfig(n_min=1, n_max=1))[0]
     idx = tfidf.vocabulary.index
     w = np.zeros(3)
     w[idx["low"]] = logit(0.1)
@@ -96,9 +98,11 @@ class TestBinarize:
         assert binarize_aspect(ac, "aggression") is True
 
     def test_threshold_is_strict(self):
-        ac = self.make(tox=(1, 4))
-        assert binarize_aspect(ac, "toxicity", rule_threshold=0.5) is False
-        assert binarize_aspect(ac, "toxicity", rule_threshold=0.49) is True
+        assert ASPECT_RULE_THRESHOLD == 0.5
+        assert binarize_aspect(self.make(tox=(1, 4)), "toxicity") is False
+        assert binarize_aspect(self.make(tox=(1, 1, 4)), "toxicity") is True
+        assert binarize_aspect(self.make(tox=(1, 2, 4, 4)), "toxicity") is False
+        assert binarize_aspect(self.make(tox=(1, 2, 2, 4, 4)), "toxicity") is True
 
     def test_unknown_aspect(self):
         with pytest.raises(ValueError):
@@ -252,6 +256,41 @@ class TestLabelArticles:
             label_articles(self.weights([0.2]), threshold, source="weekly")
         # matching source passes
         label_articles(self.weights([0.2]), threshold, source="daily")
+
+
+class TestLabelBySource:
+    def weights(self, values):
+        return [
+            ArticleIncivility(article_id=f"a{i}", weight=v, n_comments=1)
+            for i, v in enumerate(values)
+        ]
+
+    def test_matches_median_and_labels_per_source(self):
+        rng = random.Random(4)
+        for n in (1, 2, 7, 30):
+            ws = self.weights([rng.random() for _ in range(n)])
+            sources = [rng.choice(("weekly", "daily", "wire")) for _ in range(n)]
+            thresholds, labeled = label_by_source(ws, sources)
+            assert [t.source for t in thresholds] == sorted(set(sources))
+            label_of = {}
+            for t in thresholds:
+                group = [w for w, s in zip(ws, sources) if s == t.source]
+                assert t == source_median(group, t.source)
+                for w in label_articles(group, t, source=t.source):
+                    label_of[w.article_id] = w
+            assert labeled == [label_of[w.article_id] for w in ws]
+
+    def test_keeps_input_order(self):
+        ws = self.weights([0.9, 0.1, 0.5, 0.2, 0.4])
+        sources = ["daily", "weekly", "daily", "weekly", "daily"]
+        thresholds, labeled = label_by_source(ws, sources)
+        assert [t.median_weight for t in thresholds] == [0.5, (0.1 + 0.2) / 2]
+        assert [w.article_id for w in labeled] == ["a0", "a1", "a2", "a3", "a4"]
+        assert [w.label for w in labeled] == [True, False, False, True, False]
+
+    def test_length_mismatch_errors(self):
+        with pytest.raises(ValueError, match="2 weights but 1 sources"):
+            label_by_source(self.weights([0.1, 0.2]), ["daily"])
 
 
 class TestTrainAspects:

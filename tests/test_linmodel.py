@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from newsciv import linmodel
 from newsciv.linmodel import (
+    DECISION_THRESHOLD,
     LogisticModel,
     TrainConfig,
     _sigmoid,
@@ -333,16 +334,17 @@ class TestPredict:
             model.predict_proba(sp.csr_matrix([[1.0, 0.0, 0.0]]))
 
     def test_threshold_is_strict(self):
-        model = LogisticModel(weights=np.zeros(1), bias=0.0)
-        X = sp.csr_matrix([[1.0], [1.0]])  # proba exactly 0.5 for both rows
+        assert DECISION_THRESHOLD == 0.5
+        X = sp.csr_matrix([[1.0], [1.0]])
 
-        def positives(threshold):
-            report = evaluate(model, X, [True, False], threshold=threshold)
+        def positives(bias):
+            model = LogisticModel(weights=np.zeros(1), bias=bias)
+            report = evaluate(model, X, [True, False])
             return report.tp + report.fp
 
-        assert positives(0.5) == 0
-        assert positives(0.49) == 2
-        assert positives(1.0) == 0
+        assert positives(0.0) == 0  # proba exactly 0.5 for both rows
+        assert positives(1e-9) == 2
+        assert positives(-1e-9) == 0
 
 
 class TestRocAuc:
@@ -433,10 +435,10 @@ class TestEvaluate:
         assert report.tp + report.fp + report.tn + report.fn == 25
 
     def test_undefined_precision_flagged(self):
-        # threshold 1.0 -> no positive predictions at all
-        model = self._fixed_model()
-        X = sp.csr_matrix([[1.0], [-1.0]])
-        report = evaluate(model, X, [True, False], threshold=1.0)
+        # every probability is at most 0.5 -> no positive predictions at all
+        model = LogisticModel(weights=np.array([-10.0]), bias=0.0)
+        X = sp.csr_matrix([[1.0], [0.0]])
+        report = evaluate(model, X, [True, False])
         assert report.precision == 0.0
         assert not report.precision_defined
         assert report.recall_defined

@@ -12,6 +12,8 @@ import subtext_reference as reference
 from newsciv.corpus import Article, Comment
 from newsciv.lda import LdaConfig, LdaModel, fit_lda, topic_terms
 from newsciv.subtext import (
+    TOP_TERMS,
+    TOP_TOPICS,
     _phrase_bags,
     extract_topic_phrases,
     mine_subtext,
@@ -184,24 +186,22 @@ class TestExtractTopicPhrases:
             )
             assert not (phrases & excluded)
 
-    def test_single_topic_single_term(self):
+    def test_single_topic_gives_its_top_terms(self):
         rng = random.Random(1)
         texts = random_texts(rng, 10, VOCAB)
         cfg = LdaConfig(n_topics=1, iterations=10, seed=0, n_min=2, n_max=2)
-        phrases, summaries = extract_topic_phrases(
-            texts, cfg, min_phrase_df=1, top_topics=1, top_terms=1
-        )
-        assert len(phrases) == 1
+        phrases, summaries = extract_topic_phrases(texts, cfg, min_phrase_df=1)
         assert len(summaries) == 1
+        assert len(summaries[0].terms) == TOP_TERMS
+        assert phrases == {term for term, _ in summaries[0].terms}
 
     def test_phrase_set_bounded_by_topics_times_terms(self):
         rng = random.Random(2)
         texts = random_texts(rng, 40, VOCAB)
-        phrases, summaries = extract_topic_phrases(
-            texts, FAST, min_phrase_df=2, top_topics=3, top_terms=4
-        )
-        assert len(phrases) <= 12
-        assert len(summaries) <= 3
+        cfg = LdaConfig(n_topics=TOP_TOPICS + 3, iterations=40, seed=0, n_min=2, n_max=2)
+        phrases, summaries = extract_topic_phrases(texts, cfg, min_phrase_df=2)
+        assert len(summaries) == TOP_TOPICS
+        assert len(phrases) <= TOP_TOPICS * TOP_TERMS
 
     def test_exclusion_emptying_corpus_errors(self):
         texts = ["alpha beta", "alpha beta"]

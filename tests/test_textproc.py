@@ -13,7 +13,6 @@ from newsciv.textproc import (
     DEFAULT_STOPLIST,
     document_frequency,
     encode_texts,
-    load_stoplist,
     tokenize,
     tokenize_each,
     tokenize_texts,
@@ -201,11 +200,11 @@ class TestBuildVocabulary:
     def test_max_df_boundary_is_inclusive_keep(self):
         # df(a)=2, N=2, ratio 0.5 -> cutoff 1.0, so "a" is excluded
         vocab = build_vocabulary([["a"], ["a", "b"]], min_df=1, max_df_ratio=0.5)
-        assert "a" not in vocab
-        assert "b" in vocab
+        assert "a" not in vocab.index
+        assert "b" in vocab.index
         # df exactly at the cutoff stays in
         vocab = build_vocabulary([["a"], ["a", "b"]], min_df=1, max_df_ratio=1.0)
-        assert "a" in vocab
+        assert "a" in vocab.index
 
     def test_empty_document_set_errors(self):
         with pytest.raises(ValueError):
@@ -238,8 +237,3 @@ class TestStoplist:
         assert 120 <= len(DEFAULT_STOPLIST) <= 200
         assert {"the", "of", "and", "don't"} <= DEFAULT_STOPLIST
         assert all(t == t.lower() and " " not in t for t in DEFAULT_STOPLIST)
-
-    def test_load_stoplist_file(self, tmp_path):
-        path = tmp_path / "stop.txt"
-        path.write_text("# header comment\nThe\nand # trailing note\n\nof\n")
-        assert load_stoplist(path) == {"the", "and", "of"}
