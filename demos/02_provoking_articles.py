@@ -26,7 +26,8 @@ classifiers, _ = train_aspect_classifiers(
 )
 
 # One batch scores every comment and averages the scores per article.
-_, weights = article_weights(classifiers, comments)
+_, weights = article_weights(classifiers, [c.text for c in comments],
+                             [c.article_id for c in comments])
 body_of = {a.id: a for a in articles}
 thresholds, labeled = label_by_source(weights, [body_of[w.article_id].source for w in weights])
 for threshold in thresholds:

@@ -35,7 +35,9 @@ _KINDS = {
             "an integer"),
     "float": (is_finite_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
+    # ``isinstance(v, str)`` without a Python frame per value: row readers
+    # check a column of values at a time.
+    "str": (str.__instancecheck__, "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple))
                         and all(isinstance(s, str) for s in v), "a list of strings"),

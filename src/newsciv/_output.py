@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
+
+# Lines joined into one string for each write.
+_BLOCK = 1024
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -26,7 +30,10 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{line}\n" for line in lines)
+            lines = iter(lines)
+            while block := list(islice(lines, _BLOCK)):
+                block.append("")  # so the join ends the last line too
+                fh.write("\n".join(block))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

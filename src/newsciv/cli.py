@@ -31,6 +31,7 @@ from .corpus import (
     filter_by_tag,
     load_annotated,
     load_articles,
+    load_comment_columns,
     load_comments,
     read_rows,
     save_annotated,
@@ -203,14 +204,15 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_paths(cfg, "articles", "comments")
     classifiers = _load_aspect_classifiers(Path(cfg.model_dir))
     articles = _maybe_filter_keywords(load_articles(cfg.articles), cfg)
-    comments = load_comments(cfg.comments, min_words=cfg.min_comment_words)
+    ids, article_ids, texts = load_comment_columns(cfg.comments,
+                                                   min_words=cfg.min_comment_words)
     out_dir = Path(cfg.out_dir)
-    columns, weights = incivility.article_weights(classifiers, comments)
+    columns, weights = incivility.article_weights(classifiers, texts, article_ids)
     # Ids are strings, for which json.dumps is exactly encode_basestring_ascii.
     line = ('{"comment_id": %s, "toxicity": %.6f, "aggression": %.6f, "attack": %.6f, '
             '"incivility": %.6f}')
     write_lines(out_dir / "scores.jsonl", (
-        line % row for row in zip(map(encode_basestring_ascii, [c.id for c in comments]), *columns)
+        line % row for row in zip(map(encode_basestring_ascii, ids), *columns)
     ))
 
     weight_of = {w.article_id: w for w in weights}
@@ -223,7 +225,7 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     if len(kept) < len(articles):
         print(f"excluded {len(articles) - len(kept)} articles with zero comments",
               file=sys.stderr)
-    print(f"scored {len(comments)} comments across {len(kept)} articles")
+    print(f"scored {len(ids)} comments across {len(kept)} articles")
     return 0
 
 

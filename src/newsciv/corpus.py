@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -170,29 +170,31 @@ def _columns_pass(rows: list, fields: dict[str, str | None], key: str | None,
 
 
 def _checked(linenos: list[int], rows: list, fields: dict[str, str | None],
-             key: str | None, seen: set) -> Iterator[tuple[int, dict]]:
-    """(line number, row) for each row of one chunk, in file order. A chunk
-    that fails its column checks is checked row by row, each row just before
-    it is yielded, so the first bad line, in file order, is the one named."""
+             key: str | None, seen: set) -> Iterator[tuple[list[int], list]]:
+    """(line numbers, rows) of one chunk, in file order: the whole chunk if
+    it passes its column checks, else one row at a time, each checked just
+    before it is handed out, so the first bad line, in file order, is the
+    one named."""
     if _columns_pass(rows, fields, key, seen):
         if key is not None:
             seen.update(map(itemgetter(key), rows))
-        yield from zip(linenos, rows)
+        yield linenos, rows
         return
     for lineno, row in zip(linenos, rows):
         _check_row(row, fields, key, seen, lineno)
-        yield lineno, row
+        yield [lineno], [row]
 
 
-def _rows(path: str | Path, fields: dict[str, str | None],
-          key: str | None = None) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line of JSONL file ``path``,
-    each checked to hold ``fields`` (see ``_require``). With ``key``, a string
-    field of ``fields``, a row whose ``key`` value an earlier row had is rejected.
+def _chunks(path: str | Path, fields: dict[str, str | None],
+            key: str | None = None) -> Iterator[tuple[list[int], list[dict]]]:
+    """(line numbers, objects) of the non-blank lines of JSONL file ``path``,
+    up to ``_CHUNK`` rows at a time, each row checked to hold ``fields`` (see
+    ``_require``). With ``key``, a string field of ``fields``, a row whose
+    ``key`` value an earlier row had is rejected.
 
-    Lines are decoded one at a time and checked ``_CHUNK`` rows at a time; an
-    error names the same line, with the same message, as checking each row
-    as it is read would."""
+    Lines are decoded one at a time and checked a chunk at a time; an error
+    names the same line, with the same message, as checking each row as it
+    is read would."""
     seen: set = set()
     scan = json.JSONDecoder().scan_once
     with open(path, encoding="utf-8") as fh:
@@ -228,6 +230,13 @@ def _rows(path: str | Path, fields: dict[str, str | None],
             yield from _checked(linenos, rows, fields, key, seen)
 
 
+def _rows(path: str | Path, fields: dict[str, str | None],
+          key: str | None = None) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each row that ``_chunks`` hands out."""
+    for linenos, rows in _chunks(path, fields, key):
+        yield from zip(linenos, rows)
+
+
 def read_rows(path: str | Path, fields: dict[str, str], key: str | None = None) -> list[dict]:
     """Read JSONL objects that each hold ``fields`` (see ``_require``),
     rejecting a repeated ``key`` value if ``key`` is given."""
@@ -241,12 +250,13 @@ _ANNOTATED_FIELDS = {"id": "str", "text": "str", "toxicity": None, "aggression":
                      "attack": None}
 
 
-def _load(path: str | Path, fields: dict[str, str], cls: type[T]) -> list[T]:
-    """One ``cls`` per row of ``path``, in file order, built from the values
-    of ``fields`` in order; ids must be unique."""
+def _load_rows(rows: Iterable[tuple[int, dict]], fields: dict[str, str],
+               cls: type[T]) -> list[T]:
+    """One ``cls`` per (line number, row) of ``rows``, built from the values
+    of ``fields`` in order; an error ``cls`` raises names the line."""
     values = itemgetter(*fields)
     items = []
-    for lineno, row in _rows(path, fields, key="id"):
+    for lineno, row in rows:
         try:
             items.append(cls(*values(row)))
         except (TypeError, ValueError) as exc:
@@ -255,21 +265,39 @@ def _load(path: str | Path, fields: dict[str, str], cls: type[T]) -> list[T]:
 
 
 def load_articles(path: str | Path) -> list[Article]:
-    """Load an articles.jsonl file, preserving file order."""
-    return _load(path, _ARTICLE_FIELDS, Article)
+    """Load an articles.jsonl file, preserving file order; ids must be unique."""
+    return _load_rows(_rows(path, _ARTICLE_FIELDS, key="id"), _ARTICLE_FIELDS, Article)
 
 
-def load_comments(path: str | Path, min_words: int = 0) -> list[Comment]:
-    """Load a comments.jsonl file, preserving file order.
+def load_comment_columns(path: str | Path, min_words: int = 0
+                         ) -> tuple[list[str], list[str], list[str]]:
+    """The ids, article ids and texts of a comments.jsonl file, as three
+    lists in file order, each row checked as :class:`Comment` checks it.
 
     ``min_words`` optionally drops comments with fewer tokens (off by
     default; every loaded comment counts toward article weights).
     """
-    comments = _load(path, _COMMENT_FIELDS, Comment)
-    if min_words <= 0:
-        return comments
-    sizes = map(len, tokenize_each(c.text for c in comments))
-    return [c for c, size in zip(comments, sizes) if size >= min_words]
+    ids: list[str] = []
+    article_ids: list[str] = []
+    texts: list[str] = []
+    for linenos, rows in _chunks(path, _COMMENT_FIELDS, key="id"):
+        chunk_ids = list(map(itemgetter("id"), rows))
+        chunk_texts = list(map(itemgetter("text"), rows))
+        if not (all(chunk_ids) and all(chunk_texts)):  # name the first empty one
+            _load_rows(zip(linenos, rows), _COMMENT_FIELDS, Comment)
+        ids += chunk_ids
+        article_ids += map(itemgetter("article_id"), rows)
+        texts += chunk_texts
+    if min_words > 0:
+        keep = [len(tokens) >= min_words for tokens in tokenize_each(texts)]
+        ids, article_ids, texts = (list(compress(c, keep)) for c in (ids, article_ids, texts))
+    return ids, article_ids, texts
+
+
+def load_comments(path: str | Path, min_words: int = 0) -> list[Comment]:
+    """Load a comments.jsonl file, preserving file order; ``min_words`` is
+    as for :func:`load_comment_columns`."""
+    return list(map(Comment, *load_comment_columns(path, min_words)))
 
 
 def _as_rating_list(value, lineno: int, name: str) -> list[int]:

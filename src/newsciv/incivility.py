@@ -191,19 +191,22 @@ def mean_score(values: Sequence[float]) -> float:
 
 
 def article_weights(
-    classifiers: AspectClassifiers, comments: Sequence[Comment]
+    classifiers: AspectClassifiers, texts: Sequence[str], article_ids: Sequence[str]
 ) -> tuple[tuple[list[float], list[float], list[float], list[float]],
            list[ArticleIncivility]]:
-    """Score ``comments`` in one batch and average the scores per article.
+    """Score comment ``texts`` in one batch and average the scores per
+    article, ``article_ids[i]`` being the article of ``texts[i]``.
 
     Returns the toxicity, aggression, attack and incivility lists in comment
     order (the fields of :func:`score_comments`' scores, as columns) and one
     weight per article, in order of the article's first comment.
     """
-    columns = _score_columns(classifiers, [c.text for c in comments])
+    if len(texts) != len(article_ids):
+        raise ValueError(f"got {len(texts)} texts but {len(article_ids)} article ids")
+    columns = _score_columns(classifiers, texts)
     by_article: dict[str, list[float]] = {}
-    for comment, value in zip(comments, columns[3]):
-        by_article.setdefault(comment.article_id, []).append(value)
+    for article_id, value in zip(article_ids, columns[3]):
+        by_article.setdefault(article_id, []).append(value)
     weights = [
         ArticleIncivility(article_id=a, weight=mean_score(v), n_comments=len(v))
         for a, v in by_article.items()
@@ -224,7 +227,8 @@ def article_weight(
     ids = {c.article_id for c in comments}
     if len(ids) > 1:
         raise ValueError(f"comments span multiple articles: {sorted(ids)}")
-    return article_weights(classifiers, comments)[1][0]
+    texts = [c.text for c in comments]
+    return article_weights(classifiers, texts, [c.article_id for c in comments])[1][0]
 
 
 def source_median(
@@ -271,13 +275,15 @@ def label_by_source(
     labeled weights in input order."""
     if len(weights) != len(sources):
         raise ValueError(f"got {len(weights)} weights but {len(sources)} sources")
+    at: dict[str, list[int]] = {}
+    for i, source in enumerate(sources):
+        at.setdefault(source, []).append(i)
     thresholds = []
     labeled = list(weights)  # labeled in place, so input order is kept
-    for source in sorted(set(sources)):
-        at = [i for i, s in enumerate(sources) if s == source]
-        group = [weights[i] for i in at]
+    for source in sorted(at):
+        group = [weights[i] for i in at[source]]
         thresholds.append(source_median(group, source))
-        for i, w in zip(at, label_articles(group, thresholds[-1], source=source)):
+        for i, w in zip(at[source], label_articles(group, thresholds[-1], source=source)):
             labeled[i] = w
     return thresholds, labeled
 

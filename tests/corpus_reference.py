@@ -3,7 +3,8 @@
 Each line is decoded with ``json.loads`` and checked on its own, in file
 order, so the first bad line is the one named. A line nested too deep to
 decode, or holding an integer too long to convert, is a CorpusError naming
-it, as in ``newsciv.corpus``.
+it, as in ``newsciv.corpus``. The comment loaders build one ``Comment`` per
+row, as ``newsciv.corpus`` did before it read comments as columns.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ from pathlib import Path
 from typing import Iterator
 
 from newsciv._checks import _KINDS
-from newsciv.corpus import CorpusError
+from newsciv.corpus import Comment, CorpusError
+from textproc_reference import tokenize
+
+COMMENT_FIELDS = {"id": "str", "article_id": "str", "text": "str"}
 
 
 def _require(obj: dict, fields: dict[str, str | None], lineno: int) -> None:
@@ -56,3 +60,23 @@ def _rows(path: str | Path, fields: dict[str, str | None],
                     raise CorpusError(f"line {lineno}: duplicate {key} {row[key]!r}")
                 seen.add(row[key])
             yield lineno, row
+
+
+def load_comments(path: str | Path, min_words: int = 0) -> list[Comment]:
+    """One ``Comment`` per row, in file order, an error it raises naming its
+    line; those with fewer than ``min_words`` tokens are dropped."""
+    comments = []
+    for lineno, row in _rows(path, COMMENT_FIELDS, "id"):
+        try:
+            comments.append(Comment(row["id"], row["article_id"], row["text"]))
+        except ValueError as exc:
+            raise CorpusError(f"line {lineno}: {exc}") from exc
+    return [c for c in comments if len(tokenize(c.text)) >= min_words]
+
+
+def load_comment_columns(path: str | Path,
+                         min_words: int = 0) -> tuple[list[str], list[str], list[str]]:
+    """The ids, article ids and texts of :func:`load_comments`' comments."""
+    comments = load_comments(path, min_words)
+    return ([c.id for c in comments], [c.article_id for c in comments],
+            [c.text for c in comments])

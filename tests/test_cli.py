@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsciv import cli
+from newsciv import cli, corpus
 from newsciv.cli import RunConfig, _load_run_config, build_parser, main
 from newsciv.corpus import Article, save_articles
 from newsciv.features import TfidfConfig
@@ -278,6 +278,19 @@ class TestScore:
         expected = "".join(f_string_score_line(row["id"], score) + "\n"
                            for row, score in zip(rows, scores))
         assert (tmp_path / "out" / "scores.jsonl").read_bytes() == expected.encode("utf-8")
+
+    def test_builds_no_comment_object(self, pipeline_dir, tmp_path, monkeypatch):
+        """score carries comments as columns from file to file: with
+        ``corpus.Comment`` made to raise, it writes the same files."""
+        def refuse(*args):
+            raise RuntimeError("score built a Comment")
+
+        monkeypatch.setattr(corpus, "Comment", refuse)
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        for name in ("scores.jsonl", "article_weights.jsonl"):
+            assert (tmp_path / "out" / name).read_bytes() == \
+                (pipeline_dir / "out" / name).read_bytes()
 
     def test_main_runs_the_module_attribute(self, pipeline_dir, tmp_path, monkeypatch):
         """A wrapper put on cli.cmd_score, as a tracer does, is the one main runs."""

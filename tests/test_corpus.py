@@ -24,6 +24,7 @@ from newsciv.corpus import (
     filter_by_tag,
     load_annotated,
     load_articles,
+    load_comment_columns,
     load_comments,
     read_rows,
     save_annotated,
@@ -145,17 +146,23 @@ class TestLoadComments:
         kept = load_comments(path, min_words=5)
         assert [c.id for c in kept] == ["c2"]
 
+    @pytest.mark.parametrize("load", [
+        lambda path, n: [(c.id, c.article_id, c.text) for c in load_comments(path, n)],
+        lambda path, n: list(zip(*load_comment_columns(path, n))),
+    ], ids=["comments", "columns"])
     @pytest.mark.parametrize("min_words", [1, 2, 3])
-    def test_min_words_matches_per_text_tokenize(self, tmp_path, monkeypatch, min_words):
+    def test_min_words_matches_per_text_tokenize(self, tmp_path, monkeypatch, min_words,
+                                                 load):
         """The batch token count keeps exactly the comments that counting
         the regex tokenizer's tokens text by text keeps, across chunks."""
         monkeypatch.setattr("newsciv.textproc._CHUNK", 7)
-        rows = [{"id": f"c{i}", "article_id": "a1", "text": text}
+        rows = [{"id": f"c{i}", "article_id": f"a{i % 3}", "text": text}
                 for i, text in enumerate(random_texts(200, seed=min_words))]
         path = tmp_path / "comments.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        expected = [r["id"] for r in rows if len(reference.tokenize(r["text"])) >= min_words]
-        assert [c.id for c in load_comments(path, min_words=min_words)] == expected
+        expected = [(r["id"], r["article_id"], r["text"]) for r in rows
+                    if len(reference.tokenize(r["text"])) >= min_words]
+        assert load(path, min_words) == expected
 
 
     @pytest.mark.parametrize("field, value", [
@@ -313,19 +320,23 @@ DAMAGE = [
     '{"id": "c9", "article_id": "a1", "text": "bad \udcff byte"}',
 ]
 
+COMMENT_LINES = [
+    comment_line("c1"), comment_line("c2"), comment_line("c3"),
+    comment_line('é "q" \\ \x01 \u2028'),
+    '{"id": "c4", "article_id": "a1", "text": "raw \u2028 separator"}',
+    " \t" + comment_line("c5") + " \t",
+    comment_line("c6", score=float("nan")),
+    comment_line("c7", text=""), comment_line(""),
+    comment_line("c8", text=None), comment_line(8), '{"id": "c8", "text": "t"}',
+    comment_line("c10", text="long " * 2000),
+]
+
 # (loader, fields of the rows it reads, key, lines it accepts or rejects).
 # Ids repeat across lines, so duplicates are drawn often.
 CASES = {
-    "comments": (load_comments, corpus_module._COMMENT_FIELDS, "id", [
-        comment_line("c1"), comment_line("c2"), comment_line("c3"),
-        comment_line('é "q" \\ \x01 \u2028'),
-        '{"id": "c4", "article_id": "a1", "text": "raw \u2028 separator"}',
-        " \t" + comment_line("c5") + " \t",
-        comment_line("c6", score=float("nan")),
-        comment_line("c7", text=""),
-        comment_line("c8", text=None), comment_line(8), '{"id": "c8", "text": "t"}',
-        comment_line("c10", text="long " * 2000),
-    ]),
+    "comments": (load_comments, corpus_module._COMMENT_FIELDS, "id", COMMENT_LINES),
+    "comment columns": (load_comment_columns, corpus_module._COMMENT_FIELDS, "id",
+                        COMMENT_LINES),
     "weights": (lambda path: read_rows(path, WEIGHT_FIELDS, key="article_id"), WEIGHT_FIELDS,
                 "article_id", [
         weight_line("a1"), weight_line("a2"), weight_line("a3", weight=1),
@@ -351,12 +362,24 @@ def read_outcome(read, path) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+# The comment loaders' references build one ``Comment`` per row.
+REFERENCE_LOADERS = {"comments": corpus_reference.load_comments,
+                     "comment columns": corpus_reference.load_comment_columns}
+
+
+def reference_chunks(path, fields, key=None):
+    """The per-line reader's rows, each as a chunk of one, as ``_chunks``
+    hands out a chunk that fails its column checks."""
+    for lineno, row in corpus_reference._rows(path, fields, key):
+        yield [lineno], [row]
+
+
 def reference_outcomes(case: str, path) -> tuple[str, str]:
     """What the per-line reader, and the loader on top of it, make of ``path``."""
     loader, fields, key, _ = CASES[case]
     rows = read_outcome(lambda p: list(corpus_reference._rows(p, fields, key)), path)
-    with mock.patch.object(corpus_module, "_rows", corpus_reference._rows):
-        return rows, read_outcome(loader, path)
+    with mock.patch.object(corpus_module, "_chunks", reference_chunks):
+        return rows, read_outcome(REFERENCE_LOADERS.get(case, loader), path)
 
 
 def outcomes(case: str, path) -> tuple[str, str]:

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsciv.corpus import AnnotatedComment, Article, Comment
 from newsciv.features import fit_transform, TfidfConfig
@@ -176,7 +178,8 @@ class TestArticleWeight:
             Comment(id=f"c{i}", article_id=("a2", "a1")[i % 2], text=t)
             for i, t in enumerate(texts)
         ]
-        columns, weights = article_weights(crafted_classifiers, comments)
+        columns, weights = article_weights(crafted_classifiers, texts,
+                                           [c.article_id for c in comments])
         scores = score_comments(crafted_classifiers, texts)
         assert columns == tuple([getattr(s, field) for s in scores]
                                 for field in ("toxicity", "aggression", "attack", "value"))
@@ -184,6 +187,10 @@ class TestArticleWeight:
         for w in weights:
             group = [c for c in comments if c.article_id == w.article_id]
             assert w == article_weight(crafted_classifiers, group)
+
+    def test_columns_of_unequal_length_error(self, crafted_classifiers):
+        with pytest.raises(ValueError, match="2 texts but 1 article ids"):
+            article_weights(crafted_classifiers, ["low", "mid"], ["a1"])
 
     def test_mixed_articles_error(self, crafted_classifiers):
         mixed = [
@@ -287,6 +294,24 @@ class TestLabelBySource:
         assert [t.median_weight for t in thresholds] == [0.5, (0.1 + 0.2) / 2]
         assert [w.article_id for w in labeled] == ["a0", "a1", "a2", "a3", "a4"]
         assert [w.label for w in labeled] == [True, False, False, True, False]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(st.integers(0, 399), st.floats(0.0, 1.0)), max_size=800))
+    def test_matches_median_and_labels_per_group_with_many_sources(self, rows):
+        """One pass over the rows labels as each source's group would alone,
+        with up to hundreds of sources."""
+        sources = [f"s{n}" for n, _ in rows]
+        ws = self.weights([v for _, v in rows])
+        thresholds, labeled = label_by_source(ws, sources)
+        expected_thresholds, expected = [], [None] * len(ws)
+        for source in sorted(set(sources)):
+            at = [i for i, s in enumerate(sources) if s == source]
+            group = [ws[i] for i in at]
+            expected_thresholds.append(source_median(group, source))
+            for i, w in zip(at, label_articles(group, expected_thresholds[-1])):
+                expected[i] = w
+        assert thresholds == expected_thresholds
+        assert labeled == expected
 
     def test_length_mismatch_errors(self):
         with pytest.raises(ValueError, match="2 weights but 1 sources"):

@@ -5,6 +5,7 @@ write into it, and no other module writes files or makes directories."""
 from __future__ import annotations
 
 import ast
+import json
 import os
 import stat
 from pathlib import Path
@@ -24,21 +25,30 @@ def comments(n: int, fail_after: int | None = None):
         yield Comment(id=f"c{i}", article_id="a0", text=f"text {i}")
 
 
+B = _output._BLOCK  # lines per write
+
+
+@pytest.mark.parametrize("fail_after", [2, B + 2], ids=["first-block", "second-block"])
 @pytest.mark.parametrize("existing", [True, False], ids=["replace", "new"])
-def test_failed_write_leaves_previous_file_and_no_temp_file(tmp_path, existing):
+def test_failed_write_leaves_previous_file_and_no_temp_file(tmp_path, existing, fail_after):
     path = tmp_path / "comments.jsonl"
     if existing:
         save_comments(comments(3), path)
     before = sorted(os.listdir(tmp_path)), path.read_bytes() if existing else None
     with pytest.raises(RuntimeError, match="stream broke"):
-        save_comments(comments(5, fail_after=2), path)
+        save_comments(comments(fail_after + 3, fail_after=fail_after), path)
     assert (sorted(os.listdir(tmp_path)), path.read_bytes() if existing else None) == before
 
 
-def test_write_into_missing_nested_directory_makes_it(tmp_path):
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_write_into_missing_nested_directory_makes_it(tmp_path, n):
+    """Lines written a block at a time come out as one ``f"{line}\\n"`` per
+    line would write them, whatever the count's place among the blocks."""
     path = tmp_path / "a" / "b" / "comments.jsonl"
-    save_comments(comments(2), path)
-    assert path.read_text(encoding="utf-8").count("\n") == 2
+    save_comments(comments(n), path)
+    expected = "".join(f"{json.dumps(row, ensure_ascii=False)}\n" for row in (
+        {"id": c.id, "article_id": c.article_id, "text": c.text} for c in comments(n)))
+    assert path.read_bytes() == expected.encode("utf-8")
     assert os.listdir(path.parent) == ["comments.jsonl"]
 
 
