@@ -16,11 +16,10 @@ articles, comments, _ = generate_corpus(config)
 
 themed = filter_by_tag(articles, config.tag)
 selected_ids = {a.id for a in themed}
-themed_comments = [c for c in comments if c.article_id in selected_ids]
 
 report = mine_subtext(
-    themed,
-    themed_comments,
+    [a.body for a in themed],
+    [c.text for c in comments if c.article_id in selected_ids],
     config=LdaConfig(n_topics=5, alpha=0.1, beta=0.01, iterations=200, seed=13),
     min_phrase_df=5,
 )

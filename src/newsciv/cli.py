@@ -32,7 +32,6 @@ from .corpus import (
     load_annotated,
     load_articles,
     load_comment_columns,
-    load_comments,
     read_rows,
     save_annotated,
     save_articles,
@@ -68,6 +67,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)  # the sub-configs check their own fields
+        if self.split_seed < 0:
+            raise ValueError(f"split_seed must be >= 0, got {self.split_seed}")
         object.__setattr__(self, "keywords", tuple(self.keywords))
 
 
@@ -309,12 +310,11 @@ def cmd_mine_subtext(cfg: RunConfig, args: argparse.Namespace) -> int:
         articles = filter_by_tag(articles, cfg.tag)
         if not articles:
             raise ValueError(f"no articles carry tag {cfg.tag!r}")
-    comments = load_comments(cfg.comments, min_words=cfg.min_comment_words)
+    _, article_ids, texts = load_comment_columns(cfg.comments, min_words=cfg.min_comment_words)
     kept = {a.id for a in articles}
-    selected = [c for c in comments if c.article_id in kept]
     report = mine_subtext(
-        articles,
-        selected,
+        [a.body for a in articles],
+        [text for article_id, text in zip(article_ids, texts) if article_id in kept],
         config=cfg.lda,
         min_phrase_df=cfg.min_phrase_df,
     )

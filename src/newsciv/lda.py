@@ -7,23 +7,20 @@ distribution theta ~ Dir(alpha + document counts), then redraws all token
 topics at once from p(k) proportional to theta[d, k] * phi[w, k] and
 recounts. The weights are formed once per sweep, in blocks of tokens, so
 working memory stays small. It has the same model and the same posterior
-over topic assignments as the collapsed sampler of Griffiths & Steyvers
+over token topics as the collapsed sampler of Griffiths & Steyvers
 (2004), but a sweep is a few numpy array operations rather than a Python
 loop over tokens. One pseudorandom stream drives the initialization and the
 sweeps, so a fixed seed reproduces the final state bit for bit.
 
 The sampler reads its documents as :class:`Bags`: integer term ids with
 the vocabulary in lexicographic order. ``subtext`` builds them from integer
-phrase ids and spells out only the phrases it keeps; lists of string terms
-go through :func:`bags_of`.
+phrase ids and spells out only the phrases it keeps.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -52,6 +49,8 @@ class LdaConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_min < 1 or self.n_min > self.n_max:
             raise ValueError(f"invalid n-gram range [{self.n_min}, {self.n_max}]")
 
@@ -74,41 +73,19 @@ class Bags:
     vocabulary: Vocabulary
 
 
-def bags_of(documents: Sequence[Sequence[str]]) -> Bags:
-    """The :class:`Bags` of documents given as lists of string terms."""
-    if len(documents) == 0:
-        raise ValueError("cannot fit LDA on zero documents")
-    df = Counter(term for doc in documents for term in set(doc))
-    terms = sorted(df)
-    index = {term: i for i, term in enumerate(terms)}
-    vocabulary = Vocabulary(index=index, doc_freq={term: df[term] for term in terms},
-                            n_docs=len(documents))
-    lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
-    words = np.fromiter(
-        (index[t] for doc in documents for t in doc), dtype=np.int64, count=int(lengths.sum())
-    )
-    docs = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
-    return Bags(words=words, docs=docs, vocabulary=vocabulary)
-
-
 class LdaModel:
     """Sampler state: the tokens, their topics and the three count arrays.
 
     Token i is term ``words[i]`` of document ``docs[i]`` and has topic
     ``z[i]``; tokens are stored in document order. ``doc_topic[d, k]``
     counts tokens of document d assigned to topic k, ``term_topic[w, k]``
-    counts assignments of term w to topic k, and ``topic_totals[k]`` is the
+    counts tokens of term w assigned to topic k, and ``topic_totals[k]`` is the
     column sum of ``term_topic``. ``log_likelihoods`` holds log p(w | z)
     after each sweep. The state is mutated by :meth:`sweep` and should be
     treated as read-only once fitted.
     """
 
-    def __init__(
-        self,
-        documents: Sequence[Sequence[str]] | Bags,
-        config: LdaConfig,
-    ) -> None:
-        bags = documents if isinstance(documents, Bags) else bags_of(documents)
+    def __init__(self, bags: Bags, config: LdaConfig) -> None:
         self.config = config
         self.vocabulary: Vocabulary = bags.vocabulary
         self.words, self.docs = bags.words, bags.docs
@@ -116,7 +93,6 @@ class LdaModel:
         if self.n_tokens == 0:
             raise ValueError("all documents are empty")
         n_docs, n_terms = self.vocabulary.n_docs, len(self.vocabulary)
-        self._doc_ends = np.cumsum(np.bincount(self.docs, minlength=n_docs))[:-1]
         # beta * V + n_tokens is the largest argument log_likelihood gives
         # lgamma and about what a row of phi sums to; past a finite lgamma
         # of it, a run ends in a math range error or NaN traces.
@@ -154,20 +130,15 @@ class LdaModel:
     def n_topics(self) -> int:
         return self.config.n_topics
 
-    @property
-    def assignments(self) -> list[np.ndarray]:
-        """Topic of every token, one array per document."""
-        return np.split(self.z, self._doc_ends)
-
     def _recount(self) -> None:
         k = self.n_topics
-        n_docs, n_terms = len(self._doc_ends) + 1, len(self.vocabulary)
+        n_docs, n_terms = self.vocabulary.n_docs, len(self.vocabulary)
         self.doc_topic = np.bincount(self._doc_keys + self.z, minlength=n_docs * k).reshape(n_docs, k)
         self.term_topic = np.bincount(self._word_keys + self.z, minlength=n_terms * k).reshape(n_terms, k)
         self.topic_totals = np.bincount(self.z, minlength=k)
 
     def log_likelihood(self) -> float:
-        """Collapsed log p(w | z) of the current assignments."""
+        """Collapsed log p(w | z) of the current token topics."""
         v_beta = self.config.beta * len(self.vocabulary)
         topics = sum(math.lgamma(n + v_beta) for n in self.topic_totals.tolist())
         return float(
@@ -233,13 +204,11 @@ class LdaModel:
         return (counts + beta) / (self.topic_totals[topic] + beta * len(self.vocabulary))
 
 
-def fit_lda(
-    documents: Sequence[Sequence[str]] | Bags, config: LdaConfig | None = None
-) -> LdaModel:
+def fit_lda(bags: Bags, config: LdaConfig | None = None) -> LdaModel:
     """Run blocked Gibbs sampling and return the final-state point estimate."""
     if config is None:
         config = LdaConfig()
-    model = LdaModel(documents, config)
+    model = LdaModel(bags, config)
     model._run_sweeps(config.iterations)
     return model
 

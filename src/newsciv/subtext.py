@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._output import write_json, write_lines
-from .corpus import Article, Comment
 from .lda import Bags, LdaConfig, TopicSummary, fit_lda, topic_terms, topics_by_size
 from .textproc import DEFAULT_STOPLIST, Ngrams, document_frequency, tokenize
 
@@ -124,31 +123,31 @@ def extract_topic_phrases(
 
 
 def mine_subtext(
-    articles: Sequence[Article],
-    comments: Sequence[Comment],
+    article_texts: Sequence[str],
+    comment_texts: Sequence[str],
     config: LdaConfig | None = None,
     min_phrase_df: int = DEFAULT_MIN_PHRASE_DF,
 ) -> SubtextReport:
     """Run both phases and return the content/comment phrase sets.
 
-    Phase one models the article bodies with no exclusions; phase two
+    Phase one models the article texts with no exclusions; phase two
     models the comment texts under the same configuration (with the seed
     advanced by one so the chains are independent) while excluding every
     phase-one phrase.
     """
     if config is None:
         config = LdaConfig()
-    if len(articles) == 0:
+    if len(article_texts) == 0:
         raise ValueError("subtext mining needs at least one article")
-    if len(comments) == 0:
+    if len(comment_texts) == 0:
         raise ValueError("subtext mining needs at least one comment")
 
     content_phrases, content_topics = extract_topic_phrases(
-        [a.body for a in articles], config, min_phrase_df=min_phrase_df
+        article_texts, config, min_phrase_df=min_phrase_df
     )
     phase_two = replace(config, seed=config.seed + 1)
     comment_phrases, comment_topics = extract_topic_phrases(
-        [c.text for c in comments], phase_two, exclude=content_phrases,
+        comment_texts, phase_two, exclude=content_phrases,
         min_phrase_df=min_phrase_df,
     )
     return SubtextReport(

@@ -76,6 +76,8 @@ class SyntheticConfig:
             raise ValueError("marker_bigram and subtext_phrase must be two words")
         if not self.sources:
             raise ValueError("at least one source is required")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "sources", tuple(self.sources))
 
 

@@ -39,6 +39,7 @@ from test_linmodel import (
     fd_gradient_oracle,
     random_instance,
 )
+from lda_reference import bags_of
 from test_features import dense_tfidf_oracle, row_terms
 
 
@@ -300,7 +301,8 @@ def test_a7_lda_invariants_and_block_separation():
         [rng.choice("abcdefghijkl") for _ in range(rng.randint(3, 25))] for _ in range(50)
     ]
     lengths = [len(d) for d in docs]
-    model = LdaModel(docs, LdaConfig(n_topics=4, iterations=1, seed=3, n_min=1, n_max=1))
+    model = LdaModel(bags_of(docs),
+                     LdaConfig(n_topics=4, iterations=1, seed=3, n_min=1, n_max=1))
     conserved = True
     for _ in range(30):
         model.sweep()
@@ -315,7 +317,8 @@ def test_a7_lda_invariants_and_block_separation():
     for i in range(40):
         pool = block_a if i % 2 == 0 else block_b
         two_block.append([rng.choice(pool) for _ in range(25)])
-    fitted = fit_lda(two_block, LdaConfig(n_topics=2, iterations=200, seed=17, n_min=1, n_max=1))
+    fitted = fit_lda(bags_of(two_block),
+                     LdaConfig(n_topics=2, iterations=200, seed=17, n_min=1, n_max=1))
     idx_a = [fitted.vocabulary.index[w] for w in block_a]
     purities = []
     for k in range(2):

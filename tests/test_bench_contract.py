@@ -99,7 +99,8 @@ def test_traced_subtext_run_fills_the_lda_and_subtext_counters():
     config = LdaConfig(n_topics=3, iterations=4, seed=0, n_min=2, n_max=2)
     tracer.install()
     try:
-        subtext.mine_subtext(articles, comments, config=config, min_phrase_df=3)
+        subtext.mine_subtext([a.body for a in articles], [c.text for c in comments],
+                             config=config, min_phrase_df=3)
     finally:
         tracer.uninstall()
     assert [m for m in tracer.missing if m.split(".")[0] in ("lda", "subtext", "textproc")] \

@@ -20,6 +20,8 @@ from newsciv.cli import RunConfig, _load_run_config, build_parser, main
 from newsciv.corpus import Article, save_articles
 from newsciv.features import TfidfConfig
 from newsciv.incivility import score_comments
+from newsciv.lda import LdaConfig
+from newsciv.subtext import mine_subtext, save_report
 from newsciv.textproc import tokenize
 
 
@@ -487,6 +489,43 @@ class TestMineSubtext:
         assert (out2 / "subtext.md").read_bytes() == \
             (pipeline_dir / "out" / "subtext.md").read_bytes()
 
+    def test_builds_no_comment_object(self, pipeline_dir, tmp_path, monkeypatch):
+        """mine-subtext reads comment texts as columns: with
+        ``corpus.Comment`` made to raise, it writes the same files."""
+        def refuse(*args):
+            raise RuntimeError("mine-subtext built a Comment")
+
+        monkeypatch.setattr(corpus, "Comment", refuse)
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["mine-subtext", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        for name in ("subtext.json", "subtext.md"):
+            assert (tmp_path / "out" / name).read_bytes() == \
+                (pipeline_dir / "out" / name).read_bytes()
+
+    def test_filters_select_the_comments_of_kept_articles(self, pipeline_dir, tmp_path):
+        """Keyword, tag and length filters keep the texts, in file order, of
+        the comments that the library selects from ``load_comments``.
+        "tunnel" is in about half of the articles, and 10 words drop about a
+        tenth of the comments."""
+        config = (pipeline_dir / "config_path.txt").read_text()
+        cfg = json.loads(Path(config).read_text())
+        argv = ["--set", 'keywords=["tunnel"]', "--min-comment-words", "10"]
+        assert main(["mine-subtext", "--config", config, "--out", str(tmp_path / "cli"),
+                     *argv]) == 0
+        articles = corpus.filter_by_tag(
+            corpus.filter_by_keywords(corpus.load_articles(cfg["articles"]), ["tunnel"]),
+            cfg["tag"])
+        kept = {a.id for a in articles}
+        comments = corpus.load_comments(cfg["comments"], min_words=10)
+        report = mine_subtext([a.body for a in articles],
+                              [c.text for c in comments if c.article_id in kept],
+                              config=LdaConfig(**cfg["lda"]),
+                              min_phrase_df=cfg["min_phrase_df"])
+        save_report(report, tmp_path / "lib" / "subtext.json", tmp_path / "lib" / "subtext.md")
+        for name in ("subtext.json", "subtext.md"):
+            assert (tmp_path / "cli" / name).read_bytes() == \
+                (tmp_path / "lib" / name).read_bytes()
+
 
 class TestEvaluate:
     def test_aspects_target(self, pipeline_dir, tmp_path):
@@ -620,6 +659,8 @@ class TestConfigHandling:
         ("aspect_tfidf.use_stoplist=no", "use_stoplist must be true or false"),
         ("synthetic.n_articles=x", "n_articles must be an integer"),
         ("synthetic.sources=daily", "sources must be a list of strings"),
+        ("lda.seed=-1", "seed must be >= 0, got -1"),
+        ("synthetic.seed=-3", "seed must be >= 0, got -3"),
     ])
     def test_mistyped_sub_config_set_exits_2(self, tmp_path, capsys, item, message):
         assert main(["mine-subtext", "--out", str(tmp_path / "o"), "--set", item]) == 2
@@ -636,6 +677,7 @@ class TestConfigHandling:
         ("test_fraction=x", "test_fraction must be a finite number"),
         ("model_dir=5", "model_dir must be a string"),
         ("split_seed=x", "split_seed must be an integer"),
+        ("split_seed=-1", "split_seed must be >= 0, got -1"),
         ("articles=[]", "articles must be a string or null"),
     ])
     def test_mistyped_run_config_set_exits_2(self, tmp_path, capsys, item, message):
@@ -745,6 +787,21 @@ class TestConfigHandling:
             main([command, "--help"])
         assert exc.value.code == 0
         assert "--set" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        "train-aspects", "score", "label-train-provoking", "predict-provoking",
+        "mine-subtext", "generate-synthetic", "evaluate",
+    ])
+    def test_negative_seed_exits_2(self, command, tmp_path, capsys):
+        """numpy rejects a negative seed without naming it, and
+        ``random.Random`` takes its absolute value: every command refuses it
+        before it reads or writes a file."""
+        argv = [command, "--seed", "-1", "--out", str(tmp_path / "o")]
+        if command == "evaluate":
+            argv += ["--target", "aspects"]
+        assert main(argv) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_inputs_never_mutated(self, pipeline_dir):
         config = (pipeline_dir / "config_path.txt").read_text()

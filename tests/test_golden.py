@@ -25,7 +25,7 @@ import pytest
 from newsciv.cli import main
 from newsciv.subtext import mine_subtext, save_report
 
-from test_subtext import FAST, build_corpus
+from test_subtext import FAST, build_texts
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,8 +51,8 @@ def a5_subtext(work: Path) -> bytes:
 
 def small_subtext(work: Path) -> bytes:
     """``subtext.json`` of the planted ``quartz meadow`` corpus of test_subtext."""
-    articles, comments = build_corpus(random.Random(7), planted="quartz meadow")
-    report = mine_subtext(articles, comments, config=FAST, min_phrase_df=3)
+    bodies, texts = build_texts(random.Random(7), planted="quartz meadow")
+    report = mine_subtext(bodies, texts, config=FAST, min_phrase_df=3)
     save_report(report, work / "subtext.json", work / "subtext.md")
     return (work / "subtext.json").read_bytes()
 

@@ -11,17 +11,10 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from newsciv import lda
-from newsciv.lda import (
-    LdaConfig,
-    LdaModel,
-    bags_of,
-    fit_lda,
-    topic_terms,
-    topics_by_size,
-)
+from newsciv.lda import LdaConfig, LdaModel, fit_lda, topic_terms, topics_by_size
 
 import subtext_reference
-from lda_reference import collapsed_sweeps, per_topic_sweeps
+from lda_reference import bags_of, collapsed_sweeps, per_topic_sweeps
 
 UNIGRAM = dict(n_min=1, n_max=1)
 
@@ -72,8 +65,8 @@ class TestBagsOf:
 class TestFit:
     def test_single_topic_degenerate_case(self):
         docs = [["x", "y", "x"], ["y", "z"]]
-        model = fit_lda(docs, LdaConfig(n_topics=1, iterations=3, seed=0, **UNIGRAM))
-        assert all((z == 0).all() for z in model.assignments)
+        model = fit_lda(bags_of(docs), LdaConfig(n_topics=1, iterations=3, seed=0, **UNIGRAM))
+        assert (model.z == 0).all()
         counts = Counter(t for d in docs for t in d)
         for term, count in counts.items():
             assert model.term_topic[model.vocabulary.index[term], 0] == count
@@ -82,7 +75,7 @@ class TestFit:
         rng = random.Random(5)
         docs = [[rng.choice("abcdefgh") for _ in range(rng.randint(1, 15))] for _ in range(25)]
         lengths = [len(d) for d in docs]
-        model = LdaModel(docs, LdaConfig(n_topics=4, iterations=1, seed=1, **UNIGRAM))
+        model = LdaModel(bags_of(docs), LdaConfig(n_topics=4, iterations=1, seed=1, **UNIGRAM))
         check_conservation(model, lengths)
         for _ in range(20):
             model.sweep()
@@ -92,14 +85,14 @@ class TestFit:
         rng = random.Random(6)
         docs = [[rng.choice("abcdef") for _ in range(10)] for _ in range(15)]
         cfg = LdaConfig(n_topics=3, iterations=30, seed=42, **UNIGRAM)
-        m1, m2 = fit_lda(docs, cfg), fit_lda(docs, cfg)
-        assert all((z1 == z2).all() for z1, z2 in zip(m1.assignments, m2.assignments))
+        m1, m2 = fit_lda(bags_of(docs), cfg), fit_lda(bags_of(docs), cfg)
+        assert (m1.z == m2.z).all()
         assert (m1.doc_topic == m2.doc_topic).all()
         assert (m1.term_topic == m2.term_topic).all()
 
     def test_two_block_corpus_separates(self):
         docs, block_a, _ = two_block_corpus(random.Random(1))
-        model = fit_lda(docs, LdaConfig(n_topics=2, iterations=200, seed=3, **UNIGRAM))
+        model = fit_lda(bags_of(docs), LdaConfig(n_topics=2, iterations=200, seed=3, **UNIGRAM))
         idx_a = [model.vocabulary.index[w] for w in block_a]
         for k in range(2):
             mass_a = model.term_topic[idx_a, k].sum() / model.topic_totals[k]
@@ -107,9 +100,7 @@ class TestFit:
 
     def test_empty_documents_error(self):
         with pytest.raises(ValueError):
-            fit_lda([[], []], LdaConfig(n_topics=2, iterations=1, **UNIGRAM))
-        with pytest.raises(ValueError):
-            fit_lda([], LdaConfig(n_topics=2, iterations=1, **UNIGRAM))
+            fit_lda(bags_of([[], []]), LdaConfig(n_topics=2, iterations=1, **UNIGRAM))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -122,6 +113,8 @@ class TestFit:
             LdaConfig(beta=-1.0)
         with pytest.raises(ValueError):
             LdaConfig(n_min=3, n_max=2)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            LdaConfig(seed=-1)
 
     @pytest.mark.parametrize("field, value", [
         ("n_topics", 2.5), ("n_topics", True), ("n_topics", "five"),
@@ -137,11 +130,15 @@ class TestFit:
         cfg = LdaConfig(n_topics=np.int64(3), alpha=np.float32(0.5), seed=np.uint8(4))
         assert cfg.n_topics == 3
 
-    def test_assignments_follow_documents(self):
-        docs = [["a", "b", "a"], [], ["c"], ["b", "c"]]
-        model = fit_lda(docs, LdaConfig(n_topics=3, iterations=4, seed=2, **UNIGRAM))
-        assert [len(z) for z in model.assignments] == [3, 0, 1, 2]
-        for d, zs in enumerate(model.assignments):
+    def test_document_counts_follow_token_topics(self):
+        """An empty document keeps its row of ``doc_topic``, the last one
+        too, and each row counts the topics of that document's tokens."""
+        docs = [["a", "b", "a"], [], ["c"], ["b", "c"], []]
+        model = fit_lda(bags_of(docs), LdaConfig(n_topics=3, iterations=4, seed=2, **UNIGRAM))
+        assert model.docs.tolist() == [0, 0, 0, 2, 3, 3]
+        assert model.doc_topic.shape == (5, 3)
+        for d in range(len(docs)):
+            zs = model.z[model.docs == d]
             assert np.bincount(zs, minlength=3).tolist() == model.doc_topic[d].tolist()
 
 
@@ -161,7 +158,7 @@ class TestLogLikelihood:
     def test_one_entry_per_sweep(self):
         rng = random.Random(4)
         docs = [[rng.choice("abcdef") for _ in range(9)] for _ in range(10)]
-        model = fit_lda(docs, LdaConfig(n_topics=3, iterations=7, seed=0, **UNIGRAM))
+        model = fit_lda(bags_of(docs), LdaConfig(n_topics=3, iterations=7, seed=0, **UNIGRAM))
         assert len(model.log_likelihoods) == 7
         model.sweep()
         assert len(model.log_likelihoods) == 8
@@ -169,7 +166,7 @@ class TestLogLikelihood:
     def test_matches_dense_formula(self):
         rng = random.Random(12)
         docs = [[rng.choice("abcdefghij") for _ in range(15)] for _ in range(20)]
-        model = LdaModel(docs, LdaConfig(n_topics=4, iterations=1, seed=6, **UNIGRAM))
+        model = LdaModel(bags_of(docs), LdaConfig(n_topics=4, iterations=1, seed=6, **UNIGRAM))
         assert model.log_likelihood() == pytest.approx(dense_log_likelihood(model), rel=1e-12)
         for _ in range(5):
             model.sweep()
@@ -179,7 +176,8 @@ class TestLogLikelihood:
 
     def test_rises_on_two_block_corpus(self):
         docs, _, _ = two_block_corpus(random.Random(1))
-        trace = fit_lda(docs, LdaConfig(n_topics=2, iterations=50, seed=3, **UNIGRAM)).log_likelihoods
+        config = LdaConfig(n_topics=2, iterations=50, seed=3, **UNIGRAM)
+        trace = fit_lda(bags_of(docs), config).log_likelihoods
         assert len(trace) == 50
         assert max(trace[:5]) < min(trace[-5:])
 
@@ -243,7 +241,7 @@ class TestBlockedWeights:
 
         rng = random.Random(8)
         docs = [[rng.choice("abcdef") for _ in range(rng.randint(1, 9))] for _ in range(12)]
-        model = LdaModel(docs, LdaConfig(n_topics=4, alpha=1e-300, beta=1e-300, seed=2,
+        model = LdaModel(bags_of(docs), LdaConfig(n_topics=4, alpha=1e-300, beta=1e-300, seed=2,
                                          **UNIGRAM))
         used = (model.doc_topic[model.docs] > 0) & (model.term_topic[model.words] > 0)
         expected = used.argmax(axis=1)
@@ -291,7 +289,8 @@ def exact_posterior(model: LdaModel) -> dict[tuple[int, ...], float]:
 class TestPosterior:
     @pytest.mark.parametrize("sampler", ["blocked", "collapsed"])
     def test_final_states_follow_exact_posterior(self, sampler):
-        exact = exact_posterior(LdaModel(POSTERIOR_DOCS, LdaConfig(**POSTERIOR_CONFIG)))
+        bags = bags_of(POSTERIOR_DOCS)
+        exact = exact_posterior(LdaModel(bags, LdaConfig(**POSTERIOR_CONFIG)))
         n = POSTERIOR_CHAINS
         # The tolerance comes from the Monte Carlo error alone. For n
         # independent exact draws, E[TV] <= 0.5 * sum_s sqrt(p_s (1 - p_s) / n)
@@ -304,7 +303,7 @@ class TestPosterior:
         finals: Counter[tuple[int, ...]] = Counter()
         for seed in range(n):
             config = LdaConfig(**{**POSTERIOR_CONFIG, "seed": seed})
-            model = LdaModel(POSTERIOR_DOCS, config)
+            model = LdaModel(bags, config)
             if sampler == "blocked":
                 model._run_sweeps(POSTERIOR_SWEEPS)
             else:
@@ -317,18 +316,18 @@ class TestPosterior:
 class TestTopicTerms:
     def test_top_term_follows_counts(self):
         docs = [["a", "a", "a", "b"]]
-        model = fit_lda(docs, LdaConfig(n_topics=1, iterations=2, beta=1e-6, **UNIGRAM))
+        model = fit_lda(bags_of(docs), LdaConfig(n_topics=1, iterations=2, beta=1e-6, **UNIGRAM))
         summary = topic_terms(model, 0, t=1)
         assert summary.terms[0][0] == "a"
 
     def test_truncates_to_vocabulary(self):
-        model = fit_lda([["a", "b"]], LdaConfig(n_topics=1, iterations=1, **UNIGRAM))
+        model = fit_lda(bags_of([["a", "b"]]), LdaConfig(n_topics=1, iterations=1, **UNIGRAM))
         assert len(topic_terms(model, 0, t=10).terms) == 2
 
     def test_distribution_sums_to_one(self):
         rng = random.Random(9)
         docs = [[rng.choice("abcdefghij") for _ in range(12)] for _ in range(20)]
-        model = fit_lda(docs, LdaConfig(n_topics=4, iterations=10, seed=2, **UNIGRAM))
+        model = fit_lda(bags_of(docs), LdaConfig(n_topics=4, iterations=10, seed=2, **UNIGRAM))
         for k in range(4):
             phi = model.topic_distribution(k)
             assert phi.sum() == pytest.approx(1.0, abs=1e-9)
@@ -336,20 +335,21 @@ class TestTopicTerms:
 
     def test_lexicographic_tie_break(self):
         # All terms occur once in a single-topic model: equal probabilities.
-        model = fit_lda([["d", "c", "b", "a"]], LdaConfig(n_topics=1, iterations=1, **UNIGRAM))
+        model = fit_lda(bags_of([["d", "c", "b", "a"]]),
+                        LdaConfig(n_topics=1, iterations=1, **UNIGRAM))
         summary = topic_terms(model, 0, t=4)
         assert [term for term, _ in summary.terms] == ["a", "b", "c", "d"]
 
     def test_probabilities_descending(self):
         rng = random.Random(11)
         docs = [[rng.choice("abcde") for _ in range(10)] for _ in range(10)]
-        model = fit_lda(docs, LdaConfig(n_topics=2, iterations=5, seed=0, **UNIGRAM))
+        model = fit_lda(bags_of(docs), LdaConfig(n_topics=2, iterations=5, seed=0, **UNIGRAM))
         for k in range(2):
             probs = [p for _, p in topic_terms(model, k, t=5).terms]
             assert probs == sorted(probs, reverse=True)
 
     def test_topic_out_of_range(self):
-        model = fit_lda([["a"]], LdaConfig(n_topics=1, iterations=1, **UNIGRAM))
+        model = fit_lda(bags_of([["a"]]), LdaConfig(n_topics=1, iterations=1, **UNIGRAM))
         with pytest.raises(ValueError):
             topic_terms(model, 1)
         with pytest.raises(ValueError):
@@ -360,7 +360,7 @@ class TestTopicUtilities:
     def test_topics_by_size_ordering(self):
         rng = random.Random(3)
         docs = [[rng.choice("abcdef") for _ in range(8)] for _ in range(12)]
-        model = fit_lda(docs, LdaConfig(n_topics=3, iterations=5, seed=1, **UNIGRAM))
+        model = fit_lda(bags_of(docs), LdaConfig(n_topics=3, iterations=5, seed=1, **UNIGRAM))
         order = topics_by_size(model)
         totals = [model.topic_totals[k] for k in order]
         assert totals == sorted(totals, reverse=True)

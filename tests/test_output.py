@@ -1,6 +1,8 @@
 """The writer module: a failed write leaves no trace, a new file gets the
 mode plain ``open`` gives it, a missing directory is made on the first
-write into it, and no other module writes files or makes directories."""
+write into it, and no other module writes files or makes directories.
+The layering guard keeps the topic model and subtext mining off the corpus
+types: they take plain texts."""
 
 from __future__ import annotations
 
@@ -105,6 +107,51 @@ def test_only_the_writer_module_writes_files():
     }
     assert writes.pop("_output.py"), "the guard no longer sees the writer's own open"
     assert {name: found for name, found in writes.items() if found} == {}
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The ``newsciv`` modules that ``tree`` imports, by their names in the
+    package: ``from .corpus import X``, ``from . import corpus``,
+    ``import newsciv.corpus`` and ``from newsciv.corpus import X``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "newsciv" and not module.startswith("newsciv."):
+                    continue
+                module = module.removeprefix("newsciv").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("newsciv."))
+    return found
+
+
+def test_topic_model_and_subtext_take_plain_texts():
+    imports = {
+        name: _package_imports(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")))
+        for name in ("lda", "subtext")
+    }
+    assert imports["lda"] <= {"_checks", "textproc"}, imports["lda"]
+    assert "corpus" not in imports["subtext"], imports["subtext"]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .corpus import Comment", {"corpus"}),
+    ("from . import corpus, textproc", {"corpus", "textproc"}),
+    ("from .corpus.sub import x", {"corpus"}),
+    ("import newsciv.corpus", {"corpus"}),
+    ("from newsciv.corpus import Comment", {"corpus"}),
+    ("from newsciv import corpus", {"corpus"}),
+    ("import numpy as np", set()),
+    ("from collections import Counter", set()),
+])
+def test_import_guard_sees_each_way_to_import(source, found):
+    assert _package_imports(ast.parse(source)) == found
 
 
 @pytest.mark.parametrize("source, flagged", [

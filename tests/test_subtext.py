@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import subtext_reference as reference
 from newsciv.corpus import Article, Comment
-from newsciv.lda import LdaConfig, LdaModel, fit_lda, topic_terms
+from newsciv.lda import Bags, LdaConfig, LdaModel, fit_lda, topic_terms
 from newsciv.subtext import (
     TOP_TERMS,
     TOP_TOPICS,
@@ -23,6 +23,7 @@ from newsciv.subtext import (
     save_report,
 )
 from newsciv.textproc import DEFAULT_STOPLIST, tokenize
+from lda_reference import bags_of
 from textproc_reference import remove_stopwords
 
 FAST = LdaConfig(n_topics=3, iterations=40, seed=0, n_min=2, n_max=2)
@@ -112,7 +113,8 @@ def assert_same_bags(texts, config, exclude, min_df, stoplist):
     assert list(bags.vocabulary.doc_freq) == list(vocabulary.doc_freq)
     # The sampler reads nothing else, so two sweeps must agree bit for bit.
     if len(words):
-        got_model, want_model = LdaModel(bags, config), LdaModel(expected, config)
+        want = Bags(words=words, docs=docs, vocabulary=vocabulary)
+        got_model, want_model = LdaModel(bags, config), LdaModel(want, config)
         got_model._run_sweeps(2)
         want_model._run_sweeps(2)
         assert np.array_equal(got_model.z, want_model.z)
@@ -141,10 +143,10 @@ class TestMatchesStringReference:
 
     @pytest.mark.parametrize("exclude", [(), ("granite firewall",)])
     def test_synthetic_phases_match(self, exclude):
-        articles, comments = build_corpus(random.Random(3), planted="granite firewall")
+        bodies, texts = build_texts(random.Random(3), planted="granite firewall")
         config = LdaConfig(n_topics=3, iterations=2, n_min=1, n_max=3)
-        assert_same_bags([a.body for a in articles], config, exclude, 3, DEFAULT_STOPLIST)
-        assert_same_bags([c.text for c in comments], config, exclude, 3, DEFAULT_STOPLIST)
+        assert_same_bags(bodies, config, exclude, 3, DEFAULT_STOPLIST)
+        assert_same_bags(texts, config, exclude, 3, DEFAULT_STOPLIST)
 
     def test_error_messages(self):
         config = LdaConfig(n_topics=1, iterations=1, n_min=2, n_max=2)
@@ -166,7 +168,8 @@ class TestTopicTermsRanking:
     def test_ties_break_as_sorted_did(self, docs, n_topics, t):
         if not any(docs):
             return
-        model = fit_lda(docs, LdaConfig(n_topics=n_topics, iterations=3, n_min=1, n_max=1))
+        config = LdaConfig(n_topics=n_topics, iterations=3, n_min=1, n_max=1)
+        model = fit_lda(bags_of(docs), config)
         for k in range(n_topics):
             summary = topic_terms(model, k, t)
             assert list(summary.terms) == reference.ranked_terms(
@@ -251,65 +254,67 @@ def build_corpus(rng: random.Random, planted: str | None = None):
     return articles, comments
 
 
+def build_texts(rng: random.Random, planted: str | None = None):
+    """The article bodies and comment texts of :func:`build_corpus`."""
+    articles, comments = build_corpus(rng, planted)
+    return [a.body for a in articles], [c.text for c in comments]
+
+
 class TestMineSubtext:
     def test_planted_comment_phrase_recovered_and_disjoint(self):
         rng = random.Random(7)
-        articles, comments = build_corpus(rng, planted="quartz meadow")
-        report = mine_subtext(articles, comments, config=FAST, min_phrase_df=3)
+        bodies, texts = build_texts(rng, planted="quartz meadow")
+        report = mine_subtext(bodies, texts, config=FAST, min_phrase_df=3)
         assert "quartz meadow" in report.comment_phrases
         assert not (report.content_phrases & report.comment_phrases)
 
     def test_disjoint_for_many_seeds(self):
         rng = random.Random(8)
-        articles, comments = build_corpus(rng)
+        bodies, texts = build_texts(rng)
         for seed in range(4):
             cfg = LdaConfig(n_topics=3, iterations=30, seed=seed, n_min=2, n_max=2)
-            report = mine_subtext(articles, comments, config=cfg, min_phrase_df=3)
+            report = mine_subtext(bodies, texts, config=cfg, min_phrase_df=3)
             assert not (report.content_phrases & report.comment_phrases)
             assert len(report.content_phrases) <= 15
             assert len(report.comment_phrases) <= 15
 
     def test_identical_corpora_still_disjoint(self):
         rng = random.Random(9)
-        articles, _ = build_corpus(rng)
-        mirrored = [
-            Comment(id=f"c{i}", article_id=a.id, text=a.body)
-            for i, a in enumerate(articles)
-        ]
-        report = mine_subtext(articles, mirrored, config=FAST, min_phrase_df=3)
+        bodies, _ = build_texts(rng)
+        report = mine_subtext(bodies, bodies, config=FAST, min_phrase_df=3)
         assert not (report.content_phrases & report.comment_phrases)
 
     def test_deterministic_for_fixed_seeds(self):
         rng = random.Random(10)
-        articles, comments = build_corpus(rng, planted="quartz meadow")
-        r1 = mine_subtext(articles, comments, config=FAST, min_phrase_df=3)
-        r2 = mine_subtext(articles, comments, config=FAST, min_phrase_df=3)
+        bodies, texts = build_texts(rng, planted="quartz meadow")
+        r1 = mine_subtext(bodies, texts, config=FAST, min_phrase_df=3)
+        r2 = mine_subtext(bodies, texts, config=FAST, min_phrase_df=3)
         assert r1 == r2
         assert report_to_dict(r1) == report_to_dict(r2)
 
     def test_phase_two_seed_is_derived(self):
         rng = random.Random(11)
-        articles, comments = build_corpus(rng)
-        report = mine_subtext(articles, comments, config=FAST, min_phrase_df=3)
+        bodies, texts = build_texts(rng)
+        report = mine_subtext(bodies, texts, config=FAST, min_phrase_df=3)
         dump = report_to_dict(report)
         assert dump["content_topics"]["seed"] == FAST.seed
         assert dump["comment_topics"]["seed"] == FAST.seed + 1
 
     def test_empty_inputs_error(self):
         rng = random.Random(12)
-        articles, comments = build_corpus(rng)
+        bodies, texts = build_texts(rng)
         with pytest.raises(ValueError):
-            mine_subtext([], comments, config=FAST)
+            mine_subtext([], texts, config=FAST)
         with pytest.raises(ValueError):
-            mine_subtext(articles, [], config=FAST)
+            mine_subtext(bodies, [], config=FAST)
 
 
 class TestReportRendering:
     @pytest.fixture
     def report(self):
         rng = random.Random(13)
-        articles, comments = build_corpus(rng, planted="quartz meadow")
-        return mine_subtext(articles, comments, config=FAST, min_phrase_df=3)
+        bodies, texts = build_texts(rng, planted="quartz meadow")
+        return mine_subtext(bodies, texts, config=FAST, min_phrase_df=3)
 
     def test_json_shape(self, report):
         dump = report_to_dict(report)
