@@ -218,11 +218,9 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     weight_of = {w.article_id: w for w in weights}
     kept = [(a, weight_of[a.id]) for a in articles if a.id in weight_of]
-    write_jsonl(out_dir / "article_weights.jsonl", (
-        {"article_id": w.article_id, "weight": w.weight, "n_comments": w.n_comments,
-         "source": article.source}
-        for article, w in kept
-    ))
+    write_jsonl(out_dir / "article_weights.jsonl",
+                ("article_id", "weight", "n_comments", "source"),
+                ((w.article_id, w.weight, w.n_comments, article.source) for article, w in kept))
     if len(kept) < len(articles):
         print(f"excluded {len(articles) - len(kept)} articles with zero comments",
               file=sys.stderr)
@@ -264,11 +262,9 @@ def cmd_label_train_provoking(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     # Written only once training succeeded, so a rejected run leaves no labels.
     write_json(out_dir / "thresholds.json", [dataclasses.asdict(t) for t in thresholds])
-    write_jsonl(out_dir / "article_labels.jsonl", (
-        {"article_id": w.article_id, "weight": w.weight, "n_comments": w.n_comments,
-         "label": w.label}
-        for w in labeled
-    ))
+    write_jsonl(out_dir / "article_labels.jsonl",
+                ("article_id", "weight", "n_comments", "label"),
+                ((w.article_id, w.weight, w.n_comments, w.label) for w in labeled))
 
     model_dir = Path(cfg.model_dir)
     save_tfidf(pipeline.tfidf, model_dir / "provoking_tfidf.json")

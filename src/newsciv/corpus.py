@@ -403,19 +403,19 @@ def load_annotated(path: str | Path) -> list[AnnotatedComment]:
 
 def save_articles(articles: Iterable[Article], path: str | Path) -> None:
     """Write articles.jsonl; tags are serialized sorted for reproducibility."""
-    write_jsonl(path, ({"id": a.id, "source": a.source, "title": a.title, "body": a.body,
-                        "tags": sorted(a.tags), "date": a.date} for a in articles))
+    write_jsonl(path, ("id", "source", "title", "body", "tags", "date"),
+                ((a.id, a.source, a.title, a.body, sorted(a.tags), a.date) for a in articles))
 
 
 def save_comments(comments: Iterable[Comment], path: str | Path) -> None:
-    write_jsonl(path, ({"id": c.id, "article_id": c.article_id, "text": c.text}
-                       for c in comments))
+    write_jsonl(path, ("id", "article_id", "text"),
+                ((c.id, c.article_id, c.text) for c in comments))
 
 
 def save_annotated(annotated: Iterable[AnnotatedComment], path: str | Path) -> None:
-    write_jsonl(path, ({"id": ac.id, "text": ac.text, "toxicity": list(ac.toxicity_ratings),
-                        "aggression": list(ac.aggression_ratings),
-                        "attack": list(ac.attack_flags)} for ac in annotated))
+    write_jsonl(path, ("id", "text", "toxicity", "aggression", "attack"),
+                ((ac.id, ac.text, ac.toxicity_ratings, ac.aggression_ratings, ac.attack_flags)
+                 for ac in annotated))
 
 
 def filter_by_keywords(articles: Iterable[Article], keywords: Iterable[str]) -> list[Article]:

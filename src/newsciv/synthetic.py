@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._checks import check_field_types
 from .corpus import AnnotatedComment, Article, Comment
+from .textproc import tokenize
 
 CONTENT_WORDS = (
     "council", "budget", "harbor", "reform", "transit", "zoning", "ballot",
@@ -74,6 +75,18 @@ class SyntheticConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if len(self.marker_bigram.split()) != 2 or len(self.subtext_phrase.split()) != 2:
             raise ValueError("marker_bigram and subtext_phrase must be two words")
+        # A planted token that the other draws can also produce would put the
+        # marker into tame articles, or the subtext phrase into articles.
+        base = set(CONTENT_WORDS + CHATTER_WORDS + UNCIVIL_TOKENS)
+        marker = set(tokenize(self.marker_bigram))
+        for name, tokens, taken, what in (
+            ("marker_bigram", marker, base, "the generated words"),
+            ("subtext_phrase", set(tokenize(self.subtext_phrase)), base | marker,
+             "the generated words or marker_bigram"),
+        ):
+            if tokens & taken:
+                raise ValueError(f"{name} must share no token with {what}, "
+                                 f"got {getattr(self, name)!r}")
         if not self.sources:
             raise ValueError("at least one source is required")
         if self.seed < 0:
@@ -90,11 +103,31 @@ def _date_for(i: int) -> str:
     return f"2016-{(i % 12) + 1:02d}-{(i % 28) + 1:02d}"
 
 
+def _uniform_below(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)``: a uniform int in ``[0, n)`` drawn from ``rng`` exactly
+    as CPython's ``Random._randbelow`` draws it for ``choice`` and
+    ``randint``: ``k = n.bit_length()`` bits from ``getrandbits``, drawn
+    again while the result is ``>= n``. So ``seq[below(len(seq))]`` is
+    ``rng.choice(seq)`` and ``a + below(b - a + 1)`` is ``rng.randint(a, b)``,
+    each in one Python frame instead of three or four."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def generate_corpus(
     config: SyntheticConfig,
 ) -> tuple[list[Article], list[Comment], list[AnnotatedComment]]:
     """Build the articles, comments, and annotated comments in one pass."""
     rng = random.Random(config.seed)
+    below, random_ = _uniform_below(rng), rng.random
     content_weights = _weighted(CONTENT_WORDS)
     marker = config.marker_bigram.split()
     subtext = config.subtext_phrase.split()
@@ -105,18 +138,15 @@ def generate_corpus(
 
     articles: list[Article] = []
     comments: list[Comment] = []
-    comment_no = 0
     for i in range(config.n_articles):
         provoking = provoking_flags[i]
-        body_words = rng.choices(
-            CONTENT_WORDS, weights=content_weights, k=rng.randint(45, 70)
-        )
+        body_words = rng.choices(CONTENT_WORDS, weights=content_weights, k=45 + below(26))
         if provoking:
-            for _ in range(rng.randint(2, 3)):
-                pos = rng.randint(0, len(body_words))
+            for _ in range(2 + below(2)):
+                pos = below(len(body_words) + 1)
                 body_words[pos:pos] = marker
         title = " ".join(
-            rng.choices(CONTENT_WORDS, weights=content_weights, k=rng.randint(3, 5))
+            rng.choices(CONTENT_WORDS, weights=content_weights, k=3 + below(3))
         )
         article = Article(
             id=f"a{i:05d}",
@@ -132,62 +162,67 @@ def generate_corpus(
             config.uncivil_rate_provoking if provoking else config.uncivil_rate_tame
         )
         for _ in range(config.comments_per_article):
-            text = _comment_text(
-                rng,
-                body_words=body_words,
-                uncivil=rng.random() < uncivil_rate,
-                subtext=subtext if rng.random() < config.subtext_rate else None,
-            )
+            uncivil = random_() < uncivil_rate
+            planted = subtext if random_() < config.subtext_rate else None
+            text = _comment_text(rng, below, body_words, uncivil, planted)
             comments.append(
-                Comment(id=f"c{comment_no:06d}", article_id=article.id, text=text)
+                Comment(id=f"c{len(comments):06d}", article_id=article.id, text=text)
             )
-            comment_no += 1
 
     annotated = [
-        _annotated_comment(rng, f"w{j:05d}", config.n_annotators)
+        _annotated_comment(rng, below, f"w{j:05d}", config.n_annotators)
         for j in range(config.n_annotated)
     ]
     return articles, comments, annotated
 
 
+def _insert_insults(below: Callable[[int], int], words: list[str]) -> None:
+    """Insert one to three insult tokens into ``words`` at drawn places."""
+    for _ in range(1 + below(3)):
+        words.insert(below(len(words) + 1), UNCIVIL_TOKENS[below(len(UNCIVIL_TOKENS))])
+
+
 def _comment_text(
     rng: random.Random,
+    below: Callable[[int], int],
     body_words: Sequence[str],
     uncivil: bool,
     subtext: Sequence[str] | None,
 ) -> str:
+    random_, n_body, n_chatter = rng.random, len(body_words), len(CHATTER_WORDS)
     words = [
-        rng.choice(body_words) if rng.random() < 0.45 else rng.choice(CHATTER_WORDS)
-        for _ in range(rng.randint(8, 16))
+        body_words[below(n_body)] if random_() < 0.45 else CHATTER_WORDS[below(n_chatter)]
+        for _ in range(8 + below(9))
     ]
     if uncivil:
-        for _ in range(rng.randint(1, 3)):
-            words.insert(rng.randint(0, len(words)), rng.choice(UNCIVIL_TOKENS))
+        _insert_insults(below, words)
     if subtext is not None:
-        pos = rng.randint(0, len(words))
+        pos = below(len(words) + 1)
         words[pos:pos] = subtext
     return " ".join(words)
 
 
-def _annotated_comment(rng: random.Random, cid: str, n_annotators: int) -> AnnotatedComment:
-    uncivil = rng.random() < 0.5
-    words = [rng.choice(CHATTER_WORDS) for _ in range(rng.randint(8, 16))]
+def _annotated_comment(
+    rng: random.Random, below: Callable[[int], int], cid: str, n_annotators: int
+) -> AnnotatedComment:
+    random_, n_chatter = rng.random, len(CHATTER_WORDS)
+    uncivil = random_() < 0.5
+    words = [CHATTER_WORDS[below(n_chatter)] for _ in range(8 + below(9))]
     if uncivil:
-        for _ in range(rng.randint(1, 3)):
-            words.insert(rng.randint(0, len(words)), rng.choice(UNCIVIL_TOKENS))
+        _insert_insults(below, words)
 
     toxicity = []
     aggression = []
     attack = []
     for _ in range(n_annotators):
         if uncivil:
-            toxicity.append(rng.choice((1, 1, 2)) if rng.random() < 0.85 else rng.choice((3, 4)))
-            aggression.append(rng.choice((1, 2, 2)) if rng.random() < 0.85 else rng.choice((3, 4)))
-            attack.append(rng.random() < 0.8)
+            toxicity.append((1, 1, 2)[below(3)] if random_() < 0.85 else (3, 4)[below(2)])
+            aggression.append((1, 2, 2)[below(3)] if random_() < 0.85 else (3, 4)[below(2)])
+            attack.append(random_() < 0.8)
         else:
-            toxicity.append(rng.choice((3, 4, 4, 5)) if rng.random() < 0.9 else rng.choice((1, 2)))
-            aggression.append(rng.choice((3, 3, 4, 5)) if rng.random() < 0.9 else rng.choice((1, 2)))
-            attack.append(rng.random() < 0.05)
+            toxicity.append((3, 4, 4, 5)[below(4)] if random_() < 0.9 else (1, 2)[below(2)])
+            aggression.append((3, 3, 4, 5)[below(4)] if random_() < 0.9 else (1, 2)[below(2)])
+            attack.append(random_() < 0.05)
 
     return AnnotatedComment(
         id=cid,

@@ -638,6 +638,23 @@ class TestConfigHandling:
         assert len(articles) == 6
         assert articles[0]["tags"] == ["harbor"]
 
+    @pytest.mark.parametrize("item, message", [
+        ('synthetic.subtext_phrase="crimson ledger"',
+         "subtext_phrase must share no token with the generated words or marker_bigram, "
+         "got 'crimson ledger'"),
+        ('synthetic.subtext_phrase="Council budget"',
+         "subtext_phrase must share no token with the generated words or marker_bigram, "
+         "got 'Council budget'"),
+        ('synthetic.marker_bigram="harbor glass"',
+         "marker_bigram must share no token with the generated words, got 'harbor glass'"),
+    ])
+    def test_planted_phrase_sharing_a_token_exits_2(self, tmp_path, capsys, item, message):
+        out = tmp_path / "o"
+        assert main(["generate-synthetic", "--out", str(out), "--set", item,
+                     "--set", "synthetic.n_articles=10"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_set_rejects_malformed_items(self, tmp_path, capsys):
         assert main(["generate-synthetic", "--out", str(tmp_path / "o"),
                      "--set", "justakey"]) == 2

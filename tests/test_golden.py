@@ -4,8 +4,10 @@
 ``classify_small/`` holds every file the classifier chain writes
 (``train-aspects``, ``score``, ``label-train-provoking``,
 ``predict-provoking``, ``evaluate --target aspects|provoking``) on a small
-seeded synthetic corpus. Any change that moves them is deliberate: bump the
-format version it touches, regenerate every fixture with
+seeded synthetic corpus; ``synthetic/`` holds the three files
+``generate-synthetic`` writes for each of ``SYNTHETIC_CASES``. Any change
+that moves them is deliberate: bump the format version it touches,
+regenerate every fixture with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -84,6 +86,29 @@ def classify_small(work: Path) -> Path:
     return result
 
 
+# A small corpus at the default seed, and one that sets every field the
+# generator branches on: several sources and annotators, another tag, and
+# the rates at their ends, 0 and 1.
+SYNTHETIC_CASES = {
+    "default_seed": {"n_articles": 12, "comments_per_article": 4, "n_annotated": 10},
+    "edge_rates": {"n_articles": 9, "comments_per_article": 3, "n_annotated": 8,
+                   "n_annotators": 5, "sources": ["alpha", "beta", "gamma"],
+                   "tag": "harbor", "uncivil_rate_provoking": 1.0,
+                   "uncivil_rate_tame": 0.0, "subtext_rate": 1.0, "seed": 8},
+}
+SYNTHETIC_GOLDEN = GOLDEN / "synthetic"
+
+
+def generate_synthetic(work: Path, name: str) -> Path:
+    """Run ``generate-synthetic`` on ``SYNTHETIC_CASES[name]``; return the
+    directory it wrote."""
+    config = work / "run.json"
+    config.write_text(json.dumps({"synthetic": SYNTHETIC_CASES[name]}))
+    out = work / name
+    assert main(["generate-synthetic", "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
 def relative_files(root: Path) -> list[str]:
     return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
 
@@ -113,6 +138,16 @@ def test_classify_matches_golden_bytes(name, classify_result):
     assert (classify_result / name).read_bytes() == (CLASSIFY_GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_CASES))
+def test_generate_synthetic_matches_golden_bytes(name, tmp_path):
+    out, golden = generate_synthetic(tmp_path, name), SYNTHETIC_GOLDEN / name
+    files = relative_files(golden)
+    assert files == ["annotated.jsonl", "articles.jsonl", "comments.jsonl"]
+    assert relative_files(out) == files
+    for file in files:
+        assert (out / file).read_bytes() == (golden / file).read_bytes(), file
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -125,3 +160,8 @@ if __name__ == "__main__":
         shutil.rmtree(CLASSIFY_GOLDEN, ignore_errors=True)
         shutil.copytree(classify_small(Path(tmp)), CLASSIFY_GOLDEN)
     print(f"wrote {CLASSIFY_GOLDEN}/", file=sys.stderr)
+    shutil.rmtree(SYNTHETIC_GOLDEN, ignore_errors=True)
+    for name in SYNTHETIC_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copytree(generate_synthetic(Path(tmp), name), SYNTHETIC_GOLDEN / name)
+    print(f"wrote {SYNTHETIC_GOLDEN}/", file=sys.stderr)

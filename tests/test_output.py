@@ -1,6 +1,8 @@
 """The writer module: a failed write leaves no trace, a new file gets the
 mode plain ``open`` gives it, a missing directory is made on the first
-write into it, and no other module writes files or makes directories.
+write into it, a JSONL row is the bytes ``json.dumps(row,
+ensure_ascii=False)`` gives, and no other module writes files, makes
+directories or encodes JSON one value at a time with ``json.dumps``.
 The layering guard keeps the topic model and subtext mining off the corpus
 types: they take plain texts."""
 
@@ -13,6 +15,8 @@ import stat
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from newsciv import _output
 from newsciv.corpus import Comment, save_comments
@@ -74,6 +78,36 @@ def test_new_file_mode_follows_the_umask_like_plain_open(tmp_path):
     assert mode[0] == mode[1] == 0o644
 
 
+# Strings rich in what JSON escapes, or that ``ensure_ascii=False`` keeps as is.
+TEXTS = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u2028\u2029é\U0001f600%'),
+                          st.characters()))
+SCALARS = st.one_of(TEXTS, st.booleans(), st.integers(),
+                    st.floats(allow_nan=False, allow_infinity=False))
+VALUES = st.one_of(SCALARS, st.lists(st.one_of(TEXTS, st.integers(), st.booleans()), max_size=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), keys=st.lists(TEXTS, unique=True, max_size=5))
+def test_jsonl_rows_are_the_bytes_of_json_dumps(tmp_path, data, keys):
+    rows = data.draw(st.lists(st.tuples(*[VALUES] * len(keys)), max_size=4))
+    _output.write_jsonl(tmp_path / "rows.jsonl", keys, rows)
+    expected = "".join(f"{json.dumps(dict(zip(keys, row)), ensure_ascii=False)}\n"
+                       for row in rows)
+    assert (tmp_path / "rows.jsonl").read_bytes() == expected.encode("utf-8")
+
+
+def test_lone_surrogate_fails_the_write_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "comments.jsonl"
+    save_comments(comments(3), path)
+    before = path.read_bytes()
+    lone = Comment(id="c9", article_id="a0", text="half \ud800 pair")
+    with pytest.raises(UnicodeEncodeError):
+        save_comments([*comments(3), lone], path)
+    assert os.listdir(tmp_path) == ["comments.jsonl"]
+    assert path.read_bytes() == before
+
+
 def _file_writes(tree: ast.AST):
     """(line, call) of every call in ``tree`` that can write a file: an
     ``open`` whose mode is not a constant read mode, ``os.open``,
@@ -107,6 +141,65 @@ def test_only_the_writer_module_writes_files():
     }
     assert writes.pop("_output.py"), "the guard no longer sees the writer's own open"
     assert {name: found for name, found in writes.items() if found} == {}
+
+
+def _dumps_calls(tree: ast.AST) -> list[str]:
+    """The enclosing function (``"<module>"`` at the top level) of every call
+    of ``json.dumps`` in ``tree``: through the module under any name
+    (``json.dumps``, ``import json as j; j.dumps``) or by its own
+    (``from json import dumps [as d]``)."""
+    modules, names = {"json"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "json")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            names.update(alias.asname or alias.name for alias in node.names
+                         if alias.name == "dumps")
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "dumps"
+                    and isinstance(func.value, ast.Name) and func.value.id in modules
+                    or isinstance(func, ast.Name) and func.id in names):
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_write_json_calls_json_dumps():
+    """Rows go through ``write_jsonl``'s template: a ``json.dumps`` per row
+    builds an encoder each time."""
+    calls = {
+        (path.name, where)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in _dumps_calls(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert calls == {("_output.py", "write_json")}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("json.dumps(x)", ["<module>"]),
+    ("def f(x):\n    return json.dumps(x, indent=2)", ["f"]),
+    ("import json as j\ndef f(x):\n    return j.dumps(x)", ["f"]),
+    ("from json import dumps\nclass C:\n    def f(self, x):\n        return dumps(x)", ["f"]),
+    ("from json import dumps as d\nd(x)", ["<module>"]),
+    ("def f():\n    def g(x):\n        return json.dumps(x)\n    return g", ["g"]),
+    ("lines = (json.dumps(r) for r in rows)", ["<module>"]),
+    ("json.loads(x)", []),
+    ("pickle.dumps(x)", []),
+    ("from json import loads\nloads(x)", []),
+    ("dumps(x)", []),
+])
+def test_dumps_guard_sees_each_way_to_call_it(source, found):
+    assert _dumps_calls(ast.parse(source)) == found
 
 
 def _package_imports(tree: ast.AST) -> set[str]:

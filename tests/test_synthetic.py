@@ -1,12 +1,19 @@
 from __future__ import annotations
 
-import pytest
+import dataclasses
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import synthetic_reference
 from newsciv.synthetic import (
     CHATTER_WORDS,
     CONTENT_WORDS,
     UNCIVIL_TOKENS,
     SyntheticConfig,
+    _uniform_below,
     generate_corpus,
 )
 
@@ -29,6 +36,68 @@ class TestConfig:
         base = set(CONTENT_WORDS) | set(CHATTER_WORDS) | set(UNCIVIL_TOKENS)
         assert not (set(cfg.marker_bigram.split()) & base)
         assert not (set(cfg.subtext_phrase.split()) & base)
+
+    @pytest.mark.parametrize("field, phrase, what", [
+        ("subtext_phrase", "crimson ledger", "the generated words or marker_bigram"),
+        ("subtext_phrase", "ledger kite", "the generated words or marker_bigram"),
+        ("subtext_phrase", "Council budget", "the generated words or marker_bigram"),
+        ("subtext_phrase", "granite folks", "the generated words or marker_bigram"),
+        ("subtext_phrase", "nitwit, kite", "the generated words or marker_bigram"),
+        ("marker_bigram", "harbor glass", "the generated words"),
+        ("marker_bigram", "glass DOLT", "the generated words"),
+    ])
+    def test_rejects_planted_phrase_sharing_a_token(self, field, phrase, what):
+        with pytest.raises(ValueError) as info:
+            SyntheticConfig(**{field: phrase})
+        assert str(info.value) == f"{field} must share no token with {what}, got {phrase!r}"
+
+    def test_accepts_planted_phrases_of_new_tokens(self):
+        cfg = SyntheticConfig(marker_bigram="amber kite", subtext_phrase="velvet Quarry")
+        articles, comments, _ = generate_corpus(dataclasses.replace(
+            cfg, n_articles=10, comments_per_article=4, n_annotated=0, subtext_rate=1.0))
+        assert not any("velvet" in a.body.split() for a in articles)
+        assert all("velvet Quarry" in c.text for c in comments)
+
+
+class TestDraws:
+    """The generator draws through ``getrandbits`` as CPython's ``Random``
+    does, and so builds what the ``choice``/``randint`` generator built."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 7])
+    def test_below_draws_as_randbelow_choice_and_randint(self, seed):
+        ns = list(range(1, 301)) * 3
+        rng, reference = random.Random(seed), random.Random(seed)
+        below = _uniform_below(rng)
+        assert [below(n) for n in ns] == [reference._randbelow(n) for n in ns]
+        seqs = [tuple(range(n)) for n in ns]
+        assert [seq[below(len(seq))] for seq in seqs] == [reference.choice(seq) for seq in seqs]
+        ends = [(-n // 2, n - 1 - n // 2) for n in ns]
+        assert ([a + below(b - a + 1) for a, b in ends]
+                == [reference.randint(a, b) for a, b in ends])
+        assert rng.getstate() == reference.getstate()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**70),
+        n_articles=st.integers(0, 7),
+        comments_per_article=st.integers(0, 5),
+        n_annotated=st.integers(0, 6),
+        n_annotators=st.integers(1, 5),
+        rates=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                       min_size=4, max_size=4),
+        sources=st.lists(st.text(max_size=3), min_size=1, max_size=4),
+    )
+    def test_generate_corpus_matches_reference(self, seed, n_articles, comments_per_article,
+                                               n_annotated, n_annotators, rates, sources):
+        provoking, uncivil_provoking, uncivil_tame, subtext = rates
+        cfg = SyntheticConfig(
+            n_articles=n_articles, comments_per_article=comments_per_article,
+            n_annotated=n_annotated, n_annotators=n_annotators,
+            provoking_fraction=provoking, uncivil_rate_provoking=uncivil_provoking,
+            uncivil_rate_tame=uncivil_tame, subtext_rate=subtext,
+            sources=tuple(sources), seed=seed,
+        )
+        assert generate_corpus(cfg) == synthetic_reference.generate_corpus(cfg)
 
 
 class TestGeneratedCorpus:
