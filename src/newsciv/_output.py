@@ -1,6 +1,6 @@
 """The one writer of every file newsciv produces: UTF-8 text and an atomic
 replace, so a crash or an exception part-way through a write leaves the
-previous file (or none), never a truncated one for the next stage to read.
+previous file (or none, and no directory it made), never a truncated one.
 ``write_jsonl`` and ``write_json`` write JSON without ``\\u`` escapes, the
 rows of ``write_jsonl`` from one fixed template each, byte for byte as
 ``json.dumps(row, ensure_ascii=False)`` writes them;
@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import islice
-from json.encoder import encode_basestring
+from contextlib import suppress
+from itertools import islice, takewhile
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,13 +26,14 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 
     The lines stream into a dot-named temp file in the target's directory,
     which ``os.replace`` then renames onto ``path``; a missing directory is
-    made first. Any exception removes the temp file and leaves ``path`` as it
-    was. The temp file is made by plain ``open``, so a new file's mode
-    follows the umask."""
+    made first. Any exception removes the temp file and every directory it
+    made, and leaves ``path`` as it was. The temp file is made by plain
+    ``open``, so a new file's mode follows the umask."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    made = list(takewhile(lambda d: not d.exists(), path.parents))  # deepest first
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
             lines = iter(lines)
             while block := list(islice(lines, _BLOCK)):
@@ -40,7 +42,15 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        for directory in made:  # one not made after all, or no longer empty, stays
+            with suppress(OSError):
+                directory.rmdir()
         raise
+
+
+# json.dumps(value, ensure_ascii=False)'s own C encoder, to write a list in one call.
+_encode_list = c_make_encoder(None, json.JSONEncoder().default, encode_basestring, None,
+                              ": ", ", ", False, False, True)
 
 
 def _json(value) -> str:
@@ -58,7 +68,7 @@ def _json(value) -> str:
     if isinstance(value, float):
         return float.__repr__(value)
     if isinstance(value, (list, tuple)):
-        return f"[{', '.join(map(_json, value))}]"
+        return "".join(_encode_list(value, 0))
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -27,6 +27,7 @@ from . import incivility
 from ._checks import check_field_types, loads, read_json
 from ._output import write_json, write_jsonl, write_lines
 from .corpus import (
+    comment_blocks,
     filter_by_keywords,
     filter_by_tag,
     load_annotated,
@@ -67,8 +68,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)  # the sub-configs check their own fields
-        if self.split_seed < 0:
-            raise ValueError(f"split_seed must be >= 0, got {self.split_seed}")
+        for name in ("split_seed", "min_phrase_df", "min_comment_words"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "keywords", tuple(self.keywords))
 
 
@@ -205,18 +207,19 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_paths(cfg, "articles", "comments")
     classifiers = _load_aspect_classifiers(Path(cfg.model_dir))
     articles = _maybe_filter_keywords(load_articles(cfg.articles), cfg)
-    ids, article_ids, texts = load_comment_columns(cfg.comments,
-                                                   min_words=cfg.min_comment_words)
     out_dir = Path(cfg.out_dir)
-    columns, weights = incivility.article_weights(classifiers, texts, article_ids)
+    # Comment blocks stream from reader to writer; only the article scores stay.
+    by_article: dict[str, list[float]] = {}
     # Ids are strings, for which json.dumps is exactly encode_basestring_ascii.
     line = ('{"comment_id": %s, "toxicity": %.6f, "aggression": %.6f, "attack": %.6f, '
             '"incivility": %.6f}')
     write_lines(out_dir / "scores.jsonl", (
-        line % row for row in zip(map(encode_basestring_ascii, ids), *columns)
+        line % row
+        for ids, article_ids, texts in comment_blocks(cfg.comments, cfg.min_comment_words)
+        for row in zip(map(encode_basestring_ascii, ids),
+                       *incivility.fold_scores(classifiers, texts, article_ids, by_article))
     ))
-
-    weight_of = {w.article_id: w for w in weights}
+    weight_of = {w.article_id: w for w in incivility.article_means(by_article)}
     kept = [(a, weight_of[a.id]) for a in articles if a.id in weight_of]
     write_jsonl(out_dir / "article_weights.jsonl",
                 ("article_id", "weight", "n_comments", "source"),
@@ -224,7 +227,7 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     if len(kept) < len(articles):
         print(f"excluded {len(articles) - len(kept)} articles with zero comments",
               file=sys.stderr)
-    print(f"scored {len(ids)} comments across {len(kept)} articles")
+    print(f"scored {sum(map(len, by_article.values()))} comments across {len(kept)} articles")
     return 0
 
 

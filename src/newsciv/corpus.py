@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ._checks import _KINDS, loads
 from ._output import write_jsonl
-from .textproc import tokenize_each
+from . import textproc
 
 T = TypeVar("T")
 
@@ -269,29 +269,35 @@ def load_articles(path: str | Path) -> list[Article]:
     return _load_rows(_rows(path, _ARTICLE_FIELDS, key="id"), _ARTICLE_FIELDS, Article)
 
 
+def comment_blocks(path: str | Path, min_words: int = 0
+                   ) -> Iterator[tuple[list[str], list[str], list[str]]]:
+    """The ids, article ids and texts of a comments.jsonl file, in file order,
+    as three lists of at most ``textproc._CHUNK`` rows at a time, each row
+    checked as :class:`Comment` checks it and no id repeated in the file.
+    ``min_words`` optionally drops comments with fewer tokens (off by default)."""
+    held: tuple[list[str], list[str], list[str]] = ([], [], [])
+    for linenos, rows in _chunks(path, _COMMENT_FIELDS, key="id"):
+        chunk = [list(map(itemgetter(name), rows)) for name in ("id", "article_id", "text")]
+        if not (all(chunk[0]) and all(chunk[2])):  # name the first empty id or text
+            _load_rows(zip(linenos, rows), _COMMENT_FIELDS, Comment)
+        if min_words > 0:
+            keep = [len(tokens) >= min_words for tokens in textproc.tokenize_each(chunk[2])]
+            chunk = [list(compress(column, keep)) for column in chunk]
+        for column, part in zip(held, chunk):
+            column += part
+        while len(held[0]) >= (size := textproc._CHUNK):
+            yield tuple(column[:size] for column in held)
+            held = tuple(column[size:] for column in held)
+    if held[0]:
+        yield held
+
+
 def load_comment_columns(path: str | Path, min_words: int = 0
                          ) -> tuple[list[str], list[str], list[str]]:
-    """The ids, article ids and texts of a comments.jsonl file, as three
-    lists in file order, each row checked as :class:`Comment` checks it.
-
-    ``min_words`` optionally drops comments with fewer tokens (off by
-    default; every loaded comment counts toward article weights).
-    """
-    ids: list[str] = []
-    article_ids: list[str] = []
-    texts: list[str] = []
-    for linenos, rows in _chunks(path, _COMMENT_FIELDS, key="id"):
-        chunk_ids = list(map(itemgetter("id"), rows))
-        chunk_texts = list(map(itemgetter("text"), rows))
-        if not (all(chunk_ids) and all(chunk_texts)):  # name the first empty one
-            _load_rows(zip(linenos, rows), _COMMENT_FIELDS, Comment)
-        ids += chunk_ids
-        article_ids += map(itemgetter("article_id"), rows)
-        texts += chunk_texts
-    if min_words > 0:
-        keep = [len(tokens) >= min_words for tokens in tokenize_each(texts)]
-        ids, article_ids, texts = (list(compress(c, keep)) for c in (ids, article_ids, texts))
-    return ids, article_ids, texts
+    """The blocks of :func:`comment_blocks` joined into three lists (the
+    empty block first gives an empty file its three lists)."""
+    blocks = zip(([], [], []), *comment_blocks(path, min_words))
+    return tuple(list(chain.from_iterable(column)) for column in blocks)
 
 
 def load_comments(path: str | Path, min_words: int = 0) -> list[Comment]:
@@ -428,7 +434,7 @@ def filter_by_keywords(articles: Iterable[Article], keywords: Iterable[str]) -> 
     if not keyset:
         raise ValueError("keyword set must be non-empty")
     articles = list(articles)
-    tokens = tokenize_each(text for a in articles for text in (a.title, a.body))
+    tokens = textproc.tokenize_each(text for a in articles for text in (a.title, a.body))
     return [a for a, title, body in zip(articles, tokens, tokens)
             if not keyset.isdisjoint(title + body)]
 

@@ -7,8 +7,8 @@ and personal-attack probabilities. An article's incivility weight is the
 mean score of its comments. Per source, articles whose weight strictly
 exceeds the source's median weight are labeled as provoking, which makes
 the two classes balanced by construction whenever weights are distinct.
-Scoring runs in batches; :func:`score_comment`, :func:`article_weight` and
-:func:`predict_provoking` are conveniences that run a batch of one.
+Scoring runs in batches, a block of comments at a time; :func:`score_comment`,
+:func:`article_weight` and :func:`predict_provoking` run a batch of one.
 """
 
 from __future__ import annotations
@@ -190,6 +190,25 @@ def mean_score(values: Sequence[float]) -> float:
     return min(max(mean, min(values)), max(values))
 
 
+def fold_scores(classifiers: AspectClassifiers, texts: Sequence[str],
+                article_ids: Sequence[str], by_article: dict[str, list[float]]):
+    """Score one block of ``texts`` (see :func:`article_weights`), append each
+    incivility to its article's list in ``by_article`` and return the block's
+    four score columns; folding blocks in file order keeps the lists in order."""
+    if len(texts) != len(article_ids):
+        raise ValueError(f"got {len(texts)} texts but {len(article_ids)} article ids")
+    columns = _score_columns(classifiers, texts)
+    for article_id, value in zip(article_ids, columns[3]):
+        by_article.setdefault(article_id, []).append(value)
+    return columns
+
+
+def article_means(by_article: Mapping[str, Sequence[float]]) -> list[ArticleIncivility]:
+    """The :func:`mean_score` weight of each article of ``by_article``, in order."""
+    return [ArticleIncivility(article_id=a, weight=mean_score(v), n_comments=len(v))
+            for a, v in by_article.items()]
+
+
 def article_weights(
     classifiers: AspectClassifiers, texts: Sequence[str], article_ids: Sequence[str]
 ) -> tuple[tuple[list[float], list[float], list[float], list[float]],
@@ -201,17 +220,8 @@ def article_weights(
     order (the fields of :func:`score_comments`' scores, as columns) and one
     weight per article, in order of the article's first comment.
     """
-    if len(texts) != len(article_ids):
-        raise ValueError(f"got {len(texts)} texts but {len(article_ids)} article ids")
-    columns = _score_columns(classifiers, texts)
     by_article: dict[str, list[float]] = {}
-    for article_id, value in zip(article_ids, columns[3]):
-        by_article.setdefault(article_id, []).append(value)
-    weights = [
-        ArticleIncivility(article_id=a, weight=mean_score(v), n_comments=len(v))
-        for a, v in by_article.items()
-    ]
-    return columns, weights
+    return fold_scores(classifiers, texts, article_ids, by_article), article_means(by_article)
 
 
 def article_weight(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsciv import cli, corpus
+from newsciv import cli, corpus, incivility, textproc
 from newsciv.cli import RunConfig, _load_run_config, build_parser, main
 from newsciv.corpus import Article, save_articles
 from newsciv.features import TfidfConfig
@@ -77,6 +77,21 @@ def f_string_score_line(comment_id: str, score) -> str:
             f'"aggression": {score.aggression:.6f}, '
             f'"attack": {score.attack:.6f}, '
             f'"incivility": {score.value:.6f}}}')
+
+
+# Comments in a file of more than two blocks, the third one short.
+LATE_ROWS = 2 * textproc._CHUNK + 100
+
+
+def many_comments(pipeline_dir: Path, path: Path, n: int, bad: dict | None = None) -> Path:
+    """Write ``n`` comments on the pipeline's articles, their texts reused
+    under new ids, with the fields of ``bad[i]`` put into row ``i``."""
+    base = jsonl(pipeline_dir / "data" / "comments.jsonl")
+    rows = [{**base[i % len(base)], "id": f"c{i}"} for i in range(n)]
+    for i, fields in (bad or {}).items():
+        rows[i].update(fields)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return path
 
 
 class TestGenerateSynthetic:
@@ -307,6 +322,90 @@ class TestScore:
         config = (pipeline_dir / "config_path.txt").read_text()
         assert main(["score", "--config", config, "--out", str(tmp_path / "out")]) == 0
         assert calls == ["score"]
+
+    def test_scores_one_block_of_comments_at_a_time(self, pipeline_dir, tmp_path,
+                                                    monkeypatch):
+        """No scoring call gets more than one block of texts, so ``score``
+        holds one block of comments however long the file is."""
+        sizes = []
+        original = incivility._score_columns
+
+        def recording(classifiers, texts):
+            sizes.append(len(texts))
+            return original(classifiers, texts)
+
+        monkeypatch.setattr(incivility, "_score_columns", recording)
+        path = many_comments(pipeline_dir, tmp_path / "comments.jsonl", LATE_ROWS)
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--comments", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        block = textproc._CHUNK
+        assert sizes == [block, block, LATE_ROWS - 2 * block]
+        assert len(jsonl(tmp_path / "out" / "scores.jsonl")) == LATE_ROWS
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"text": None}, "invalid text None, must be a string"),
+        ({"id": "c5"}, "duplicate id 'c5'"),
+    ], ids=["bad-type", "repeated-id"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_bad_row_in_a_late_block_exits_2_and_writes_nothing(
+            self, pipeline_dir, tmp_path, capsys, bad, message, existing):
+        """A bad row found after two blocks were scored and written is named
+        as before, and leaves no new directory, no temp file and an older
+        ``scores.jsonl`` byte for byte."""
+        lineno = 2 * textproc._CHUNK + 50
+        path = many_comments(pipeline_dir, tmp_path / "comments.jsonl", LATE_ROWS,
+                             bad={lineno - 1: bad})
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "scores.jsonl").write_text("older scores\n")
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--comments", str(path),
+                     "--out", str(out)]) == 2
+        assert f"line {lineno}: {message}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["comments.jsonl"] + ["out"] * existing
+        if existing:
+            assert os.listdir(out) == ["scores.jsonl"]
+            assert (out / "scores.jsonl").read_bytes() == b"older scores\n"
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 50), n_articles=st.integers(1, 5),
+           per_article=st.integers(1, 6), data=st.data())
+    def test_block_size_changes_no_output_byte(self, pipeline_dir, seed, n_articles,
+                                               per_article, data):
+        """Scored a block of 1, 7, n - 1, n or n + 1 comments at a time, the
+        files are those of scoring all n comments in one batch, with short
+        comments dropped and a keyword filter on the articles."""
+        n = n_articles * per_article
+        short = data.draw(st.sets(st.integers(0, n - 1)))
+        config = (pipeline_dir / "config_path.txt").read_text()
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            assert main(["generate-synthetic", "--seed", str(seed), "--out", str(root),
+                         "--n-articles", str(n_articles), "--comments-per-article",
+                         str(per_article), "--n-annotated", "2"]) == 0
+            rows = jsonl(root / "comments.jsonl")
+            for i in short:
+                rows[i]["text"] = rows[i]["text"].split()[0]
+            (root / "comments.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+            def files(block: int) -> list[bytes]:
+                out = root / f"out{block}"
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(textproc, "_CHUNK", block)
+                    assert main(["score", "--config", config, "--articles",
+                                 str(root / "articles.jsonl"), "--comments",
+                                 str(root / "comments.jsonl"), "--out", str(out),
+                                 "--min-comment-words", "2",
+                                 "--set", 'keywords=["tunnel"]']) == 0
+                return [(out / name).read_bytes()
+                        for name in ("scores.jsonl", "article_weights.jsonl")]
+
+            one_batch = files(n + 1)
+            assert one_batch[0].count(b"\n") == n - len(short)
+            for block in {1, 7, max(n - 1, 1), n}:
+                assert files(block) == one_batch, block
 
     @pytest.mark.parametrize("field", ["id", "source", "title", "body", "date"])
     def test_non_string_article_field_exits_2(self, pipeline_dir, tmp_path, capsys, field):
@@ -695,6 +794,8 @@ class TestConfigHandling:
         ("model_dir=5", "model_dir must be a string"),
         ("split_seed=x", "split_seed must be an integer"),
         ("split_seed=-1", "split_seed must be >= 0, got -1"),
+        ("min_comment_words=-3", "min_comment_words must be >= 0, got -3"),
+        ("min_phrase_df=-3", "min_phrase_df must be >= 0, got -3"),
         ("articles=[]", "articles must be a string or null"),
     ])
     def test_mistyped_run_config_set_exits_2(self, tmp_path, capsys, item, message):

@@ -1,8 +1,9 @@
-"""The writer module: a failed write leaves no trace, a new file gets the
-mode plain ``open`` gives it, a missing directory is made on the first
-write into it, a JSONL row is the bytes ``json.dumps(row,
-ensure_ascii=False)`` gives, and no other module writes files, makes
-directories or encodes JSON one value at a time with ``json.dumps``.
+"""The writer module: a failed write leaves no trace, not even a directory
+it made, a new file gets the mode plain ``open`` gives it, a missing
+directory is made on the first write into it, a JSONL row is the bytes
+``json.dumps(row, ensure_ascii=False)`` gives, and no other module writes
+files, makes directories or encodes JSON one value at a time with
+``json.dumps``.
 The layering guard keeps the topic model and subtext mining off the corpus
 types: they take plain texts."""
 
@@ -62,7 +63,16 @@ def test_failed_write_into_missing_directory_leaves_no_temp_file(tmp_path):
     path = tmp_path / "a" / "b" / "comments.jsonl"
     with pytest.raises(RuntimeError, match="stream broke"):
         save_comments(comments(5, fail_after=2), path)
-    assert os.listdir(path.parent) == []
+    assert not (tmp_path / "a").exists()
+
+
+def test_failed_write_removes_only_the_directories_it_made(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "kept.txt").write_text("kept")
+    path = tmp_path / "a" / "b" / "c" / "comments.jsonl"
+    with pytest.raises(RuntimeError, match="stream broke"):
+        save_comments(comments(5, fail_after=2), path)
+    assert os.listdir(tmp_path / "a") == ["kept.txt"]
 
 
 def test_new_file_mode_follows_the_umask_like_plain_open(tmp_path):
