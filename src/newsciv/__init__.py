@@ -26,7 +26,6 @@ from .corpus import (
     filter_by_tag,
     load_annotated,
     load_articles,
-    load_comment_columns,
     load_comments,
     save_annotated,
     save_articles,

@@ -73,10 +73,10 @@ def loads(text: str, where: str):
 
 def read_json(path: str | Path):
     """The JSON value in file ``path``, as :func:`loads` decodes it, but
-    text that is not JSON raises ValueError naming the file."""
+    text that is not UTF-8 or not JSON raises ValueError naming the file."""
     try:
         return loads(Path(path).read_text(encoding="utf-8"), str(path))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -72,7 +72,7 @@ def _json(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def write_jsonl(path: str | Path, keys: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_jsonl(path: str | Path, keys: Iterable[str], rows: Iterable[Sequence]) -> None:
     """One JSON object per line: each row's values under ``keys``, in order.
     The line is ``json.dumps(dict(zip(keys, row)), ensure_ascii=False)``,
     formed from one ``%`` template of the keys without a JSON encoder per row."""

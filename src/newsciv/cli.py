@@ -32,7 +32,6 @@ from .corpus import (
     filter_by_tag,
     load_annotated,
     load_articles,
-    load_comment_columns,
     read_rows,
     save_annotated,
     save_articles,
@@ -40,7 +39,8 @@ from .corpus import (
 )
 from .features import TfidfConfig, load_tfidf, save_tfidf
 from .lda import LdaConfig
-from .linmodel import LogisticModel, TrainConfig, evaluate, load_logistic, save_logistic
+from .linmodel import (DECISION_THRESHOLD, LogisticModel, TrainConfig, evaluate,
+                       load_logistic, save_logistic)
 from .subtext import DEFAULT_MIN_PHRASE_DF, mine_subtext, save_report
 from .synthetic import SyntheticConfig, generate_corpus
 
@@ -203,6 +203,10 @@ def _load_aspect_classifiers(model_dir: Path) -> incivility.AspectClassifiers:
     )
 
 
+# article_weights.jsonl, as ``score`` writes and ``label-train-provoking`` reads it.
+_WEIGHT_FIELDS = {"article_id": "str", "weight": "float", "n_comments": "int", "source": "str"}
+
+
 def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_paths(cfg, "articles", "comments")
     classifiers = _load_aspect_classifiers(Path(cfg.model_dir))
@@ -221,8 +225,7 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     ))
     weight_of = {w.article_id: w for w in incivility.article_means(by_article)}
     kept = [(a, weight_of[a.id]) for a in articles if a.id in weight_of]
-    write_jsonl(out_dir / "article_weights.jsonl",
-                ("article_id", "weight", "n_comments", "source"),
+    write_jsonl(out_dir / "article_weights.jsonl", _WEIGHT_FIELDS,
                 ((w.article_id, w.weight, w.n_comments, article.source) for article, w in kept))
     if len(kept) < len(articles):
         print(f"excluded {len(articles) - len(kept)} articles with zero comments",
@@ -239,11 +242,7 @@ def cmd_label_train_provoking(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError(f"article weights file not found: {weights_path} (run 'score' first)")
 
     body_of = {a.id: a for a in load_articles(cfg.articles)}
-    rows = read_rows(
-        weights_path,
-        {"article_id": "str", "weight": "float", "n_comments": "int", "source": "str"},
-        key="article_id",
-    )
+    rows = read_rows(weights_path, _WEIGHT_FIELDS, key="article_id")
     if not rows:
         raise ValueError("article weights file is empty")
     missing = [row["article_id"] for row in rows if row["article_id"] not in body_of]
@@ -295,7 +294,7 @@ def cmd_predict_provoking(cfg: RunConfig, args: argparse.Namespace) -> int:
     write_lines(Path(cfg.out_dir) / "provoking_predictions.jsonl", (
         f'{{"article_id": {encode_basestring_ascii(article.id)}, '
         f'"probability": {proba:.6f}, '
-        f'"label": {"true" if proba > incivility.PROVOKING_THRESHOLD else "false"}}}'
+        f'"label": {"true" if proba > DECISION_THRESHOLD else "false"}}}'
         for article, proba in zip(articles, probs.tolist())
     ))
     print(f"predicted {len(articles)} articles")
@@ -309,14 +308,12 @@ def cmd_mine_subtext(cfg: RunConfig, args: argparse.Namespace) -> int:
         articles = filter_by_tag(articles, cfg.tag)
         if not articles:
             raise ValueError(f"no articles carry tag {cfg.tag!r}")
-    _, article_ids, texts = load_comment_columns(cfg.comments, min_words=cfg.min_comment_words)
     kept = {a.id for a in articles}
-    report = mine_subtext(
-        [a.body for a in articles],
-        [text for article_id, text in zip(article_ids, texts) if article_id in kept],
-        config=cfg.lda,
-        min_phrase_df=cfg.min_phrase_df,
-    )
+    # Only the kept articles' comment texts are held, a block at a time.
+    texts = [text for _, article_ids, block in comment_blocks(cfg.comments, cfg.min_comment_words)
+             for article_id, text in zip(article_ids, block) if article_id in kept]
+    report = mine_subtext([a.body for a in articles], texts, config=cfg.lda,
+                          min_phrase_df=cfg.min_phrase_df)
     out_dir = Path(cfg.out_dir)
     save_report(report, out_dir / "subtext.json", out_dir / "subtext.md")
     print(f"{len(report.content_phrases)} content phrases, "

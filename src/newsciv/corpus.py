@@ -2,16 +2,18 @@
 annotated training comments.
 
 All corpora are JSON-lines files (one object per line, UTF-8). Loaders are
-strict: malformed lines, missing fields, out-of-range ratings, and
-duplicate ids raise :class:`CorpusError` naming the offending line or id.
+strict: every malformed line (a byte that is not UTF-8 included), missing
+field, out-of-range rating and duplicate id raises :class:`CorpusError`
+naming the offending line or id.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -21,6 +23,10 @@ from ._output import write_jsonl
 from . import textproc
 
 T = TypeVar("T")
+
+# A code point that UTF-8 cannot encode. A JSON "\ud800" escape loads as one,
+# and a byte that is not UTF-8 reads as one with errors="surrogateescape".
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class CorpusError(ValueError):
@@ -41,6 +47,9 @@ class Article:
             raise ValueError("article id must be non-empty")
         if not self.body:
             raise ValueError(f"article {self.id!r} has an empty body")
+        for name in ("id", "source"):  # output files hold them as UTF-8, unescaped
+            if _SURROGATE.search(value := getattr(self, name)):
+                raise ValueError(f"article {name} {value!r} holds a lone surrogate")
         object.__setattr__(self, "tags", frozenset(self.tags))
 
 
@@ -132,6 +141,13 @@ def _require(obj: dict, fields: dict[str, str | None], lineno: int) -> None:
 _CHUNK = 1024
 
 
+def _check_utf8(line: str, lineno: int) -> None:
+    """Raise CorpusError naming the line if ``line``, read from a file with
+    errors="surrogateescape", holds a byte that is not UTF-8."""
+    if not line.isascii() and (byte := _SURROGATE.search(line)):
+        raise CorpusError(f"line {lineno}: invalid UTF-8 byte 0x{ord(byte[0]) - 0xDC00:02x}")
+
+
 def _check_row(row, fields: dict[str, str | None], key: str | None, seen: set,
                lineno: int) -> None:
     """Raise CorpusError naming the line unless ``row`` is an object that
@@ -197,34 +213,30 @@ def _chunks(path: str | Path, fields: dict[str, str | None],
     is read would."""
     seen: set = set()
     scan = json.JSONDecoder().scan_once
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         numbered = enumerate(fh, start=1)
         while True:
             linenos: list[int] = []
             rows: list = []
-            try:
-                for lineno, line in numbered:
-                    try:  # the fast path: one value from column 0, then the line end
-                        row, end = scan(line, 0)
-                        clean = line[end:] in ("\n", "")
-                    except (StopIteration, ValueError, RecursionError):
-                        clean = False
-                    if not clean:
-                        if not line.strip():
-                            continue
-                        try:
-                            row = loads(line, f"line {lineno}")
-                        except ValueError as exc:
-                            row = exc
-                    linenos.append(lineno)
-                    rows.append(row)
-                    if len(rows) == _CHUNK:
-                        break
-            except UnicodeDecodeError:
-                # A line that cannot be read (a byte that is not UTF-8) comes
-                # after the errors of the lines before it.
-                yield from _checked(linenos, rows, fields, key, seen)
-                raise
+            for lineno, line in numbered:
+                try:  # the fast path: one value from column 0, then the line end
+                    row, end = scan(line, 0)
+                    _check_utf8(line, lineno)
+                    clean = line[end:] in ("\n", "")
+                except (StopIteration, ValueError, RecursionError):
+                    clean = False
+                if not clean:
+                    if not line.strip():
+                        continue
+                    try:
+                        _check_utf8(line, lineno)
+                        row = loads(line, f"line {lineno}")
+                    except ValueError as exc:
+                        row = exc
+                linenos.append(lineno)
+                rows.append(row)
+                if len(rows) == _CHUNK:
+                    break
             if not rows:
                 return
             yield from _checked(linenos, rows, fields, key, seen)
@@ -277,7 +289,7 @@ def comment_blocks(path: str | Path, min_words: int = 0
     ``min_words`` optionally drops comments with fewer tokens (off by default)."""
     held: tuple[list[str], list[str], list[str]] = ([], [], [])
     for linenos, rows in _chunks(path, _COMMENT_FIELDS, key="id"):
-        chunk = [list(map(itemgetter(name), rows)) for name in ("id", "article_id", "text")]
+        chunk = [list(map(itemgetter(name), rows)) for name in _COMMENT_FIELDS]
         if not (all(chunk[0]) and all(chunk[2])):  # name the first empty id or text
             _load_rows(zip(linenos, rows), _COMMENT_FIELDS, Comment)
         if min_words > 0:
@@ -292,18 +304,10 @@ def comment_blocks(path: str | Path, min_words: int = 0
         yield held
 
 
-def load_comment_columns(path: str | Path, min_words: int = 0
-                         ) -> tuple[list[str], list[str], list[str]]:
-    """The blocks of :func:`comment_blocks` joined into three lists (the
-    empty block first gives an empty file its three lists)."""
-    blocks = zip(([], [], []), *comment_blocks(path, min_words))
-    return tuple(list(chain.from_iterable(column)) for column in blocks)
-
-
 def load_comments(path: str | Path, min_words: int = 0) -> list[Comment]:
     """Load a comments.jsonl file, preserving file order; ``min_words`` is
-    as for :func:`load_comment_columns`."""
-    return list(map(Comment, *load_comment_columns(path, min_words)))
+    as for :func:`comment_blocks`."""
+    return [Comment(*row) for block in comment_blocks(path, min_words) for row in zip(*block)]
 
 
 def _as_rating_list(value, lineno: int, name: str) -> list[int]:
@@ -354,14 +358,16 @@ def _tsv_rows(path: str | Path, fields: dict[str, Callable]) -> Iterator[tuple[i
     tab-separated file ``path``. The header must name every field of
     ``fields``; a row maps each field to its column parsed by ``fields[name]``,
     whose ValueError becomes a CorpusError naming the line."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        _check_utf8(first := fh.readline(), 1)
+        header = first.rstrip("\n").split("\t")
         for name in fields:
             if name not in header:
                 raise CorpusError(f"line 1: missing field {name}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
+            _check_utf8(line, lineno)
             parts = line.rstrip("\n").split("\t")
             if len(parts) != len(header):
                 raise CorpusError(f"line {lineno}: expected {len(header)} columns, "
@@ -409,17 +415,16 @@ def load_annotated(path: str | Path) -> list[AnnotatedComment]:
 
 def save_articles(articles: Iterable[Article], path: str | Path) -> None:
     """Write articles.jsonl; tags are serialized sorted for reproducibility."""
-    write_jsonl(path, ("id", "source", "title", "body", "tags", "date"),
+    write_jsonl(path, _ARTICLE_FIELDS,
                 ((a.id, a.source, a.title, a.body, sorted(a.tags), a.date) for a in articles))
 
 
 def save_comments(comments: Iterable[Comment], path: str | Path) -> None:
-    write_jsonl(path, ("id", "article_id", "text"),
-                ((c.id, c.article_id, c.text) for c in comments))
+    write_jsonl(path, _COMMENT_FIELDS, ((c.id, c.article_id, c.text) for c in comments))
 
 
 def save_annotated(annotated: Iterable[AnnotatedComment], path: str | Path) -> None:
-    write_jsonl(path, ("id", "text", "toxicity", "aggression", "attack"),
+    write_jsonl(path, _ANNOTATED_FIELDS,
                 ((ac.id, ac.text, ac.toxicity_ratings, ac.aggression_ratings, ac.attack_flags)
                  for ac in annotated))
 

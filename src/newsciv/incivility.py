@@ -19,7 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import AnnotatedComment, Article, Comment, train_test_split
 from .features import TfidfConfig, TfidfModel, fit_transform
-from .linmodel import EvalReport, LogisticModel, TrainConfig, evaluate, train_logistic
+from .linmodel import (DECISION_THRESHOLD, EvalReport, LogisticModel, TrainConfig,
+                       evaluate, train_logistic)
 
 ASPECTS = ("toxicity", "aggression", "attack")
 
@@ -31,9 +32,6 @@ ASPECT_TFIDF_CONFIG = TfidfConfig(n_min=1, n_max=2, min_df=3, max_df_ratio=1.0)
 ARTICLE_TFIDF_CONFIG = TfidfConfig(n_min=2, n_max=2, min_df=1, max_df_ratio=1.0)
 
 ASPECT_RULE_THRESHOLD = 0.5  # the share of votes an aspect label must exceed
-
-# An article is predicted provoking when its probability strictly exceeds this.
-PROVOKING_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -330,9 +328,9 @@ def train_provoking_classifier(
 
 
 def predict_provoking(pipeline: ProvokingClassifier, body: str) -> tuple[float, bool]:
-    """Probability and label (above ``PROVOKING_THRESHOLD``) of one body."""
+    """Probability and label (above ``DECISION_THRESHOLD``) of one body."""
     proba = float(pipeline.model.predict_proba(pipeline.tfidf.transform([body]))[0])
-    return proba, proba > PROVOKING_THRESHOLD
+    return proba, proba > DECISION_THRESHOLD
 
 
 def weights_by_source(

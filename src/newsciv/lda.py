@@ -146,11 +146,8 @@ class LdaModel:
             - topics + self.n_topics * math.lgamma(v_beta)
         )
 
-    def sweep(self) -> None:
-        """Draw theta and phi, then every token's topic, once."""
-        self._run_sweeps(1)
-
-    def _run_sweeps(self, n_sweeps: int) -> None:
+    def sweep(self, n_sweeps: int = 1) -> None:
+        """Draw theta and phi, then every token's topic, ``n_sweeps`` times."""
         # A token's current topic has a count of at least 1 in both draws,
         # so its weights are not all zero. They are formed once per sweep,
         # _BLOCK tokens at a time: a tokens x topics matrix would dominate
@@ -209,7 +206,7 @@ def fit_lda(bags: Bags, config: LdaConfig | None = None) -> LdaModel:
     if config is None:
         config = LdaConfig()
     model = LdaModel(bags, config)
-    model._run_sweeps(config.iterations)
+    model.sweep(config.iterations)
     return model
 
 

@@ -2,8 +2,8 @@
 ``newsciv.corpus._rows`` ran before it checked rows a column at a time.
 Each line is decoded with ``json.loads`` and checked on its own, in file
 order, so the first bad line is the one named. A line nested too deep to
-decode, or holding an integer too long to convert, is a CorpusError naming
-it, as in ``newsciv.corpus``. The comment loaders build one ``Comment`` per
+decode, holding an integer too long to convert, or holding a byte that is
+not UTF-8, is a CorpusError naming it, as in ``newsciv.corpus``. The comment loaders build one ``Comment`` per
 row, as ``newsciv.corpus`` did before it read comments as columns.
 """
 
@@ -40,10 +40,15 @@ def _rows(path: str | Path, fields: dict[str, str | None],
     each checked to hold ``fields`` (see ``_require``). With ``key``, a string
     field of ``fields``, a row whose ``key`` value an earlier row had is rejected."""
     seen: set = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            try:  # the line's own bytes, decoded strictly
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                byte = exc.object[exc.start]
+                raise CorpusError(f"line {lineno}: invalid UTF-8 byte 0x{byte:02x}") from None
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:

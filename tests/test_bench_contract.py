@@ -3,13 +3,15 @@ through module attributes (``subtext.phrase_documents``, ``lda.LdaConfig``,
 ...) and ``tracer.py`` through the function names it wraps. Both files are
 read here with ``ast``, and one test runs the tracer from its source over a
 subtext run; neither file is changed or imported as a module. A refactor
-that renames or removes one of those names fails here instead of breaking
-the benchmark's output checks or zeroing its per-layer metrics."""
+that renames or removes one of those names, or reshapes the signature of a
+call child.py makes, fails here instead of breaking the benchmark's output
+checks or zeroing its per-layer metrics."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import random
 import types
 from pathlib import Path
@@ -24,22 +26,44 @@ from test_subtext import build_corpus
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+CHILD_TREE = ast.parse((PERFBENCH / "child.py").read_text(encoding="utf-8"))
+# The modules child.py imports with ``from newsciv import ...``.
+CHILD_MODULES = {
+    alias.asname or alias.name
+    for node in ast.walk(CHILD_TREE)
+    if isinstance(node, ast.ImportFrom) and node.module == "newsciv"
+    for alias in node.names
+}
+
+
 def _child_attributes() -> list[tuple[str, str]]:
     """(module, attribute) for every ``module.attribute`` that child.py
-    reads from a module it imports with ``from newsciv import ...``."""
-    tree = ast.parse((PERFBENCH / "child.py").read_text(encoding="utf-8"))
-    modules = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "newsciv"
-        for alias in node.names
-    }
+    reads from a module in ``CHILD_MODULES``."""
+    tree, modules = CHILD_TREE, CHILD_MODULES
     return sorted({
         (node.value.id, node.attr)
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
         and node.value.id in modules
     })
+
+
+def _child_calls() -> list[tuple[str, int, tuple[str, ...]]]:
+    """(dotted name, positional count, keyword names) of every call child.py
+    makes to a name under a module in ``CHILD_MODULES``, such as
+    ``corpus.Corpus.build(articles, comments)``."""
+    calls = set()
+    for node in ast.walk(CHILD_TREE):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if parts and isinstance(func, ast.Name) and func.id in CHILD_MODULES:
+            calls.add((".".join([func.id, *reversed(parts)]), len(node.args),
+                       tuple(keyword.arg for keyword in node.keywords)))
+    return sorted(calls)
 
 
 def _boundaries() -> dict[str, tuple[str, ...]]:
@@ -53,6 +77,7 @@ def _boundaries() -> dict[str, tuple[str, ...]]:
 
 
 CHILD_ATTRIBUTES = _child_attributes()
+CHILD_CALLS = _child_calls()
 TRACED = [(layer, name) for layer, names in _boundaries().items()
           if layer in ("lda", "subtext", "textproc") for name in names]
 # Traced names that newsciv no longer has: the string n-gram helpers, which
@@ -73,6 +98,24 @@ def test_child_reads_the_names_the_checks_need():
                          ids=[f"{m}.{a}" for m, a in CHILD_ATTRIBUTES])
 def test_child_attribute_resolves(module, attribute):
     assert hasattr(importlib.import_module(f"newsciv.{module}"), attribute)
+
+
+def test_child_calls_include_dotted_names():
+    assert ("corpus.Corpus.build", 2, ()) in CHILD_CALLS
+    assert ("incivility.label_articles", 2, ("source",)) in CHILD_CALLS
+
+
+@pytest.mark.parametrize("dotted, n_positional, keywords", CHILD_CALLS,
+                         ids=[f"{d}/{n}/{','.join(k)}" for d, n, k in CHILD_CALLS])
+def test_child_call_binds_to_the_signature(dotted, n_positional, keywords):
+    """Each call child.py makes binds, by its positional count and keyword
+    names, to the current signature of what it calls."""
+    assert None not in keywords, "a **mapping argument cannot be checked"
+    module, *path = dotted.split(".")
+    target = importlib.import_module(f"newsciv.{module}")
+    for part in path:
+        target = getattr(target, part)
+    inspect.signature(target).bind(*range(n_positional), **dict.fromkeys(keywords))
 
 
 @pytest.mark.parametrize("layer, qualname", TRACED, ids=[f"{l}.{q}" for l, q in TRACED])

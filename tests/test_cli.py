@@ -243,6 +243,33 @@ class TestScore:
         err = capsys.readouterr().err
         assert f"{models / name}: {message}" in err
 
+    def test_model_file_byte_not_utf8_names_the_file(self, pipeline_dir, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(pipeline_dir / "models", models)
+        path = models / "aspect_attack.json"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--model-dir", str(models),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["id", "source"])
+    def test_lone_surrogate_in_article_exits_2_before_writing(self, pipeline_dir, tmp_path,
+                                                               capsys, field):
+        """Article ids and sources are written unescaped, so one that UTF-8
+        cannot encode is rejected at its line, before any file is written."""
+        rows = jsonl(pipeline_dir / "data" / "articles.jsonl")
+        rows[2][field] += "\ud800"
+        path = tmp_path / "articles.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--articles", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: line 3: article {field} {rows[2][field]!r} holds a lone surrogate" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, value", [
         ("text", None), ("text", {"x": 1}), ("text", ["a", "b"]), ("article_id", 3),
@@ -699,10 +726,12 @@ class TestConfigHandling:
     @pytest.mark.parametrize("text, message", [
         ('{"synthetic": ', "Expecting value"),
         ("[1, 2]", "config file must hold a JSON object"),
+        pytest.param('{"out_dir": "\udcff"}', "'utf-8' codec can't decode byte 0xff in position 13",
+                     id="not-utf-8"),
     ])
     def test_bad_config_error_names_the_file(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
-        bad.write_text(text)
+        bad.write_text(text, encoding="utf-8", errors="surrogateescape")
         assert main(["generate-synthetic", "--config", str(bad),
                      "--out", str(tmp_path / "out")]) == 2
         assert f"error: {bad}: {message}" in capsys.readouterr().err

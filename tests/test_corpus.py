@@ -20,11 +20,11 @@ from newsciv.corpus import (
     Comment,
     Corpus,
     CorpusError,
+    comment_blocks,
     filter_by_keywords,
     filter_by_tag,
     load_annotated,
     load_articles,
-    load_comment_columns,
     load_comments,
     read_rows,
     save_annotated,
@@ -75,6 +75,14 @@ class TestTypes:
             AnnotatedComment("w1", "x", (3,), (0,), (True,))
         with pytest.raises(ValueError):
             AnnotatedComment("w1", "x", (3,), (3,), ())
+
+    def test_article_rejects_a_lone_surrogate_in_id_or_source(self):
+        for field in ("id", "source"):
+            with pytest.raises(ValueError, match=f"article {field} .* holds a lone surrogate"):
+                Article(**{"id": "a1", "source": "s", "title": "t", "body": "b",
+                           field: "x\udfff"})
+        assert Article(id="a1", source="s", title="t\ud800", body="b\ud800").title == "t\ud800"
+        assert Comment(id="c\ud800", article_id="a\ud800", text="t").id == "c\ud800"
 
 
 class TestLoadArticles:
@@ -148,7 +156,7 @@ class TestLoadComments:
 
     @pytest.mark.parametrize("load", [
         lambda path, n: [(c.id, c.article_id, c.text) for c in load_comments(path, n)],
-        lambda path, n: list(zip(*load_comment_columns(path, n))),
+        lambda path, n: [row for block in comment_blocks(path, n) for row in zip(*block)],
     ], ids=["comments", "columns"])
     @pytest.mark.parametrize("min_words", [1, 2, 3])
     def test_min_words_matches_per_text_tokenize(self, tmp_path, monkeypatch, min_words,
@@ -258,10 +266,17 @@ class TestLoadAnnotated:
         (TSV_HEADER, "w1\tx\t2\t1\t 2 ", "line 2: attack flag '2' is not a boolean"),
         (TSV_HEADER, "w1\tx\t6\t1\t1", "line 2: toxicity rating 6 outside [1, 5]"),
         (TSV_HEADER, "w1\tx\t2\t0\t1", "line 2: aggression rating 0 outside [1, 5]"),
+        # Bytes that are not UTF-8, written through errors="surrogateescape".
+        pytest.param(TSV_HEADER, "w1\tfine\t2\t1\t1\nw2\tbad \udcff\t2\t1\t1",
+                     "line 3: invalid UTF-8 byte 0xff", id="byte-in-row"),
+        pytest.param(TSV_HEADER.replace("text", "text\udcfe"), "w1\tx\t2\t1\t1",
+                     "line 1: invalid UTF-8 byte 0xfe", id="byte-in-header"),
+        pytest.param(TSV_HEADER, "w1\tx\tthree\t1\t1\nw2\t\udcc3\t2\t1\t1",
+                     "line 2: non-integer rating", id="bad-row-then-byte"),
     ])
     def test_tsv_bad_row_names_line(self, tmp_path, header, row, message):
         path = tmp_path / "annotated.tsv"
-        path.write_text(f"{header}\n{row}\n")
+        path.write_text(f"{header}\n{row}\n", encoding="utf-8", errors="surrogateescape")
         with pytest.raises(CorpusError, match=re.escape(message)):
             load_annotated(path)
 
@@ -320,6 +335,17 @@ DAMAGE = [
     '{"id": "c9", "article_id": "a1", "text": "bad \udcff byte"}',
 ]
 
+
+def comment_columns(path) -> tuple[list[str], list[str], list[str]]:
+    """The ids, article ids and texts of the blocks of ``comment_blocks``,
+    each joined into one list."""
+    columns: tuple[list[str], list[str], list[str]] = ([], [], [])
+    for block in comment_blocks(path):
+        for column, part in zip(columns, block):
+            column += part
+    return columns
+
+
 COMMENT_LINES = [
     comment_line("c1"), comment_line("c2"), comment_line("c3"),
     comment_line('é "q" \\ \x01 \u2028'),
@@ -335,7 +361,7 @@ COMMENT_LINES = [
 # Ids repeat across lines, so duplicates are drawn often.
 CASES = {
     "comments": (load_comments, corpus_module._COMMENT_FIELDS, "id", COMMENT_LINES),
-    "comment columns": (load_comment_columns, corpus_module._COMMENT_FIELDS, "id",
+    "comment columns": (comment_columns, corpus_module._COMMENT_FIELDS, "id",
                         COMMENT_LINES),
     "weights": (lambda path: read_rows(path, WEIGHT_FIELDS, key="article_id"), WEIGHT_FIELDS,
                 "article_id", [
@@ -431,11 +457,24 @@ class TestColumnReader:
                      id="long-integer"),
         pytest.param(f'{comment_line("c1", text="")}\n{LONG_INT_LINE}\n', 1024,
                      "line 1: comment 'c1' has empty text", id="long-integer-after-empty-text"),
+        # A byte that is not UTF-8 (written through errors="surrogateescape")
+        # is named in file order with the other line errors: after a line
+        # that is not JSON, before one; an encoded surrogate; a sequence cut
+        # short by the end of the file.
+        pytest.param(f'{comment_line("c1")}\n{{not json\n{{"id": "\udcff"}}\n', 1024,
+                     "line 2: invalid JSON: Expecting property name", id="json-then-byte"),
+        pytest.param(f'{comment_line("c1")}\n{{"id": "\udcff"}}\n{{not json\n', 1,
+                     "line 2: invalid UTF-8 byte 0xff", id="byte-then-json"),
+        pytest.param(f'{comment_line("c1")}\n{{"id": "c2", "article_id": "a1", "text": "'
+                     '\u00e9 \udced\udca0\udc80"}\n', 2, "line 2: invalid UTF-8 byte 0xed",
+                     id="encoded-surrogate"),
+        pytest.param(f'{comment_line("c1")}\n{{"id": "c2", "text": "x\udcc3', 1024,
+                     "line 2: invalid UTF-8 byte 0xc3", id="cut-short"),
     ])
     def test_first_bad_line_is_named(self, tmp_path, monkeypatch, text, chunk, message):
         monkeypatch.setattr(corpus_module, "_CHUNK", chunk)
         path = tmp_path / "comments.jsonl"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
         with pytest.raises(CorpusError, match=re.escape(message)):
             load_comments(path)
         assert outcomes("comments", path) == reference_outcomes("comments", path)
@@ -469,8 +508,8 @@ class TestColumnReader:
 
     @pytest.mark.parametrize("first", [comment_line("c1", text=None), comment_line("c1", text="")])
     def test_bad_byte_past_the_first_read_comes_after_earlier_lines(self, tmp_path, first):
-        """A byte that is not UTF-8 is raised when the file is read that
-        far, after the errors of every line read before it."""
+        """A byte that is not UTF-8 is an error naming its line, raised
+        after the errors of every line before it."""
         good = "".join(comment_line(f"c{i}", text="words " * 20) + "\n" for i in range(2, 200))
         path = tmp_path / "comments.jsonl"
         path.write_bytes(f"{first}\n{good}".encode() + b'{"id": "\xff"}\n')
@@ -479,7 +518,7 @@ class TestColumnReader:
         assert outcomes("comments", path) == expected
         path.write_bytes(f"{good}".encode() + b'{"id": "\xff"}\n')
         expected = reference_outcomes("comments", path)
-        assert expected[1].startswith("UnicodeDecodeError: ")
+        assert expected[1] == "CorpusError: line 199: invalid UTF-8 byte 0xff"
         assert outcomes("comments", path) == expected
 
 

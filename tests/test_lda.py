@@ -200,7 +200,7 @@ class TestBlockedWeights:
     @staticmethod
     def assert_same_chain(bags, config, n_sweeps):
         model, oracle = LdaModel(bags, config), LdaModel(bags, config)
-        model._run_sweeps(n_sweeps)
+        model.sweep(n_sweeps)
         per_topic_sweeps(oracle, n_sweeps)
         assert np.array_equal(model.z, oracle.z)
         assert model.log_likelihoods == oracle.log_likelihoods
@@ -305,7 +305,7 @@ class TestPosterior:
             config = LdaConfig(**{**POSTERIOR_CONFIG, "seed": seed})
             model = LdaModel(bags, config)
             if sampler == "blocked":
-                model._run_sweeps(POSTERIOR_SWEEPS)
+                model.sweep(POSTERIOR_SWEEPS)
             else:
                 collapsed_sweeps(model, POSTERIOR_SWEEPS)
             finals[tuple(model.z.tolist())] += 1

@@ -115,8 +115,8 @@ def assert_same_bags(texts, config, exclude, min_df, stoplist):
     if len(words):
         want = Bags(words=words, docs=docs, vocabulary=vocabulary)
         got_model, want_model = LdaModel(bags, config), LdaModel(want, config)
-        got_model._run_sweeps(2)
-        want_model._run_sweeps(2)
+        got_model.sweep(2)
+        want_model.sweep(2)
         assert np.array_equal(got_model.z, want_model.z)
         assert got_model.log_likelihoods == want_model.log_likelihoods
 
