@@ -9,7 +9,12 @@ import dataclasses
 import json
 import math
 import numbers
+import re
 from pathlib import Path
+
+# A code point that UTF-8 cannot encode. A JSON "\ud800" escape loads as one,
+# and a byte that is not UTF-8 reads as one with errors="surrogateescape".
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def is_finite_number(value) -> bool:
@@ -29,7 +34,8 @@ def is_nonnegative_int(value, below: int | None = None) -> bool:
             and 0 <= value and (below is None or value < below))
 
 
-# Annotation (a string, as annotations are postponed) -> (check, wording).
+# Annotation (a string, as annotations are postponed) or row field kind ->
+# (check, wording).
 _KINDS = {
     "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
             "an integer"),
@@ -38,6 +44,9 @@ _KINDS = {
     # ``isinstance(v, str)`` without a Python frame per value: row readers
     # check a column of values at a time.
     "str": (str.__instancecheck__, "a string"),
+    # A string that an output file can hold as UTF-8, unescaped.
+    "utf-8 str": (lambda v: isinstance(v, str) and not _SURROGATE.search(v),
+                  "a string with no lone surrogate"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple))
                         and all(isinstance(s, str) for s in v), "a list of strings"),

@@ -204,7 +204,8 @@ def _load_aspect_classifiers(model_dir: Path) -> incivility.AspectClassifiers:
 
 
 # article_weights.jsonl, as ``score`` writes and ``label-train-provoking`` reads it.
-_WEIGHT_FIELDS = {"article_id": "str", "weight": "float", "n_comments": "int", "source": "str"}
+_WEIGHT_FIELDS = {"article_id": "str", "weight": "float", "n_comments": "int",
+                  "source": "utf-8 str"}
 
 
 def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:

@@ -11,22 +11,17 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from ._checks import _KINDS, loads
+from ._checks import _KINDS, _SURROGATE, loads
 from ._output import write_jsonl
 from . import textproc
 
 T = TypeVar("T")
-
-# A code point that UTF-8 cannot encode. A JSON "\ud800" escape loads as one,
-# and a byte that is not UTF-8 reads as one with errors="surrogateescape".
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class CorpusError(ValueError):
@@ -395,6 +390,8 @@ def load_annotated(path: str | Path) -> list[AnnotatedComment]:
         rows = _rows(path, _ANNOTATED_FIELDS)
     grouped: dict[str, tuple[str, list, list, list]] = {}
     for lineno, row in rows:
+        if not row["id"]:
+            raise CorpusError(f"line {lineno}: annotated comment id must be non-empty")
         text, tox, agg, att = grouped.setdefault(row["id"], (row["text"], [], [], []))
         if row["text"] != text:
             raise CorpusError(f"line {lineno}: id {row['id']!r} repeats with another text")

@@ -539,6 +539,8 @@ class TestLabelTrainProvoking:
          "invalid weight"),
         ({"article_id": "a0", "weight": 10**400, "n_comments": 1, "source": "s"},
          "invalid weight"),
+        ({"article_id": "a0", "weight": 0.5, "n_comments": 1, "source": "s\ud800"},
+         "invalid source 's\\ud800', must be a string with no lone surrogate"),
     ])
     def test_malformed_weights_row_exits_2(self, tmp_path, capsys, row, message):
         save_articles([Article(id="a0", source="s", title="t", body="alpha beta")],

@@ -273,6 +273,8 @@ class TestLoadAnnotated:
                      "line 1: invalid UTF-8 byte 0xfe", id="byte-in-header"),
         pytest.param(TSV_HEADER, "w1\tx\tthree\t1\t1\nw2\t\udcc3\t2\t1\t1",
                      "line 2: non-integer rating", id="bad-row-then-byte"),
+        pytest.param(TSV_HEADER, "w1\tx\t2\t1\t1\n\tx\t2\t1\t1",
+                     "line 3: annotated comment id must be non-empty", id="empty-id"),
     ])
     def test_tsv_bad_row_names_line(self, tmp_path, header, row, message):
         path = tmp_path / "annotated.tsv"
@@ -299,6 +301,13 @@ class TestLoadAnnotated:
         path = tmp_path / "annotated.jsonl"
         path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: value}) + "\n")
         with pytest.raises(CorpusError, match=f"line 2: invalid {field} .*, must be a string"):
+            load_annotated(path)
+
+    def test_jsonl_empty_id_names_line(self, tmp_path):
+        row = {"id": "w1", "text": "x", "toxicity": [3], "aggression": [3], "attack": [True]}
+        path = tmp_path / "annotated.jsonl"
+        path.write_text(json.dumps(row) + "\n" + json.dumps({**row, "id": ""}) + "\n")
+        with pytest.raises(CorpusError, match="line 2: annotated comment id must be non-empty"):
             load_annotated(path)
 
 

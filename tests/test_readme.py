@@ -2,16 +2,22 @@
 ``python`` block compiles, and every name it imports from ``newsciv``
 exists. Removing or renaming a public name that the quickstart uses fails
 here instead of leaving the README stale. The block is not run; it fits
-models on a default-size corpus, and the demos cover running the API."""
+models on a default-size corpus, and the demos cover running the API.
+The package root exports exactly the names that the quickstart and the
+demos import from it, so an export that nothing documents cannot return."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import re
+import types
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+import newsciv
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
                     re.S | re.M)
 
@@ -24,14 +30,29 @@ def test_quickstart_compiles():
     compile(BLOCKS[0], "README.md quickstart", "exec")
 
 
-def test_quickstart_imports_resolve():
-    imported = [
+def _imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) of each ``from module import name`` in ``source``."""
+    return [
         (node.module, alias.name)
-        for node in ast.walk(ast.parse(BLOCKS[0]))
+        for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     ]
+
+
+def test_quickstart_imports_resolve():
+    imported = _imports(BLOCKS[0])
     assert imported, "the quickstart imports nothing"
     for module, name in imported:
         assert module == "newsciv" or module.startswith("newsciv."), module
         assert hasattr(importlib.import_module(module), name), f"{module}.{name} is gone"
+
+
+def test_root_exports_only_what_quickstart_and_demos_import():
+    sources = [BLOCKS[0]] + [path.read_text(encoding="utf-8")
+                             for path in sorted((ROOT / "demos").glob("*.py"))]
+    used = {name for source in sources for module, name in _imports(source)
+            if module == "newsciv"}
+    bound = {name for name, value in vars(newsciv).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert bound == used
