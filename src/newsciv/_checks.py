@@ -40,6 +40,8 @@ _KINDS = {
     "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
             "an integer"),
     "float": (is_finite_number, "a finite number"),
+    "float in [0, 1]": (lambda v: is_finite_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "int >= 1": (lambda v: is_nonnegative_int(v) and v >= 1, "an integer >= 1"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     # ``isinstance(v, str)`` without a Python frame per value: row readers
     # check a column of values at a time.

@@ -39,8 +39,8 @@ from .corpus import (
 )
 from .features import TfidfConfig, load_tfidf, save_tfidf
 from .lda import LdaConfig
-from .linmodel import (DECISION_THRESHOLD, LogisticModel, TrainConfig, evaluate,
-                       load_logistic, save_logistic)
+from .linmodel import (DECISION_THRESHOLD, EvalReport, LogisticModel, TrainConfig,
+                       evaluate, load_logistic, save_logistic)
 from .subtext import DEFAULT_MIN_PHRASE_DF, mine_subtext, save_report
 from .synthetic import SyntheticConfig, generate_corpus
 
@@ -164,6 +164,13 @@ def _warn_unconverged(name: str, model: LogisticModel, train: TrainConfig) -> No
               f"(tolerance {train.tolerance:g})", file=sys.stderr)
 
 
+def _write_reports(path: Path, reports: dict[str, EvalReport]) -> None:
+    """Write ``{name: report}`` to ``path`` and print one line per report."""
+    write_json(path, {name: dataclasses.asdict(report) for name, report in reports.items()})
+    for name, report in reports.items():
+        print(f"{name}: auc={report.auc:.3f} accuracy={report.accuracy:.3f}")
+
+
 def _maybe_filter_keywords(articles, cfg: RunConfig):
     if cfg.keywords:
         return filter_by_keywords(articles, cfg.keywords)
@@ -186,12 +193,8 @@ def cmd_train_aspects(cfg: RunConfig, args: argparse.Namespace) -> int:
     save_tfidf(classifiers.tfidf, model_dir / "aspects_tfidf.json")
     for aspect in incivility.ASPECTS:
         save_logistic(getattr(classifiers, aspect), model_dir / f"aspect_{aspect}.json")
-    write_json(
-        Path(cfg.out_dir) / "aspect_reports.json",
-        {aspect: dataclasses.asdict(report) for aspect, report in reports.items()},
-    )
+    _write_reports(Path(cfg.out_dir) / "aspect_reports.json", reports)
     for aspect in incivility.ASPECTS:
-        print(f"{aspect}: auc={reports[aspect].auc:.3f} accuracy={reports[aspect].accuracy:.3f}")
         _warn_unconverged(f"aspect {aspect}", getattr(classifiers, aspect), cfg.train)
     return 0
 
@@ -204,8 +207,8 @@ def _load_aspect_classifiers(model_dir: Path) -> incivility.AspectClassifiers:
 
 
 # article_weights.jsonl, as ``score`` writes and ``label-train-provoking`` reads it.
-_WEIGHT_FIELDS = {"article_id": "str", "weight": "float", "n_comments": "int",
-                  "source": "utf-8 str"}
+_WEIGHT_FIELDS = {"article_id": "str", "weight": "float in [0, 1]",
+                  "n_comments": "int >= 1", "source": "utf-8 str"}
 
 
 def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -339,14 +342,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.target == "aspects":
         _require_paths(cfg, "annotated")
         annotated = load_annotated(cfg.annotated)
-        classifiers = _load_aspect_classifiers(model_dir)
-        x = classifiers.tfidf.transform([ac.text for ac in annotated])
-        payload = {}
-        for aspect in incivility.ASPECTS:
-            y = [incivility.binarize_aspect(ac, aspect) for ac in annotated]
-            report = evaluate(getattr(classifiers, aspect), x, y)
-            payload[aspect] = dataclasses.asdict(report)
-            print(f"{aspect}: auc={report.auc:.3f} accuracy={report.accuracy:.3f}")
+        reports = incivility.evaluate_aspects(_load_aspect_classifiers(model_dir), annotated)
     else:
         _require_paths(cfg, "articles")
         labels_path = Path(getattr(args, "labels", None) or out_dir / "article_labels.jsonl")
@@ -362,12 +358,8 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
         if not articles:
             raise ValueError("no labeled articles to evaluate")
         x = pipeline.tfidf.transform([a.body for a in articles])
-        y = [label_of[a.id] for a in articles]
-        report = evaluate(pipeline.model, x, y)
-        payload = {"provoking": dataclasses.asdict(report)}
-        print(f"provoking: auc={report.auc:.3f} accuracy={report.accuracy:.3f}")
-
-    write_json(out_dir / "evaluation.json", payload)
+        reports = {"provoking": evaluate(pipeline.model, x, [label_of[a.id] for a in articles])}
+    _write_reports(out_dir / "evaluation.json", reports)
     return 0
 
 

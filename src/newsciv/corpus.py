@@ -399,15 +399,11 @@ def load_annotated(path: str | Path) -> list[AnnotatedComment]:
         agg.extend(_as_rating_list(row["aggression"], lineno, "aggression"))
         att.extend(_as_flag_list(row["attack"], lineno))
 
-    out = []
     for cid, (text, tox, agg, att) in grouped.items():
         if not (tox and agg and att):
             raise CorpusError(f"comment {cid!r} has zero annotators for some aspect")
-        try:
-            out.append(AnnotatedComment(cid, text, tuple(tox), tuple(agg), tuple(att)))
-        except ValueError as exc:
-            raise CorpusError(str(exc)) from exc
-    return out
+    # Ids, ratings and vote counts are checked above, so no record is rejected.
+    return [AnnotatedComment(cid, *row) for cid, row in grouped.items()]
 
 
 def save_articles(articles: Iterable[Article], path: str | Path) -> None:

@@ -136,23 +136,28 @@ def train_aspect_classifiers(
     """
     train, test = train_test_split(list(annotated), test_fraction, split_seed)
     tfidf, x_train = _fit_features([ac.text for ac in train], tfidf_config)
-    x_test = tfidf.transform([ac.text for ac in test])
 
     models: dict[str, LogisticModel] = {}
-    reports: dict[str, EvalReport] = {}
     for aspect in ASPECTS:
         y_train = [binarize_aspect(ac, aspect) for ac in train]
         y_test = [binarize_aspect(ac, aspect) for ac in test]
         for side, ys in (("training", y_train), ("test", y_test)):
             if len(set(ys)) < 2:
-                raise ValueError(
-                    f"aspect {aspect!r} has a single class in the {side} split"
-                )
+                raise ValueError(f"aspect {aspect!r} has a single class in the {side} split")
         models[aspect] = train_logistic(x_train, y_train, train_config)
-        reports[aspect] = evaluate(models[aspect], x_test, y_test)
 
     classifiers = AspectClassifiers(tfidf=tfidf, **models)
-    return classifiers, reports
+    return classifiers, evaluate_aspects(classifiers, test)
+
+
+def evaluate_aspects(classifiers: AspectClassifiers,
+                     annotated: Sequence[AnnotatedComment]) -> dict[str, EvalReport]:
+    """The ``linmodel.evaluate`` report of each aspect model on ``annotated``,
+    whose texts are transformed once and labeled by :func:`binarize_aspect`."""
+    x = classifiers.tfidf.transform([ac.text for ac in annotated])
+    return {aspect: evaluate(getattr(classifiers, aspect), x,
+                             [binarize_aspect(ac, aspect) for ac in annotated])
+            for aspect in ASPECTS}
 
 
 def _score_columns(

@@ -541,6 +541,14 @@ class TestLabelTrainProvoking:
          "invalid weight"),
         ({"article_id": "a0", "weight": 0.5, "n_comments": 1, "source": "s\ud800"},
          "invalid source 's\\ud800', must be a string with no lone surrogate"),
+        ({"article_id": "a0", "weight": 7.5, "n_comments": 1, "source": "s"},
+         "invalid weight 7.5, must be a number in [0, 1]"),
+        ({"article_id": "a0", "weight": -3.0, "n_comments": 1, "source": "s"},
+         "invalid weight -3.0, must be a number in [0, 1]"),
+        ({"article_id": "a0", "weight": 0.5, "n_comments": 0, "source": "s"},
+         "invalid n_comments 0, must be an integer >= 1"),
+        ({"article_id": "a0", "weight": 0.5, "n_comments": -4, "source": "s"},
+         "invalid n_comments -4, must be an integer >= 1"),
     ])
     def test_malformed_weights_row_exits_2(self, tmp_path, capsys, row, message):
         save_articles([Article(id="a0", source="s", title="t", body="alpha beta")],
@@ -673,6 +681,33 @@ class TestEvaluate:
         payload = json.loads((out / "evaluation.json").read_text())
         assert "provoking" in payload
         assert payload["provoking"]["tp"] + payload["provoking"]["fn"] == 20
+
+    def test_aspects_on_the_held_out_split_write_the_trainer_report(self, pipeline_dir,
+                                                                     tmp_path):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        cfg = cli._from_dict(RunConfig(), json.loads(Path(config).read_text()))
+        _, test = corpus.train_test_split(corpus.load_annotated(cfg.annotated),
+                                          cfg.test_fraction, cfg.split_seed)
+        corpus.save_annotated(test, tmp_path / "held_out.jsonl")
+        assert main(["evaluate", "--target", "aspects", "--config", config,
+                     "--annotated", str(tmp_path / "held_out.jsonl"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert ((tmp_path / "out" / "evaluation.json").read_bytes()
+                == (pipeline_dir / "out" / "aspect_reports.json").read_bytes())
+
+    def test_provoking_on_the_held_out_split_gives_the_trainer_report(self, pipeline_dir,
+                                                                      tmp_path):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        cfg = cli._from_dict(RunConfig(), json.loads(Path(config).read_text()))
+        rows = jsonl(pipeline_dir / "out" / "article_labels.jsonl")
+        _, test = corpus.train_test_split(rows, cfg.test_fraction, cfg.split_seed,
+                                          labels=[row["label"] for row in rows])
+        (tmp_path / "held_out.jsonl").write_text("".join(json.dumps(r) + "\n" for r in test))
+        assert main(["evaluate", "--target", "provoking", "--config", config,
+                     "--labels", str(tmp_path / "held_out.jsonl"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert (json.loads((tmp_path / "out" / "evaluation.json").read_text())["provoking"]
+                == json.loads((pipeline_dir / "out" / "provoking_report.json").read_text()))
 
     def test_empty_annotated_file_exits_2(self, pipeline_dir, tmp_path, capsys):
         config = (pipeline_dir / "config_path.txt").read_text()

@@ -4,22 +4,27 @@ exists. Removing or renaming a public name that the quickstart uses fails
 here instead of leaving the README stale. The block is not run; it fits
 models on a default-size corpus, and the demos cover running the API.
 The package root exports exactly the names that the quickstart and the
-demos import from it, so an export that nothing documents cannot return."""
+demos import from it, so an export that nothing documents cannot return.
+README's config covering every stage loads as a ``RunConfig``, so a renamed
+or retyped config field fails here as well."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
 import re
 import types
 from pathlib import Path
 
 import newsciv
+from newsciv import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-README = ROOT / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    re.S | re.M)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
+FULL_CONFIG = re.search(r"^A config covering every stage:\n\n```json\n(.*?)^```",
+                        README, re.S | re.M)
 
 
 def test_readme_has_one_python_block():
@@ -56,3 +61,11 @@ def test_root_exports_only_what_quickstart_and_demos_import():
     bound = {name for name, value in vars(newsciv).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert bound == used
+
+
+def test_full_config_loads():
+    """The config that README says covers every stage names only fields
+    that RunConfig and its sub-configs still have, each of its kind."""
+    assert FULL_CONFIG, "README has no full config block"
+    data = json.loads(FULL_CONFIG[1])
+    assert cli._from_dict(cli.RunConfig(), data).synthetic.n_articles == 400
