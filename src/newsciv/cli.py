@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
-from . import incivility
+from . import incivility, textproc
 from ._checks import check_field_types, loads, read_json
 from ._output import write_json, write_jsonl, write_lines
 from .corpus import (
@@ -72,6 +72,10 @@ class RunConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "keywords", tuple(self.keywords))
+        for keyword in self.keywords:
+            if textproc.tokenize(keyword) != [keyword.lower()]:
+                raise ValueError(f"keyword {keyword!r} can never match: "
+                                 "keywords match single tokens")
 
 
 def _from_dict(base, data: dict, what: str = "config keys"):
@@ -367,6 +371,9 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 _COMMON = ("seed", "out", "model_dir")  # the dedicated flags every subcommand takes
 
+# The subcommands that build no TF-IDF matrix, so never import scipy.
+_SCIPY_FREE = ("generate-synthetic", "mine-subtext")
+
 # Subcommand -> (help text, its dedicated flags besides _COMMON). ``main``
 # runs the module's ``cmd_<name>`` function, looked up by name at each call.
 _COMMANDS = {
@@ -419,6 +426,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
+        if args.command not in _SCIPY_FREE:
+            # Loaded before the command allocates anything: loaded inside
+            # the first fit instead, scipy's objects land among that fit's
+            # freed arrays and the process peaks about 4 MB higher.
+            import scipy.sparse  # noqa: F401
         command = globals()["cmd_" + args.command.replace("-", "_")]
         return command(_load_run_config(args), args)
     except (ValueError, OSError) as exc:

@@ -15,10 +15,9 @@ import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._checks import check_field_types, is_finite_number, is_nonnegative_int, read_model_json
 from ._output import write_json
@@ -33,6 +32,9 @@ from .textproc import (
     number_grams,
     token_lookup,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 TFIDF_FORMAT_VERSION = 1
 
@@ -107,7 +109,12 @@ def _csr(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], dim: int) -> sp
     """Stack the ``_weighted_rows`` of consecutive chunks into one matrix,
     with the index dtype scipy would choose (int32 when every index fits).
     Columns come as int32 already when the dimension allows, so the whole
-    batch never holds them as int64."""
+    batch never holds them as int64.
+
+    scipy is imported here, not with the module, so the commands that
+    build no matrix never load it."""
+    from scipy.sparse import csr_matrix
+
     if len(parts) == 1:
         lengths, cols, data = parts[0]
     elif parts:
@@ -117,8 +124,8 @@ def _csr(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], dim: int) -> sp
     index = np.int32 if max(len(data), len(lengths), dim) <= _INT32_MAX else np.int64
     indptr = np.zeros(len(lengths) + 1, dtype=index)
     lengths.cumsum(out=indptr[1:])
-    return sp.csr_matrix((data, cols.astype(index, copy=False), indptr),
-                         shape=(len(lengths), dim))
+    return csr_matrix((data, cols.astype(index, copy=False), indptr),
+                      shape=(len(lengths), dim))
 
 
 @dataclass(frozen=True, eq=False)

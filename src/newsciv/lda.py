@@ -107,6 +107,13 @@ class LdaModel:
                      f"and {n_terms} terms")
         if (n_docs + n_terms + 1) * config.n_topics > np.iinfo(np.intp).max:
             raise ValueError(too_large)
+        # A token's topic weights sum to at most n_topics * (alpha + the
+        # longest document's length), give or take the spread of the gamma
+        # draws. Unless that bound stays finite with a factor of 2 to spare,
+        # a sweep's running sums can overflow to inf.
+        longest = int(np.bincount(self.docs).max())
+        if not math.isfinite(2.0 * config.n_topics * (config.alpha + longest)):
+            raise ValueError(f"alpha {config.alpha:g} is too large for {config.n_topics} topics")
         # log Gamma(n + beta) - log Gamma(beta) for every count a term can
         # reach. A table of math.lgamma keeps scipy.special, which takes
         # about 0.1 s to import, out of the start-up of every CLI command.

@@ -14,13 +14,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._checks import check_field_types, is_finite_number, is_nonnegative_int, read_model_json
 from ._output import write_json
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 LOGISTIC_FORMAT_VERSION = 1
 DECISION_THRESHOLD = 0.5  # ``evaluate`` predicts positive strictly above this

@@ -6,6 +6,8 @@ import os
 import re
 import shutil
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import dataclasses
@@ -863,6 +865,10 @@ class TestConfigHandling:
         ("min_comment_words=-3", "min_comment_words must be >= 0, got -3"),
         ("min_phrase_df=-3", "min_phrase_df must be >= 0, got -3"),
         ("articles=[]", "articles must be a string or null"),
+        ('keywords=["Council Budget"]', "'Council Budget' can never match"),
+        ('keywords=["U.S."]', "'U.S.' can never match"),
+        ("""keywords=["'"]""", "keyword \"'\" can never match"),
+        ('keywords=[""]', "keyword '' can never match"),
     ])
     def test_mistyped_run_config_set_exits_2(self, tmp_path, capsys, item, message):
         assert main(["mine-subtext", "--out", str(tmp_path / "o"), "--set", item]) == 2
@@ -874,6 +880,14 @@ class TestConfigHandling:
         assert main(["mine-subtext", "--config", config, "--out", str(tmp_path / "o"),
                      "--set", f"lda.beta={beta}"]) == 2
         assert f"beta {float(beta):g} is too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["7e307", "1e308"])
+    def test_overflowing_lda_alpha_exits_2(self, pipeline_dir, tmp_path, capsys, alpha):
+        """Three topic weights near alpha each could sum past the largest float."""
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["mine-subtext", "--config", config, "--out", str(tmp_path / "o"),
+                     "--set", f"lda.alpha={alpha}"]) == 2
+        assert f"alpha {float(alpha):g} is too large for 3 topics" in capsys.readouterr().err
 
     def test_unallocatable_lda_n_topics_exits_2(self, pipeline_dir, tmp_path, capsys):
         """10**9 topics need count arrays of hundreds of GB on this corpus,
@@ -1116,6 +1130,43 @@ class TestCollectorPause:
             assert left[command] < 5_000, command
             # The large corpus has at least 160 more rows in every input.
             assert left_large[command] - left[command] < 100, command
+
+
+# Run by a fresh interpreter, since this one has imported scipy already:
+# the help text and the two commands that build no matrix, then one fit.
+_SCIPY_PROBE = """
+import sys
+from pathlib import Path
+
+import newsciv, newsciv.cli, newsciv.incivility, newsciv.features, newsciv.linmodel
+from newsciv import cli, features
+
+out = Path(sys.argv[1])
+try:
+    cli.main(["--help"])
+except SystemExit:
+    pass
+assert cli.main(["generate-synthetic", "--out", str(out), "--n-articles", "8",
+                 "--comments-per-article", "5", "--n-annotated", "5"]) == 0
+assert cli.main(["mine-subtext", "--articles", str(out / "articles.jsonl"),
+                 "--comments", str(out / "comments.jsonl"), "--out", str(out),
+                 "--set", "lda.iterations=2"]) == 0
+print("scipy.sparse" in sys.modules)
+features.fit_transform(["a short text", "another short text"])
+print("scipy.sparse" in sys.modules)
+"""
+
+
+def test_only_a_feature_matrix_imports_scipy(tmp_path):
+    """``--help``, ``generate-synthetic`` and ``mine-subtext`` never load
+    scipy.sparse; building a TF-IDF matrix does."""
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split()[-2:] == ["False", "True"]
 
 
 
