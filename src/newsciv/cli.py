@@ -40,7 +40,7 @@ from .corpus import (
 from .features import TfidfConfig, load_tfidf, save_tfidf
 from .lda import LdaConfig
 from .linmodel import (DECISION_THRESHOLD, EvalReport, LogisticModel, TrainConfig,
-                       evaluate, load_logistic, save_logistic)
+                       load_logistic, save_logistic)
 from .subtext import DEFAULT_MIN_PHRASE_DF, mine_subtext, save_report
 from .synthetic import SyntheticConfig, generate_corpus
 
@@ -175,10 +175,37 @@ def _write_reports(path: Path, reports: dict[str, EvalReport]) -> None:
         print(f"{name}: auc={report.auc:.3f} accuracy={report.accuracy:.3f}")
 
 
-def _maybe_filter_keywords(articles, cfg: RunConfig):
+def _select_articles(cfg: RunConfig):
+    """The articles that ``score`` and ``mine-subtext`` work on: those carrying
+    the tag, if set (an error when none does), and holding a keyword, if set."""
+    articles = load_articles(cfg.articles)
+    if cfg.tag:
+        articles = filter_by_tag(articles, cfg.tag)
+        if not articles:
+            raise ValueError(f"no articles carry tag {cfg.tag!r}")
     if cfg.keywords:
-        return filter_by_keywords(articles, cfg.keywords)
+        articles = filter_by_keywords(articles, cfg.keywords)
     return articles
+
+
+# Each saved classifier: its vectorizer's file, then each model's file by name.
+_MODEL_FILES = {
+    "aspects": ("aspects_tfidf.json", {a: f"aspect_{a}.json" for a in incivility.ASPECTS}),
+    "provoking": ("provoking_tfidf.json", {"provoking": "provoking_model.json"}),
+}
+
+
+def _save_classifier(classifier: incivility.Classifier, kind: str, model_dir: Path) -> None:
+    tfidf_file, model_files = _MODEL_FILES[kind]
+    save_tfidf(classifier.tfidf, model_dir / tfidf_file)
+    for name, file in model_files.items():
+        save_logistic(classifier.models[name], model_dir / file)
+
+
+def _load_classifier(kind: str, model_dir: Path) -> incivility.Classifier:
+    tfidf_file, model_files = _MODEL_FILES[kind]
+    return incivility.Classifier(load_tfidf(model_dir / tfidf_file), {
+        name: load_logistic(model_dir / file) for name, file in model_files.items()})
 
 
 # --- subcommands -----------------------------------------------------------
@@ -193,21 +220,11 @@ def cmd_train_aspects(cfg: RunConfig, args: argparse.Namespace) -> int:
         split_seed=cfg.split_seed,
         test_fraction=cfg.test_fraction,
     )
-    model_dir = Path(cfg.model_dir)
-    save_tfidf(classifiers.tfidf, model_dir / "aspects_tfidf.json")
-    for aspect in incivility.ASPECTS:
-        save_logistic(getattr(classifiers, aspect), model_dir / f"aspect_{aspect}.json")
+    _save_classifier(classifiers, "aspects", Path(cfg.model_dir))
     _write_reports(Path(cfg.out_dir) / "aspect_reports.json", reports)
-    for aspect in incivility.ASPECTS:
-        _warn_unconverged(f"aspect {aspect}", getattr(classifiers, aspect), cfg.train)
+    for aspect, model in classifiers.models.items():
+        _warn_unconverged(f"aspect {aspect}", model, cfg.train)
     return 0
-
-
-def _load_aspect_classifiers(model_dir: Path) -> incivility.AspectClassifiers:
-    return incivility.AspectClassifiers(
-        tfidf=load_tfidf(model_dir / "aspects_tfidf.json"),
-        **{a: load_logistic(model_dir / f"aspect_{a}.json") for a in incivility.ASPECTS},
-    )
 
 
 # article_weights.jsonl, as ``score`` writes and ``label-train-provoking`` reads it.
@@ -217,8 +234,8 @@ _WEIGHT_FIELDS = {"article_id": "str", "weight": "float in [0, 1]",
 
 def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_paths(cfg, "articles", "comments")
-    classifiers = _load_aspect_classifiers(Path(cfg.model_dir))
-    articles = _maybe_filter_keywords(load_articles(cfg.articles), cfg)
+    classifiers = _load_classifier("aspects", Path(cfg.model_dir))
+    articles = _select_articles(cfg)
     out_dir = Path(cfg.out_dir)
     # Comment blocks stream from reader to writer; only the article scores stay.
     by_article: dict[str, list[float]] = {}
@@ -276,29 +293,20 @@ def cmd_label_train_provoking(cfg: RunConfig, args: argparse.Namespace) -> int:
                 ("article_id", "weight", "n_comments", "label"),
                 ((w.article_id, w.weight, w.n_comments, w.label) for w in labeled))
 
-    model_dir = Path(cfg.model_dir)
-    save_tfidf(pipeline.tfidf, model_dir / "provoking_tfidf.json")
-    save_logistic(pipeline.model, model_dir / "provoking_model.json")
+    _save_classifier(pipeline, "provoking", Path(cfg.model_dir))
     write_json(out_dir / "provoking_report.json", dataclasses.asdict(report))
-    _warn_unconverged("provoking", pipeline.model, cfg.train)
+    _warn_unconverged("provoking", pipeline.models["provoking"], cfg.train)
     positives = sum(1 for w in labeled if w.label)
     print(f"labeled {positives}/{len(labeled)} articles provoking; "
           f"held-out auc={report.auc:.3f} accuracy={report.accuracy:.3f}")
     return 0
 
 
-def _load_provoking(model_dir: Path) -> incivility.ProvokingClassifier:
-    return incivility.ProvokingClassifier(
-        tfidf=load_tfidf(model_dir / "provoking_tfidf.json"),
-        model=load_logistic(model_dir / "provoking_model.json"),
-    )
-
-
 def cmd_predict_provoking(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_paths(cfg, "articles")
-    pipeline = _load_provoking(Path(cfg.model_dir))
+    pipeline = _load_classifier("provoking", Path(cfg.model_dir))
     articles = load_articles(cfg.articles)
-    probs = pipeline.model.predict_proba(pipeline.tfidf.transform([a.body for a in articles]))
+    probs = pipeline.predict_proba([a.body for a in articles])["provoking"]
     write_lines(Path(cfg.out_dir) / "provoking_predictions.jsonl", (
         f'{{"article_id": {encode_basestring_ascii(article.id)}, '
         f'"probability": {proba:.6f}, '
@@ -311,11 +319,7 @@ def cmd_predict_provoking(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_mine_subtext(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_paths(cfg, "articles", "comments")
-    articles = _maybe_filter_keywords(load_articles(cfg.articles), cfg)
-    if cfg.tag:
-        articles = filter_by_tag(articles, cfg.tag)
-        if not articles:
-            raise ValueError(f"no articles carry tag {cfg.tag!r}")
+    articles = _select_articles(cfg)
     kept = {a.id for a in articles}
     # Only the kept articles' comment texts are held, a block at a time.
     texts = [text for _, article_ids, block in comment_blocks(cfg.comments, cfg.min_comment_words)
@@ -346,7 +350,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.target == "aspects":
         _require_paths(cfg, "annotated")
         annotated = load_annotated(cfg.annotated)
-        reports = incivility.evaluate_aspects(_load_aspect_classifiers(model_dir), annotated)
+        reports = incivility.evaluate_aspects(_load_classifier("aspects", model_dir), annotated)
     else:
         _require_paths(cfg, "articles")
         labels_path = Path(getattr(args, "labels", None) or out_dir / "article_labels.jsonl")
@@ -357,12 +361,12 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
             for row in read_rows(labels_path, {"article_id": "str", "label": "bool"},
                                  key="article_id")
         }
-        pipeline = _load_provoking(model_dir)
+        pipeline = _load_classifier("provoking", model_dir)
         articles = [a for a in load_articles(cfg.articles) if a.id in label_of]
         if not articles:
             raise ValueError("no labeled articles to evaluate")
-        x = pipeline.tfidf.transform([a.body for a in articles])
-        reports = {"provoking": evaluate(pipeline.model, x, [label_of[a.id] for a in articles])}
+        reports = pipeline.evaluate([a.body for a in articles],
+                                    {"provoking": [label_of[a.id] for a in articles]})
     _write_reports(out_dir / "evaluation.json", reports)
     return 0
 

@@ -7,15 +7,20 @@ and personal-attack probabilities. An article's incivility weight is the
 mean score of its comments. Per source, articles whose weight strictly
 exceeds the source's median weight are labeled as provoking, which makes
 the two classes balanced by construction whenever weights are distinct.
-Scoring runs in batches, a block of comments at a time; :func:`score_comment`,
-:func:`article_weight` and :func:`predict_provoking` run a batch of one.
+Both pipelines, the aspect models and the provoking model, are one type:
+:class:`Classifier`. Scoring runs in batches, a block of comments at a time;
+:func:`score_comment`, :func:`article_weight` and :func:`predict_provoking`
+run a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import AnnotatedComment, Article, Comment, train_test_split
 from .features import TfidfConfig, TfidfModel, fit_transform
@@ -34,23 +39,33 @@ ARTICLE_TFIDF_CONFIG = TfidfConfig(n_min=2, n_max=2, min_df=1, max_df_ratio=1.0)
 ASPECT_RULE_THRESHOLD = 0.5  # the share of votes an aspect label must exceed
 
 
-@dataclass(frozen=True)
-class AspectClassifiers:
-    """The three aspect models sharing one fitted vectorizer."""
+@dataclass(frozen=True, eq=False)
+class Classifier:
+    """A fitted vectorizer and the logistic models sharing it, by name: the
+    three ``ASPECTS``, or ``"provoking"``. ``models`` is held as a read-only
+    copy, so the dimension check holds for the object's whole life."""
 
     tfidf: TfidfModel
-    toxicity: LogisticModel
-    aggression: LogisticModel
-    attack: LogisticModel
+    models: Mapping[str, LogisticModel]
 
     def __post_init__(self) -> None:
-        for name in ASPECTS:
-            model: LogisticModel = getattr(self, name)
+        object.__setattr__(self, "models", MappingProxyType(dict(self.models)))
+        for name, model in self.models.items():
             if model.dimension != self.tfidf.dimension:
-                raise ValueError(
-                    f"{name} model dimension {model.dimension} does not match "
-                    f"vectorizer dimension {self.tfidf.dimension}"
-                )
+                raise ValueError(f"{name} model dimension {model.dimension} does not match "
+                                 f"vectorizer dimension {self.tfidf.dimension}")
+
+    def predict_proba(self, texts: Sequence[str]) -> dict[str, np.ndarray]:
+        """Each model's probabilities for ``texts``, transformed once."""
+        x = self.tfidf.transform(texts)
+        return {name: model.predict_proba(x) for name, model in self.models.items()}
+
+    def evaluate(self, texts: Sequence[str],
+                 labels_by_name: Mapping[str, Sequence[bool]]) -> dict[str, EvalReport]:
+        """Each named model's ``linmodel.evaluate`` report on its labels for ``texts``."""
+        x = self.tfidf.transform(texts)
+        return {name: evaluate(self.models[name], x, labels)
+                for name, labels in labels_by_name.items()}
 
 
 @dataclass(frozen=True)
@@ -81,18 +96,6 @@ class SourceThreshold:
     source: str
     median_weight: float
     n_articles: int
-
-
-@dataclass(frozen=True)
-class ProvokingClassifier:
-    """Article-text pipeline: bigram TF-IDF plus a logistic model."""
-
-    tfidf: TfidfModel
-    model: LogisticModel
-
-    def __post_init__(self) -> None:
-        if self.model.dimension != self.tfidf.dimension:
-            raise ValueError("model dimension does not match vectorizer dimension")
 
 
 def binarize_aspect(ac: AnnotatedComment, aspect: str) -> bool:
@@ -127,7 +130,7 @@ def train_aspect_classifiers(
     train_config: TrainConfig | None = None,
     split_seed: int = 0,
     test_fraction: float = 0.2,
-) -> tuple[AspectClassifiers, dict[str, EvalReport]]:
+) -> tuple[Classifier, dict[str, EvalReport]]:
     """Fit the three aspect classifiers and report held-out metrics.
 
     One TF-IDF model is fitted on the training texts and shared by all
@@ -146,40 +149,33 @@ def train_aspect_classifiers(
                 raise ValueError(f"aspect {aspect!r} has a single class in the {side} split")
         models[aspect] = train_logistic(x_train, y_train, train_config)
 
-    classifiers = AspectClassifiers(tfidf=tfidf, **models)
+    classifiers = Classifier(tfidf, models)
     return classifiers, evaluate_aspects(classifiers, test)
 
 
-def evaluate_aspects(classifiers: AspectClassifiers,
+def evaluate_aspects(classifiers: Classifier,
                      annotated: Sequence[AnnotatedComment]) -> dict[str, EvalReport]:
-    """The ``linmodel.evaluate`` report of each aspect model on ``annotated``,
-    whose texts are transformed once and labeled by :func:`binarize_aspect`."""
-    x = classifiers.tfidf.transform([ac.text for ac in annotated])
-    return {aspect: evaluate(getattr(classifiers, aspect), x,
-                             [binarize_aspect(ac, aspect) for ac in annotated])
-            for aspect in ASPECTS}
+    """Each aspect model's report on ``annotated``, labeled by :func:`binarize_aspect`."""
+    return classifiers.evaluate([ac.text for ac in annotated], {
+        aspect: [binarize_aspect(ac, aspect) for ac in annotated] for aspect in ASPECTS})
 
 
 def _score_columns(
-    classifiers: AspectClassifiers, texts: Sequence[str]
+    classifiers: Classifier, texts: Sequence[str]
 ) -> tuple[list[float], list[float], list[float], list[float]]:
     """Score ``texts`` in one batch: the toxicity, aggression, attack and
     incivility (the max of the three) of each text, as four lists."""
-    x = classifiers.tfidf.transform(texts)
-    toxicity, aggression, attack = (
-        getattr(classifiers, aspect).predict_proba(x).tolist() for aspect in ASPECTS
-    )
+    probabilities = classifiers.predict_proba(texts)
+    toxicity, aggression, attack = (probabilities[aspect].tolist() for aspect in ASPECTS)
     return toxicity, aggression, attack, list(map(max, toxicity, aggression, attack))
 
 
-def score_comments(
-    classifiers: AspectClassifiers, texts: Sequence[str]
-) -> list[IncivilityScore]:
+def score_comments(classifiers: Classifier, texts: Sequence[str]) -> list[IncivilityScore]:
     """Score comments in one batch; each value is the max aspect score."""
     return list(map(IncivilityScore, *_score_columns(classifiers, texts)))
 
 
-def score_comment(classifiers: AspectClassifiers, text: str) -> IncivilityScore:
+def score_comment(classifiers: Classifier, text: str) -> IncivilityScore:
     """Score one comment: :func:`score_comments` on a batch of one."""
     return score_comments(classifiers, [text])[0]
 
@@ -193,7 +189,7 @@ def mean_score(values: Sequence[float]) -> float:
     return min(max(mean, min(values)), max(values))
 
 
-def fold_scores(classifiers: AspectClassifiers, texts: Sequence[str],
+def fold_scores(classifiers: Classifier, texts: Sequence[str],
                 article_ids: Sequence[str], by_article: dict[str, list[float]]):
     """Score one block of ``texts`` (see :func:`article_weights`), append each
     incivility to its article's list in ``by_article`` and return the block's
@@ -213,7 +209,7 @@ def article_means(by_article: Mapping[str, Sequence[float]]) -> list[ArticleInci
 
 
 def article_weights(
-    classifiers: AspectClassifiers, texts: Sequence[str], article_ids: Sequence[str]
+    classifiers: Classifier, texts: Sequence[str], article_ids: Sequence[str]
 ) -> tuple[tuple[list[float], list[float], list[float], list[float]],
            list[ArticleIncivility]]:
     """Score comment ``texts`` in one batch and average the scores per
@@ -227,9 +223,7 @@ def article_weights(
     return fold_scores(classifiers, texts, article_ids, by_article), article_means(by_article)
 
 
-def article_weight(
-    classifiers: AspectClassifiers, comments: Sequence[Comment]
-) -> ArticleIncivility:
+def article_weight(classifiers: Classifier, comments: Sequence[Comment]) -> ArticleIncivility:
     """Mean incivility score of one article's comments (a batch of one).
 
     Undefined for zero comments; callers should drop comment-less articles
@@ -308,7 +302,7 @@ def train_provoking_classifier(
     train_config: TrainConfig | None = None,
     split_seed: int = 0,
     test_fraction: float = 0.2,
-) -> tuple[ProvokingClassifier, EvalReport]:
+) -> tuple[Classifier, EvalReport]:
     """Train the provoking-article classifier on article bodies only.
 
     The split is stratified on the labels; features are fitted on the
@@ -326,15 +320,14 @@ def train_provoking_classifier(
 
     tfidf, x_train = _fit_features([a.body for a, _ in train], tfidf_config)
     model = train_logistic(x_train, [lab for _, lab in train], train_config)
-    report = evaluate(
-        model, tfidf.transform([a.body for a, _ in test]), [lab for _, lab in test]
-    )
-    return ProvokingClassifier(tfidf=tfidf, model=model), report
+    pipeline = Classifier(tfidf, {"provoking": model})
+    return pipeline, pipeline.evaluate([a.body for a, _ in test],
+                                       {"provoking": [lab for _, lab in test]})["provoking"]
 
 
-def predict_provoking(pipeline: ProvokingClassifier, body: str) -> tuple[float, bool]:
+def predict_provoking(pipeline: Classifier, body: str) -> tuple[float, bool]:
     """Probability and label (above ``DECISION_THRESHOLD``) of one body."""
-    proba = float(pipeline.model.predict_proba(pipeline.tfidf.transform([body]))[0])
+    proba = float(pipeline.predict_proba([body])["provoking"][0])
     return proba, proba > DECISION_THRESHOLD
 
 

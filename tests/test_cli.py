@@ -319,7 +319,7 @@ class TestScore:
         config = (pipeline_dir / "config_path.txt").read_text()
         assert main(["score", "--config", config, "--comments", str(path),
                      "--out", str(tmp_path / "out")]) == 0
-        classifiers = cli._load_aspect_classifiers(pipeline_dir / "models")
+        classifiers = cli._load_classifier("aspects", pipeline_dir / "models")
         scores = score_comments(classifiers, [row["text"] for row in rows])
         expected = "".join(f_string_score_line(row["id"], score) + "\n"
                            for row, score in zip(rows, scores))
@@ -446,6 +446,54 @@ class TestScore:
         assert main(["score", "--config", config, "--articles", str(path),
                      "--out", str(tmp_path / "out")]) == 2
         assert f"line 2: invalid {field} None, must be a string" in capsys.readouterr().err
+
+    def test_tag_keeps_only_the_tagged_articles(self, pipeline_dir, tmp_path):
+        """With ``tag`` set, score writes a weight for each article carrying
+        it, and for no other; each is the line the untagged run wrote."""
+        rows = jsonl(pipeline_dir / "data" / "articles.jsonl")
+        for row in rows[::3]:
+            row["tags"] = ["Harbor", "transit"]
+        path = tmp_path / "articles.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--articles", str(path),
+                     "--set", "tag=harbor", "--out", str(tmp_path / "out")]) == 0
+        tagged = {row["id"] for row in rows[::3]}
+        lines = (pipeline_dir / "out" / "article_weights.jsonl").read_text().splitlines(True)
+        expected = [line for line in lines if json.loads(line)["article_id"] in tagged]
+        assert len(expected) == len(tagged) < len(rows)
+        assert (tmp_path / "out" / "article_weights.jsonl").read_text() == "".join(expected)
+
+
+@pytest.mark.parametrize("command", ["score", "mine-subtext"])
+def test_tag_that_no_article_carries_exits_2(pipeline_dir, tmp_path, capsys, command):
+    config = (pipeline_dir / "config_path.txt").read_text()
+    assert main([command, "--config", config, "--set", "tag=nosuchtag",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "no articles carry tag 'nosuchtag'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, model_file, name", [
+    (["score"], "aspect_attack.json", "attack"),
+    (["predict-provoking"], "provoking_model.json", "provoking"),
+    (["evaluate", "--target", "provoking", "--labels", "{out}/article_labels.jsonl"],
+     "provoking_model.json", "provoking"),
+])
+def test_model_wider_than_its_vectorizer_exits_2_naming_it(pipeline_dir, tmp_path, capsys,
+                                                             argv, model_file, name):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline_dir / "models", models)
+    payload = json.loads((models / model_file).read_text())
+    dimension = payload["dimension"]
+    payload["dimension"] = dimension + 1
+    (models / model_file).write_text(json.dumps(payload))
+    config = (pipeline_dir / "config_path.txt").read_text()
+    argv = [arg.replace("{out}", str(pipeline_dir / "out")) for arg in argv]
+    assert main([*argv, "--config", config, "--model-dir", str(models),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert (f"error: {name} model dimension {dimension + 1} does not match "
+            f"vectorizer dimension {dimension}") in capsys.readouterr().err
 
 
 class TestLabelTrainProvoking:

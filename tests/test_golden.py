@@ -17,8 +17,10 @@ and record why the bytes changed.
 from __future__ import annotations
 
 import json
+import os
 import random
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -121,6 +123,24 @@ CLASSIFY_FILES = relative_files(CLASSIFY_GOLDEN) if CLASSIFY_GOLDEN.is_dir() els
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_subtext_matches_golden_bytes(name, tmp_path):
     assert CASES[name](tmp_path) == (GOLDEN / name).read_bytes()
+
+
+def test_small_subtext_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """``small_subtext`` writes the golden bytes under ``PYTHONHASHSEED`` 0 and
+    4242, each in a fresh interpreter: a process's hash seed is set at start."""
+    tests = Path(__file__).parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    for seed in ("0", "4242"):
+        work = tmp_path / seed
+        work.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        run = subprocess.run(
+            [sys.executable, "-c", "import pathlib, sys, test_golden; "
+             "test_golden.small_subtext(pathlib.Path(sys.argv[1]))", str(work)],
+            capture_output=True, text=True, env=env, timeout=300, check=False)
+        assert run.returncode == 0, run.stderr
+        assert (work / "subtext.json").read_bytes() == (GOLDEN / "subtext_small.json").read_bytes()
 
 
 @pytest.fixture(scope="module")

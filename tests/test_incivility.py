@@ -13,7 +13,7 @@ from newsciv.features import fit_transform, TfidfConfig
 from newsciv.incivility import (
     ASPECT_RULE_THRESHOLD,
     ArticleIncivility,
-    AspectClassifiers,
+    Classifier,
     SourceThreshold,
     article_weight,
     article_weights,
@@ -36,7 +36,7 @@ def logit(p: float) -> float:
 
 
 @pytest.fixture
-def crafted_classifiers() -> AspectClassifiers:
+def crafted_classifiers() -> Classifier:
     """Classifiers with hand-set weights: the words low/mid/high score
     0.1/0.3/0.5 on toxicity; aggression and attack are pinned near zero."""
     tfidf = fit_transform(["low", "mid", "high"], TfidfConfig(n_min=1, n_max=1))[0]
@@ -46,12 +46,11 @@ def crafted_classifiers() -> AspectClassifiers:
     w[idx["mid"]] = logit(0.3)
     w[idx["high"]] = logit(0.5)
     off = LogisticModel(weights=np.zeros(3), bias=-30.0)
-    return AspectClassifiers(
-        tfidf=tfidf,
-        toxicity=LogisticModel(weights=w, bias=0.0),
-        aggression=off,
-        attack=off,
-    )
+    return Classifier(tfidf, {
+        "toxicity": LogisticModel(weights=w, bias=0.0),
+        "aggression": off,
+        "attack": off,
+    })
 
 
 def make_annotated(rng: random.Random, n: int) -> list[AnnotatedComment]:
@@ -398,7 +397,7 @@ class TestProvokingClassifier:
             articles, labels, train_config=TrainConfig(max_iterations=50)
         )
         proba, _ = predict_provoking(pipeline, "zzz")
-        expected = 1 / (1 + math.exp(-pipeline.model.bias))
+        expected = 1 / (1 + math.exp(-pipeline.models["provoking"].bias))
         assert proba == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic_across_calls(self):
@@ -406,7 +405,7 @@ class TestProvokingClassifier:
         p1, r1 = train_provoking_classifier(articles, labels, split_seed=5)
         p2, r2 = train_provoking_classifier(articles, labels, split_seed=5)
         assert r1 == r2
-        assert p1.model.weights.tolist() == p2.model.weights.tolist()
+        assert p1.models["provoking"].weights.tolist() == p2.models["provoking"].weights.tolist()
         body = "word1 zebra quartz"
         assert predict_provoking(p1, body) == predict_provoking(p2, body)
 

@@ -153,6 +153,40 @@ def test_only_the_writer_module_writes_files():
     assert {name: found for name, found in writes.items() if found} == {}
 
 
+def _transform_calls(tree: ast.AST) -> list[str]:
+    """The enclosing top-level class (``"<module>"`` outside one) of every
+    call of a ``.transform`` attribute in ``tree``."""
+    return [top.name if isinstance(top, ast.ClassDef) else "<module>"
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "transform"]
+
+
+def test_only_the_classifier_transforms_texts():
+    """One scoring path: in ``incivility`` and ``cli``, texts become features
+    only inside ``incivility.Classifier``."""
+    calls = {name: _transform_calls(ast.parse((PACKAGE / f"{name}.py").read_text("utf-8")))
+             for name in ("incivility", "cli")}
+    assert "Classifier" in calls["incivility"], "the guard no longer sees the classifier's calls"
+    calls["incivility"] = [where for where in calls["incivility"] if where != "Classifier"]
+    assert calls == {"incivility": [], "cli": []}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("x = tfidf.transform(texts)", ["<module>"]),
+    ("def f(c, t):\n    return c.tfidf.transform(t)", ["<module>"]),
+    ("class Classifier:\n    def p(self, t):\n        return self.tfidf.transform(t)",
+     ["Classifier"]),
+    ("class A:\n    class Classifier:\n        def p(self, t):\n            return t.transform()",
+     ["A"]),
+    ("TfidfModel.transform(tfidf, texts)", ["<module>"]),
+    ("fit_transform(texts, config)", []),
+    ("x = model.transform", []),
+])
+def test_transform_guard_sees_each_call(source, found):
+    assert _transform_calls(ast.parse(source)) == found
+
+
 def _dumps_calls(tree: ast.AST) -> list[str]:
     """The enclosing function (``"<module>"`` at the top level) of every call
     of ``json.dumps`` in ``tree``: through the module under any name
