@@ -255,7 +255,8 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     if len(kept) < len(articles):
         print(f"excluded {len(articles) - len(kept)} articles with zero comments",
               file=sys.stderr)
-    print(f"scored {sum(map(len, by_article.values()))} comments across {len(kept)} articles")
+    print(f"scored {sum(map(len, by_article.values()))} comments; weighted {len(kept)} "
+          f"articles holding {sum(w.n_comments for _, w in kept)} of them")
     return 0
 
 
@@ -345,28 +346,24 @@ def cmd_generate_synthetic(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    model_dir = Path(cfg.model_dir)
     out_dir = Path(cfg.out_dir)
     if args.target == "aspects":
         _require_paths(cfg, "annotated")
         annotated = load_annotated(cfg.annotated)
-        reports = incivility.evaluate_aspects(_load_classifier("aspects", model_dir), annotated)
+        texts, labels = [ac.text for ac in annotated], incivility.aspect_labels(annotated)
     else:
         _require_paths(cfg, "articles")
         labels_path = Path(getattr(args, "labels", None) or out_dir / "article_labels.jsonl")
         if not labels_path.exists():
             raise ValueError(f"labels file not found: {labels_path}")
-        label_of = {
-            row["article_id"]: row["label"]
-            for row in read_rows(labels_path, {"article_id": "str", "label": "bool"},
-                                 key="article_id")
-        }
-        pipeline = _load_classifier("provoking", model_dir)
+        rows = read_rows(labels_path, {"article_id": "str", "label": "bool"}, key="article_id")
+        label_of = {row["article_id"]: row["label"] for row in rows}
         articles = [a for a in load_articles(cfg.articles) if a.id in label_of]
         if not articles:
             raise ValueError("no labeled articles to evaluate")
-        reports = pipeline.evaluate([a.body for a in articles],
-                                    {"provoking": [label_of[a.id] for a in articles]})
+        texts = [a.body for a in articles]
+        labels = {"provoking": [label_of[a.id] for a in articles]}
+    reports = _load_classifier(args.target, Path(cfg.model_dir)).evaluate(texts, labels)
     _write_reports(out_dir / "evaluation.json", reports)
     return 0
 

@@ -7,8 +7,9 @@ and personal-attack probabilities. An article's incivility weight is the
 mean score of its comments. Per source, articles whose weight strictly
 exceeds the source's median weight are labeled as provoking, which makes
 the two classes balanced by construction whenever weights are distinct.
-Both pipelines, the aspect models and the provoking model, are one type:
-:class:`Classifier`. Scoring runs in batches, a block of comments at a time;
+Both pipelines, the aspect models and the provoking model, are one type,
+:class:`Classifier`, and are trained and reported by one path, ``_train``.
+Scoring runs in batches, a block of comments at a time;
 :func:`score_comment`, :func:`article_weight` and :func:`predict_provoking`
 run a batch of one.
 """
@@ -62,7 +63,11 @@ class Classifier:
 
     def evaluate(self, texts: Sequence[str],
                  labels_by_name: Mapping[str, Sequence[bool]]) -> dict[str, EvalReport]:
-        """Each named model's ``linmodel.evaluate`` report on its labels for ``texts``."""
+        """Each named model's ``linmodel.evaluate`` report on its labels for
+        ``texts``; labels of a single class have no ROC AUC, so they raise."""
+        for name, labels in labels_by_name.items():
+            if len(set(labels)) == 1:
+                raise ValueError(f"{name} labels contain a single class")
         x = self.tfidf.transform(texts)
         return {name: evaluate(self.models[name], x, labels)
                 for name, labels in labels_by_name.items()}
@@ -115,13 +120,35 @@ def binarize_aspect(ac: AnnotatedComment, aspect: str) -> bool:
     return sum(votes) / len(votes) > ASPECT_RULE_THRESHOLD
 
 
-def _fit_features(texts: Sequence[str], config: TfidfConfig):
-    """``fit_transform`` for a trainer: no terms would score every text alike."""
-    tfidf, x = fit_transform(texts, config)
-    if tfidf.dimension == 0:
-        raise ValueError(f"TF-IDF keeps no terms at min_df={config.min_df}, max_df_ratio="
-                         f"{config.max_df_ratio} over {len(texts)} training texts")
-    return tfidf, x
+def aspect_labels(annotated: Sequence[AnnotatedComment]) -> dict[str, list[bool]]:
+    """Each aspect's :func:`binarize_aspect` label of every comment, by aspect."""
+    return {aspect: [binarize_aspect(ac, aspect) for ac in annotated] for aspect in ASPECTS}
+
+
+def _train(texts: Sequence[str], labels_by_name: Mapping[str, Sequence[bool]],
+           stratify: Sequence[bool] | None, tfidf_config: TfidfConfig,
+           train_config: TrainConfig | None, split_seed: int,
+           test_fraction: float) -> tuple[Classifier, dict[str, EvalReport]]:
+    """Split ``texts`` (stratified on ``stratify``, if given); check before any
+    fit that each name's labels hold both classes on each side, so an empty
+    side raises; fit one vectorizer and one model per name; report on the test side."""
+    for name, labels in labels_by_name.items():
+        if len(set(labels)) == 1:
+            raise ValueError(f"{name} labels contain a single class")
+    train, test = train_test_split(range(len(texts)), test_fraction, split_seed, labels=stratify)
+    for name, labels in labels_by_name.items():
+        for side, part in (("training", train), ("test", test)):
+            if len({labels[i] for i in part}) < 2:
+                raise ValueError(f"{name} labels have a single class in the {side} split")
+    tfidf, x_train = fit_transform([texts[i] for i in train], tfidf_config)
+    if tfidf.dimension == 0:  # a model with no terms would score every text alike
+        raise ValueError(f"TF-IDF keeps no terms at min_df={tfidf_config.min_df}, max_df_ratio="
+                         f"{tfidf_config.max_df_ratio} over {len(train)} training texts")
+    classifier = Classifier(tfidf, {
+        name: train_logistic(x_train, [labels[i] for i in train], train_config)
+        for name, labels in labels_by_name.items()})
+    return classifier, classifier.evaluate([texts[i] for i in test], {
+        name: [labels[i] for i in test] for name, labels in labels_by_name.items()})
 
 
 def train_aspect_classifiers(
@@ -137,27 +164,8 @@ def train_aspect_classifiers(
     three logistic models. Any aspect that collapses to a single class on
     either side of the split raises, naming the aspect.
     """
-    train, test = train_test_split(list(annotated), test_fraction, split_seed)
-    tfidf, x_train = _fit_features([ac.text for ac in train], tfidf_config)
-
-    models: dict[str, LogisticModel] = {}
-    for aspect in ASPECTS:
-        y_train = [binarize_aspect(ac, aspect) for ac in train]
-        y_test = [binarize_aspect(ac, aspect) for ac in test]
-        for side, ys in (("training", y_train), ("test", y_test)):
-            if len(set(ys)) < 2:
-                raise ValueError(f"aspect {aspect!r} has a single class in the {side} split")
-        models[aspect] = train_logistic(x_train, y_train, train_config)
-
-    classifiers = Classifier(tfidf, models)
-    return classifiers, evaluate_aspects(classifiers, test)
-
-
-def evaluate_aspects(classifiers: Classifier,
-                     annotated: Sequence[AnnotatedComment]) -> dict[str, EvalReport]:
-    """Each aspect model's report on ``annotated``, labeled by :func:`binarize_aspect`."""
-    return classifiers.evaluate([ac.text for ac in annotated], {
-        aspect: [binarize_aspect(ac, aspect) for ac in annotated] for aspect in ASPECTS})
+    return _train([ac.text for ac in annotated], aspect_labels(annotated), None,
+                  tfidf_config, train_config, split_seed, test_fraction)
 
 
 def _score_columns(
@@ -310,19 +318,9 @@ def train_provoking_classifier(
     """
     if len(articles) != len(labels):
         raise ValueError(f"got {len(articles)} articles but {len(labels)} labels")
-    if len(set(labels)) < 2:
-        raise ValueError("provoking labels contain a single class")
-    pairs = list(zip(articles, labels))
-    train, test = train_test_split(pairs, test_fraction, split_seed, labels=labels)
-    for side, part in (("training", train), ("test", test)):
-        if len({lab for _, lab in part}) < 2:
-            raise ValueError(f"provoking labels have a single class in the {side} split")
-
-    tfidf, x_train = _fit_features([a.body for a, _ in train], tfidf_config)
-    model = train_logistic(x_train, [lab for _, lab in train], train_config)
-    pipeline = Classifier(tfidf, {"provoking": model})
-    return pipeline, pipeline.evaluate([a.body for a, _ in test],
-                                       {"provoking": [lab for _, lab in test]})["provoking"]
+    pipeline, reports = _train([a.body for a in articles], {"provoking": labels}, labels,
+                               tfidf_config, train_config, split_seed, test_fraction)
+    return pipeline, reports["provoking"]
 
 
 def predict_provoking(pipeline: Classifier, body: str) -> tuple[float, bool]:

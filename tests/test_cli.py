@@ -464,6 +464,27 @@ class TestScore:
         assert len(expected) == len(tagged) < len(rows)
         assert (tmp_path / "out" / "article_weights.jsonl").read_text() == "".join(expected)
 
+    def test_summary_counts_every_scored_comment_and_the_weighted_ones(self, pipeline_dir,
+                                                                       tmp_path, capsys):
+        """With ``tag`` set, every comment is still scored, but only those on
+        the tagged articles go into the weights written."""
+        rows = jsonl(pipeline_dir / "data" / "articles.jsonl")
+        for row in rows[::3]:
+            row["tags"] = ["Harbor", "transit"]
+        path = tmp_path / "articles.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        config = (pipeline_dir / "config_path.txt").read_text()
+        capsys.readouterr()
+        assert main(["score", "--config", config, "--articles", str(path),
+                     "--set", "tag=harbor", "--out", str(tmp_path / "out")]) == 0
+        tagged = {row["id"] for row in rows[::3]}
+        comments = jsonl(pipeline_dir / "data" / "comments.jsonl")
+        on_tagged = sum(c["article_id"] in tagged for c in comments)
+        assert 0 < on_tagged < len(comments)
+        assert capsys.readouterr().out == (
+            f"scored {len(comments)} comments; weighted {len(tagged)} articles "
+            f"holding {on_tagged} of them\n")
+
 
 @pytest.mark.parametrize("command", ["score", "mine-subtext"])
 def test_tag_that_no_article_carries_exits_2(pipeline_dir, tmp_path, capsys, command):
@@ -766,6 +787,29 @@ class TestEvaluate:
         assert main(["evaluate", "--target", "aspects", "--config", config,
                      "--annotated", str(empty), "--out", str(tmp_path / "out")]) == 2
         assert "cannot evaluate on zero examples" in capsys.readouterr().err
+
+    def test_single_class_aspect_labels_exit_2_naming_the_model(self, pipeline_dir, tmp_path,
+                                                                 capsys):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        annotated = [dataclasses.replace(ac, attack_flags=(False,) * len(ac.attack_flags))
+                     for ac in corpus.load_annotated(pipeline_dir / "data" / "annotated.jsonl")]
+        corpus.save_annotated(annotated, tmp_path / "civil.jsonl")
+        assert main(["evaluate", "--target", "aspects", "--config", config,
+                     "--annotated", str(tmp_path / "civil.jsonl"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error: attack labels contain a single class" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_single_class_provoking_labels_exit_2_naming_the_model(self, pipeline_dir,
+                                                                   tmp_path, capsys):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        rows = jsonl(pipeline_dir / "out" / "article_labels.jsonl")
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("".join(json.dumps({**row, "label": True}) + "\n" for row in rows))
+        assert main(["evaluate", "--target", "provoking", "--config", config,
+                     "--labels", str(labels), "--out", str(tmp_path / "out")]) == 2
+        assert "error: provoking labels contain a single class" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_aspects_without_annotated_exits_2_and_makes_no_directory(
             self, tmp_path, monkeypatch, capsys):

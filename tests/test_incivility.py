@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsciv.corpus import AnnotatedComment, Article, Comment
+from newsciv import incivility
+from newsciv.corpus import AnnotatedComment, Article, Comment, train_test_split
 from newsciv.features import fit_transform, TfidfConfig
 from newsciv.incivility import (
     ASPECT_RULE_THRESHOLD,
@@ -352,6 +354,17 @@ class TestTrainAspects:
         with pytest.raises(ValueError, match="attack"):
             train_aspect_classifiers(annotated)
 
+    def test_single_class_on_the_test_side_only_names_aspect_and_side(self):
+        """Attack is positive on two training comments only: both classes
+        overall and in training, one class in the test split."""
+        annotated = make_annotated(random.Random(3), 40)
+        train, _ = train_test_split(range(40), 0.2, 0)
+        annotated = [dataclasses.replace(ac, attack_flags=(i in train[:2],))
+                     for i, ac in enumerate(annotated)]
+        with pytest.raises(ValueError,
+                           match="^attack labels have a single class in the test split$"):
+            train_aspect_classifiers(annotated, test_fraction=0.2, split_seed=0)
+
 
 def make_articles(rng: random.Random, n: int, marker: str | None):
     """Articles where even indices carry the planted marker bigram."""
@@ -413,6 +426,23 @@ class TestProvokingClassifier:
         articles, _ = make_articles(random.Random(3), 10, None)
         with pytest.raises(ValueError):
             train_provoking_classifier(articles, [True] * 10)
+
+
+@pytest.mark.parametrize("train", [
+    lambda fraction: train_aspect_classifiers(make_annotated(random.Random(0), 40),
+                                              test_fraction=fraction),
+    lambda fraction: train_provoking_classifier(*make_articles(random.Random(0), 40, "zebra"),
+                                                test_fraction=fraction),
+], ids=["aspects", "provoking"])
+def test_empty_test_side_raises_before_anything_is_fitted(train, monkeypatch):
+    """A test fraction that rounds to no test item leaves one side empty,
+    which has fewer than two classes and must raise before any fit."""
+    fits = []
+    monkeypatch.setattr(incivility, "fit_transform", lambda *a, **k: fits.append("tfidf"))
+    monkeypatch.setattr(incivility, "train_logistic", lambda *a, **k: fits.append("logistic"))
+    with pytest.raises(ValueError, match="labels have a single class in the test split"):
+        train(0.01)
+    assert fits == []
 
 
 class TestWeightsBySource:

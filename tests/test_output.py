@@ -187,6 +187,46 @@ def test_transform_guard_sees_each_call(source, found):
     assert _transform_calls(ast.parse(source)) == found
 
 
+_TRAIN_STEPS = ("fit_transform", "train_logistic", "train_test_split")
+
+
+def _train_step_calls(tree: ast.AST) -> list[tuple[str, str]]:
+    """Each call of a ``_TRAIN_STEPS`` name or attribute in ``tree``, with its
+    enclosing top-level definition (``"<module>"`` outside one)."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in _TRAIN_STEPS:
+                    found.append((name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_one_train_path_splits_and_fits():
+    """In ``incivility`` and ``cli``, the split, the TF-IDF fit and the
+    logistic fit are each called once, inside ``incivility._train``."""
+    calls = {name: _train_step_calls(ast.parse((PACKAGE / f"{name}.py").read_text("utf-8")))
+             for name in ("incivility", "cli")}
+    assert sorted(calls["incivility"]) == [(step, "_train") for step in _TRAIN_STEPS]
+    assert calls["cli"] == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("model = train_logistic(x, y)", [("train_logistic", "<module>")]),
+    ("def _train(t):\n    return corpus.train_test_split(t, 0.2, 0)",
+     [("train_test_split", "_train")]),
+    ("def f(t, c):\n    def _train():\n        return fit_transform(t, c)",
+     [("fit_transform", "f")]),
+    ("class C:\n    def m(self, x, y):\n        return train_logistic(x, y)",
+     [("train_logistic", "C")]),
+    ("fit = train_logistic", []),
+    ("x = tfidf.transform(texts)", []),
+])
+def test_train_path_guard_sees_each_call(source, found):
+    assert _train_step_calls(ast.parse(source)) == found
+
+
 def _dumps_calls(tree: ast.AST) -> list[str]:
     """The enclosing function (``"<module>"`` at the top level) of every call
     of ``json.dumps`` in ``tree``: through the module under any name
