@@ -358,7 +358,12 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
             raise ValueError(f"labels file not found: {labels_path}")
         rows = read_rows(labels_path, {"article_id": "str", "label": "bool"}, key="article_id")
         label_of = {row["article_id"]: row["label"] for row in rows}
-        articles = [a for a in load_articles(cfg.articles) if a.id in label_of]
+        articles = load_articles(cfg.articles)
+        ids = {a.id for a in articles}
+        missing = [article_id for article_id in label_of if article_id not in ids]
+        if missing:
+            raise ValueError(f"labels reference unknown article ids: {missing[:5]}")
+        articles = [a for a in articles if a.id in label_of]
         if not articles:
             raise ValueError("no labeled articles to evaluate")
         texts = [a.body for a in articles]

@@ -6,7 +6,8 @@ The smoothing keeps idf >= 1 for every vocabulary term.
 
 Each text is tokenized once and its n-grams found by integer keys with the
 encoder of :mod:`newsciv.textproc`; only the n-grams a vocabulary keeps are
-ever spelled out as strings.
+ever spelled out as strings. A vocabulary is the tuple of its terms in
+column order, which is lexicographic.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ._checks import check_field_types, is_finite_number, is_nonnegative_int, read_model_json
+from ._checks import check_field_types, is_finite_number, read_model_json
 from ._output import write_json
 from .textproc import (
     DEFAULT_STOPLIST,
     Ngrams,
-    Vocabulary,
     chunks,
     document_frequency,
     gram_ids,
@@ -36,7 +36,7 @@ from .textproc import (
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-TFIDF_FORMAT_VERSION = 1
+TFIDF_FORMAT_VERSION = 2
 
 _INT32_MAX = np.iinfo(np.int32).max
 _KEY_MAX = np.iinfo(np.int64).max  # above every n-gram key
@@ -130,9 +130,10 @@ def _csr(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], dim: int) -> sp
 
 @dataclass(frozen=True, eq=False)
 class TfidfModel:
-    """A fitted vectorizer: vocabulary plus per-term idf weights."""
+    """A fitted vectorizer: the vocabulary, term ``vocabulary[j]`` being
+    column j, and the idf weight of each column."""
 
-    vocabulary: Vocabulary
+    vocabulary: tuple[str, ...]
     idf: np.ndarray
     config: TfidfConfig
 
@@ -159,7 +160,7 @@ class TfidfModel:
         token_ids: dict[str, int] = {}
         ids: list[int] = []
         terms = []  # (position of the first token, token count, column)
-        for term, col in self.vocabulary.index.items():
+        for col, term in enumerate(self.vocabulary):
             parts = term.split(" ")
             if self.config.n_min <= len(parts) <= self.config.n_max and "" not in parts:
                 terms.append((len(ids), len(parts), col))
@@ -219,56 +220,45 @@ def fit_transform(
     n = grams.n_docs
     df = document_frequency(grams.docs, grams.ids, grams.n_ids)
     keep = ((df >= config.min_df) & (df <= config.max_df_ratio * n)).nonzero()[0]
-    vocab, index = grams.vocabulary(keep, df)
-    idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in vocab.doc_freq.values()])
-    model = TfidfModel(vocabulary=vocab, idf=idf, config=config)
+    vocabulary, index = grams.vocabulary(keep)
+    term_df = np.empty(len(keep), dtype=np.int64)
+    term_df[index[keep]] = df[keep]  # the terms are sorted as strings, not as ids
+    # math.log, not np.log: numpy's SIMD log can differ in the last bit by CPU.
+    idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in term_df.tolist()])
+    model = TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
     cols = index[grams.ids]
     hit = (cols >= 0).nonzero()[0]
-    return model, _csr([_weighted_rows(grams.docs[hit], cols[hit], n, idf)], len(vocab))
+    return model, _csr([_weighted_rows(grams.docs[hit], cols[hit], n, idf)], len(vocabulary))
 
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
     """Write a fitted model as versioned JSON."""
-    terms = model.vocabulary.terms
-    payload = {
+    write_json(path, {
         "format_version": TFIDF_FORMAT_VERSION,
         "config": asdict(model.config),
-        "vocabulary": terms,
+        "vocabulary": list(model.vocabulary),
         "idf": [float(x) for x in model.idf],
-        "doc_freq": [model.vocabulary.doc_freq[t] for t in terms],
-        "n_docs": model.vocabulary.n_docs,
-    }
-    write_json(path, payload)
+    })
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
     """Read a model written by :func:`save_tfidf`; a damaged file raises
     ValueError naming ``path``."""
-    payload = read_model_json(
-        path, TFIDF_FORMAT_VERSION, ("config", "vocabulary", "idf", "doc_freq", "n_docs")
-    )
-    terms, idf, doc_freq = payload["vocabulary"], payload["idf"], payload["doc_freq"]
+    payload = read_model_json(path, TFIDF_FORMAT_VERSION, ("config", "vocabulary", "idf"))
+    terms, idf, config = payload["vocabulary"], payload["idf"], payload["config"]
     if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)
             and len(set(terms)) == len(terms)):
         raise ValueError(f"{path}: vocabulary must be a list of distinct strings")
-    for name, values, ok in (("idf", idf, is_finite_number),
-                             ("doc_freq", doc_freq, is_nonnegative_int)):
-        if not (isinstance(values, list) and len(values) == len(terms)
-                and all(ok(v) for v in values)):
-            raise ValueError(f"{path}: {name} must hold one valid number per vocabulary term")
-    if not is_nonnegative_int(payload["n_docs"]):
-        raise ValueError(f"{path}: n_docs must be a non-negative integer")
-    config = payload["config"]
-    known = {f.name for f in fields(TfidfConfig)}
-    if not (isinstance(config, dict) and set(config) <= known):
+    if not (isinstance(idf, list) and len(idf) == len(terms) and all(map(is_finite_number, idf))):
+        raise ValueError(f"{path}: idf must hold one valid number per vocabulary term")
+    known = [f.name for f in fields(TfidfConfig)]
+    if not (isinstance(config, dict) and set(config) <= set(known)):
         raise ValueError(f"{path}: config must be an object with keys from {sorted(known)}")
+    missing = [key for key in known if key not in config]
+    if missing:  # a default would silently change what transform counts
+        raise ValueError(f"{path}: config is missing keys {missing}")
     try:
         config = TfidfConfig(**config)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    vocab = Vocabulary(
-        index={t: i for i, t in enumerate(terms)},
-        doc_freq=dict(zip(terms, doc_freq)),
-        n_docs=payload["n_docs"],
-    )
-    return TfidfModel(vocabulary=vocab, idf=np.array(idf, dtype=np.float64), config=config)
+    return TfidfModel(vocabulary=tuple(terms), idf=np.array(idf, dtype=np.float64), config=config)

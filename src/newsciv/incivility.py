@@ -130,14 +130,17 @@ def _train(texts: Sequence[str], labels_by_name: Mapping[str, Sequence[bool]],
            train_config: TrainConfig | None, split_seed: int,
            test_fraction: float) -> tuple[Classifier, dict[str, EvalReport]]:
     """Split ``texts`` (stratified on ``stratify``, if given); check before any
-    fit that each name's labels hold both classes on each side, so an empty
-    side raises; fit one vectorizer and one model per name; report on the test side."""
+    fit that each side holds items and each name's labels both classes on it;
+    fit one vectorizer and one model per name; report on the test side."""
     for name, labels in labels_by_name.items():
         if len(set(labels)) == 1:
             raise ValueError(f"{name} labels contain a single class")
     train, test = train_test_split(range(len(texts)), test_fraction, split_seed, labels=stratify)
-    for name, labels in labels_by_name.items():
-        for side, part in (("training", train), ("test", test)):
+    for side, part in (("training", train), ("test", test)):
+        if not part:
+            raise ValueError(f"the {side} split is empty: test_fraction {test_fraction} "
+                             f"of {len(texts)} texts")
+        for name, labels in labels_by_name.items():
             if len({labels[i] for i in part}) < 2:
                 raise ValueError(f"{name} labels have a single class in the {side} split")
     tfidf, x_train = fit_transform([texts[i] for i in train], tfidf_config)

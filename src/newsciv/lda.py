@@ -13,8 +13,8 @@ loop over tokens. One pseudorandom stream drives the initialization and the
 sweeps, so a fixed seed reproduces the final state bit for bit.
 
 The sampler reads its documents as :class:`Bags`: integer term ids with
-the vocabulary in lexicographic order. ``subtext`` builds them from integer
-phrase ids and spells out only the phrases it keeps.
+the tuple of the terms in lexicographic order. ``subtext`` builds them
+from integer phrase ids and spells out only the phrases it keeps.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_field_types
-from .textproc import Vocabulary
 
 # Tokens whose topic weights one sweep forms at a time.
 _BLOCK = 16384
@@ -64,13 +63,14 @@ class TopicSummary:
 @dataclass(frozen=True, eq=False)
 class Bags:
     """Documents as term ids: token i is term ``words[i]`` of document
-    ``docs[i]``, tokens in document order. ``vocabulary`` numbers the terms
-    in lexicographic order, so ids rank ties as the terms would, and
-    ``vocabulary.n_docs`` counts every document, empty ones too."""
+    ``docs[i]``, tokens in document order. Term id w is ``vocabulary[w]``,
+    the terms in lexicographic order, so ids rank ties as the terms would,
+    and ``n_docs`` counts every document, empty ones too."""
 
     words: np.ndarray
     docs: np.ndarray
-    vocabulary: Vocabulary
+    vocabulary: tuple[str, ...]
+    n_docs: int
 
 
 class LdaModel:
@@ -87,12 +87,12 @@ class LdaModel:
 
     def __init__(self, bags: Bags, config: LdaConfig) -> None:
         self.config = config
-        self.vocabulary: Vocabulary = bags.vocabulary
+        self.vocabulary, self.n_docs = bags.vocabulary, bags.n_docs
         self.words, self.docs = bags.words, bags.docs
         self.n_tokens = len(self.words)
         if self.n_tokens == 0:
             raise ValueError("all documents are empty")
-        n_docs, n_terms = self.vocabulary.n_docs, len(self.vocabulary)
+        n_docs, n_terms = self.n_docs, len(self.vocabulary)
         # beta * V + n_tokens is the largest argument log_likelihood gives
         # lgamma and about what a row of phi sums to; past a finite lgamma
         # of it, a run ends in a math range error or NaN traces.
@@ -139,7 +139,7 @@ class LdaModel:
 
     def _recount(self) -> None:
         k = self.n_topics
-        n_docs, n_terms = self.vocabulary.n_docs, len(self.vocabulary)
+        n_docs, n_terms = self.n_docs, len(self.vocabulary)
         self.doc_topic = np.bincount(self._doc_keys + self.z, minlength=n_docs * k).reshape(n_docs, k)
         self.term_topic = np.bincount(self._word_keys + self.z, minlength=n_terms * k).reshape(n_terms, k)
         self.topic_totals = np.bincount(self.z, minlength=k)
@@ -225,11 +225,10 @@ def topic_terms(model: LdaModel, topic: int, t: int = 5) -> TopicSummary:
     terms than the vocabulary holds returns all of them.
     """
     phi = model.topic_distribution(topic)
-    terms = model.vocabulary.terms
     top = np.argsort(-phi, kind="stable")[:t].tolist()
     return TopicSummary(
         topic_id=topic,
-        terms=tuple((terms[w], float(phi[w])) for w in top),
+        terms=tuple((model.vocabulary[w], float(phi[w])) for w in top),
     )
 
 

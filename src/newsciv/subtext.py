@@ -51,10 +51,11 @@ def _bags(grams: Ngrams, ids: np.ndarray, docs: np.ndarray, min_df: int) -> Bags
     least ``min_df`` texts, ordered by text, then n, then position, over
     their lexicographic vocabulary."""
     df = document_frequency(docs, ids, grams.n_ids)
-    vocabulary, index = grams.vocabulary((df >= max(min_df, 1)).nonzero()[0], df)
+    vocabulary, index = grams.vocabulary((df >= max(min_df, 1)).nonzero()[0])
     keep = index[ids] >= 0
     order = docs[keep].argsort(kind="stable")
-    return Bags(words=index[ids[keep][order]], docs=docs[keep][order], vocabulary=vocabulary)
+    return Bags(words=index[ids[keep][order]], docs=docs[keep][order],
+                vocabulary=vocabulary, n_docs=grams.n_docs)
 
 
 def phrase_documents(
@@ -66,8 +67,7 @@ def phrase_documents(
     integer bags the subtext phases model, spelled out."""
     grams = Ngrams(texts, config.n_min, config.n_max, stoplist)
     bags = _bags(grams, grams.ids, grams.docs, 1)
-    terms = bags.vocabulary.terms
-    spelled = [terms[w] for w in bags.words.tolist()]
+    spelled = [bags.vocabulary[w] for w in bags.words.tolist()]
     bounds = np.bincount(bags.docs, minlength=grams.n_docs).cumsum().tolist()
     return [spelled[a:b] for a, b in zip([0, *bounds], bounds)]
 

@@ -1,10 +1,11 @@
-r"""Tokenization and the integer n-gram encoder, with the vocabulary type.
+r"""Tokenization and the integer n-gram encoder.
 
 Everything downstream (TF-IDF features, topic models, phrase mining) works
 on the output of this module, so the rules here are deliberately small and
 fixed: lowercase tokens made of letters/digits with internal apostrophes,
 stop words dropped before n-grams are formed, n-grams spelled with single
-spaces, and vocabularies with deterministic (lexicographic) index order.
+spaces, and vocabularies as tuples of their terms in lexicographic order,
+a term's column or id being its position.
 
 A token is a maximal run of characters that are ``str.isalnum()`` or "'",
 taken from the lowercased text, with its leading and trailing apostrophes
@@ -31,8 +32,6 @@ n. Only the n-grams a caller keeps are ever spelled out as strings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -99,27 +98,6 @@ def tokenize_each(texts: Iterable[str]) -> Iterator[TokenSequence]:
             end = tokens.index("\n", start)
             yield tokens[start:end]
             start = end + 1
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """Term-to-index mapping with document frequencies.
-
-    Indices are contiguous 0..V-1 in lexicographic term order, so a
-    vocabulary built from the same documents is always identical.
-    """
-
-    index: dict[str, int]
-    doc_freq: dict[str, int]
-    n_docs: int
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    @cached_property
-    def terms(self) -> list[str]:
-        """Terms in index order."""
-        return sorted(self.index, key=self.index.__getitem__)
 
 
 def chunks(texts: Iterable[str]) -> Iterator[list[str]]:
@@ -264,11 +242,10 @@ class Ngrams:
 
         return [find_one(phrase.split(" ")) for phrase in phrases]
 
-    def vocabulary(self, kept: np.ndarray, df: np.ndarray) -> tuple[Vocabulary, np.ndarray]:
-        """The vocabulary of the n-grams with the sorted ids ``kept`` and
-        document frequencies ``df[id]``, numbered in lexicographic order,
-        and the index in it of each id: -1 for an id not kept, and at an
-        extra last position that id -1 indexes.
+    def vocabulary(self, kept: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+        """The terms of the n-grams with the sorted ids ``kept``, in
+        lexicographic order, and the index among them of each id: -1 for an
+        id not kept, and at an extra last position that id -1 indexes.
 
         Only the kept n-grams are spelled out: each key is split into
         prefix and last token until only token ids are left."""
@@ -282,15 +259,9 @@ class Ngrams:
             terms += map(" ".join, zip(*([self.words[t] for t in part.tolist()]
                                           for part in parts)))
         order = sorted(range(len(terms)), key=terms.__getitem__)
-        kept, terms = kept[order], [terms[i] for i in order]
         index = np.full(self.n_ids + 1, -1, dtype=np.int64)
-        index[kept] = np.arange(len(kept))
-        vocabulary = Vocabulary(
-            index={term: i for i, term in enumerate(terms)},
-            doc_freq=dict(zip(terms, df[kept].tolist())),
-            n_docs=self.n_docs,
-        )
-        return vocabulary, index
+        index[kept[order]] = np.arange(len(kept))
+        return tuple(terms[i] for i in order), index
 
 
 # Fixed English function-word list, applied before n-gram formation in the

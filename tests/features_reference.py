@@ -35,7 +35,7 @@ def transform(model: TfidfModel, texts: Sequence[str]) -> sp.csr_matrix:
     """
     if isinstance(texts, str):
         raise TypeError("transform takes a sequence of texts, not one str")
-    index = model.vocabulary.index
+    index = {term: i for i, term in enumerate(model.vocabulary)}
     indptr = [0]
     indices: list[int] = []
     counts: list[int] = []
@@ -79,4 +79,4 @@ def fit_tfidf(documents: Sequence[str], config: TfidfConfig | None = None) -> Tf
     idf = np.array(
         [math.log((1 + n) / (1 + vocab.doc_freq[t])) + 1.0 for t in vocab.terms]
     )
-    return TfidfModel(vocabulary=vocab, idf=idf, config=config)
+    return TfidfModel(vocabulary=tuple(vocab.terms), idf=idf, config=config)

@@ -19,30 +19,25 @@ draws the same stream, so it must give the same bits.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
 from newsciv.lda import Bags, LdaModel
-from newsciv.textproc import Vocabulary
 
 
 def bags_of(documents: Sequence[Sequence[str]]) -> Bags:
     """The :class:`Bags` of documents given as lists of string terms."""
     if len(documents) == 0:
         raise ValueError("cannot fit LDA on zero documents")
-    df = Counter(term for doc in documents for term in set(doc))
-    terms = sorted(df)
+    terms = tuple(sorted({term for doc in documents for term in doc}))
     index = {term: i for i, term in enumerate(terms)}
-    vocabulary = Vocabulary(index=index, doc_freq={term: df[term] for term in terms},
-                            n_docs=len(documents))
     lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
     words = np.fromiter(
         (index[t] for doc in documents for t in doc), dtype=np.int64, count=int(lengths.sum())
     )
     docs = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
-    return Bags(words=words, docs=docs, vocabulary=vocabulary)
+    return Bags(words=words, docs=docs, vocabulary=terms, n_docs=len(documents))
 
 
 def collapsed_sweeps(model: LdaModel, n_sweeps: int) -> None:

@@ -14,8 +14,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from newsciv.lda import LdaConfig
-from newsciv.textproc import DEFAULT_STOPLIST, Vocabulary, tokenize
-from textproc_reference import build_vocabulary, ngrams, remove_stopwords
+from newsciv.textproc import DEFAULT_STOPLIST, tokenize
+from textproc_reference import Vocabulary, build_vocabulary, ngrams, remove_stopwords
 
 
 def phrase_documents(

@@ -319,7 +319,7 @@ def test_a7_lda_invariants_and_block_separation():
         two_block.append([rng.choice(pool) for _ in range(25)])
     fitted = fit_lda(bags_of(two_block),
                      LdaConfig(n_topics=2, iterations=200, seed=17, n_min=1, n_max=1))
-    idx_a = [fitted.vocabulary.index[w] for w in block_a]
+    idx_a = [fitted.vocabulary.index(w) for w in block_a]
     purities = []
     for k in range(2):
         mass_a = fitted.term_topic[idx_a, k].sum() / fitted.topic_totals[k]

@@ -229,11 +229,13 @@ class TestScore:
         ("aspect_attack.json", lambda m: {**m, "weights": [["3", 0.5]]},
          "weights must be [index, finite value] pairs"),
         ("aspects_tfidf.json", lambda m: [1, 2], "a model file must hold a JSON object"),
-        ("aspects_tfidf.json", lambda m: {"format_version": 1}, "missing keys ['config'"),
+        ("aspects_tfidf.json", lambda m: {"format_version": 2}, "missing keys ['config'"),
+        ("aspects_tfidf.json", lambda m: {**m, "format_version": 1, "doc_freq": [], "n_docs": 1},
+         "unsupported model format version: 1"),
         ("aspect_attack.json", lambda m: {**m, "dimension": 10**12},
          "dimension 1000000000000 is too large"),
     ], ids=["index-out-of-range", "string-index", "tfidf-list", "tfidf-no-keys",
-            "huge-dimension"])
+            "tfidf-format-1", "huge-dimension"])
     def test_damaged_model_file_exits_2(self, pipeline_dir, tmp_path, capsys,
                                         name, damage, message):
         models = tmp_path / "models"
@@ -809,6 +811,24 @@ class TestEvaluate:
         assert main(["evaluate", "--target", "provoking", "--config", config,
                      "--labels", str(labels), "--out", str(tmp_path / "out")]) == 2
         assert "error: provoking labels contain a single class" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_labels_for_unknown_articles_exit_2(self, pipeline_dir, tmp_path, capsys):
+        """Labels for articles the articles file lacks are an error, not
+        dropped: the report would cover fewer articles than labeled."""
+        config = (pipeline_dir / "config_path.txt").read_text()
+        labels = pipeline_dir / "out" / "article_labels.jsonl"
+        labeled = [row["article_id"] for row in jsonl(labels)]
+        articles = [a for a in corpus.load_articles(pipeline_dir / "data" / "articles.jsonl")
+                    if a.id in labeled]
+        corpus.save_articles(articles[:len(articles) // 2], tmp_path / "articles.jsonl")
+        unknown = [a.id for a in articles[len(articles) // 2:]]
+        unknown.sort(key=labeled.index)
+        assert main(["evaluate", "--target", "provoking", "--config", config,
+                     "--articles", str(tmp_path / "articles.jsonl"), "--labels", str(labels),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert (f"error: labels reference unknown article ids: {unknown[:5]}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_aspects_without_annotated_exits_2_and_makes_no_directory(

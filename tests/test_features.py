@@ -48,13 +48,13 @@ def dense_tfidf_oracle(corpus: list[str], query: str) -> dict[str, float]:
 def row_terms(model, X, i: int) -> dict[str, float]:
     """Row ``i`` of a transform, keyed by term."""
     a, b = X.indptr[i], X.indptr[i + 1]
-    return {model.vocabulary.terms[j]: x for j, x in zip(X.indices[a:b], X.data[a:b])}
+    return {model.vocabulary[j]: x for j, x in zip(X.indices[a:b], X.data[a:b])}
 
 
 class TestFitTfidf:
     def test_smoothed_idf_values(self):
         model = fit_transform(["a b", "a c"], UNIGRAMS)[0]
-        idf = dict(zip(model.vocabulary.terms, model.idf))
+        idf = dict(zip(model.vocabulary, model.idf))
         assert idf["a"] == pytest.approx(1.0, abs=1e-12)
         assert idf["b"] == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)  # ~1.4055
         assert idf["c"] == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
@@ -65,7 +65,7 @@ class TestFitTfidf:
 
     def test_absent_terms_not_in_vocabulary(self):
         model = fit_transform(["a b", "a c"], UNIGRAMS)[0]
-        assert "z" not in model.vocabulary.index
+        assert "z" not in model.vocabulary
 
     def test_idf_at_least_one(self):
         rng = random.Random(0)
@@ -131,7 +131,7 @@ class TestTransform:
         docs = [" ".join(rng.choices("abcdefgh", k=6)) for _ in range(10)]
         m1 = fit_transform(docs, UNIGRAMS)[0]
         m2 = fit_transform(list(reversed(docs)), UNIGRAMS)[0]
-        assert m1.vocabulary.index == m2.vocabulary.index
+        assert m1.vocabulary == m2.vocabulary
         assert m1.idf.tolist() == m2.idf.tolist()
         v1, v2 = m1.transform(docs), m2.transform(docs)
         assert v1.indices.tolist() == v2.indices.tolist()
@@ -168,8 +168,8 @@ class TestTransform:
     def test_stoplist_switch_drops_function_words(self):
         cfg = TfidfConfig(n_min=1, n_max=1, use_stoplist=True)
         model = fit_transform(["the wall stands", "the gate stands"], cfg)[0]
-        assert "the" not in model.vocabulary.index
-        assert "wall" in model.vocabulary.index
+        assert "the" not in model.vocabulary
+        assert "wall" in model.vocabulary
 
 
 class TestSerialization:
@@ -178,7 +178,8 @@ class TestSerialization:
         path = tmp_path / "tfidf.json"
         save_tfidf(model, path)
         loaded = load_tfidf(path)
-        assert loaded.vocabulary.index == model.vocabulary.index
+        assert type(loaded.vocabulary) is tuple and loaded.vocabulary == model.vocabulary
+        assert loaded.idf.tobytes() == model.idf.tobytes()
         assert loaded.config == model.config
         v1, v2 = model.transform(["a b c"]), loaded.transform(["a b c"])
         assert v1.indices.tolist() == v2.indices.tolist()
@@ -193,7 +194,7 @@ class TestSerialization:
         assert "café" in text and "東京" in text
         escaped.write_text(json.dumps(json.loads(text)), encoding="ascii")
         for saved in (path, escaped):
-            assert load_tfidf(saved).vocabulary.index == model.vocabulary.index
+            assert load_tfidf(saved).vocabulary == model.vocabulary
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "tfidf.json"
@@ -206,11 +207,13 @@ class TestSerialization:
         ("vocabulary", ["a", 2, "b"], "vocabulary must be a list of distinct strings"),
         ("idf", [1.0, 2.0], "idf must hold one valid number per vocabulary term"),
         ("idf", [1.0, float("nan"), 1.0], "idf must hold one valid number"),
-        ("doc_freq", [1, -1, 1], "doc_freq must hold one valid number"),
-        ("doc_freq", "abc", "doc_freq must hold one valid number"),
-        ("n_docs", True, "n_docs must be a non-negative integer"),
+        ("format_version", 1, "unsupported model format version: 1"),
+        ("config", {"n_max": 1, "max_df_ratio": 1.0, "use_stoplist": False},
+         "config is missing keys ['n_min', 'min_df']"),
+        ("idf", "abc", "idf must hold one valid number"),
         ("config", {"n_min": 1, "ngrams": 2}, "config must be an object with keys"),
-        ("config", {"n_min": 3, "n_max": 2}, "invalid n-gram range"),
+        ("config", {**dataclasses.asdict(TfidfConfig()), "n_min": 3, "n_max": 2},
+         "invalid n-gram range"),
         ("config", [1, 2], "config must be an object with keys"),
     ])
     def test_damaged_file_raises_value_error_naming_it(self, tmp_path, key, value, message):
@@ -254,9 +257,7 @@ def assert_same_matrix(got, expected):
 
 
 def assert_same_model(got, expected):
-    assert got.vocabulary.index == expected.vocabulary.index
-    assert got.vocabulary.doc_freq == expected.vocabulary.doc_freq
-    assert got.vocabulary.n_docs == expected.vocabulary.n_docs
+    assert type(got.vocabulary) is tuple and got.vocabulary == expected.vocabulary
     assert got.idf.tobytes() == expected.idf.tobytes()
     assert got.config == expected.config
 
@@ -297,9 +298,8 @@ class TestMatchesStringReference:
         as they did on the string path."""
         path = tmp_path_factory.mktemp("tfidf") / "tfidf.json"
         path.write_text(json.dumps({
-            "format_version": 1, "config": dataclasses.asdict(config), "vocabulary": terms,
-            "idf": [idf + i for i in range(len(terms))], "doc_freq": [1] * len(terms),
-            "n_docs": 1,
+            "format_version": 2, "config": dataclasses.asdict(config), "vocabulary": terms,
+            "idf": [idf + i for i in range(len(terms))],
         }), encoding="utf-8")
         model = load_tfidf(path)
         batch = queries + [" ".join(terms)]
@@ -327,7 +327,7 @@ class TestMatchesStringReference:
         differs from math.log by an ulp at df 59 and 61 of N = 62."""
         docs = [" ".join(f"t{j}" for j in range(i + 1)) for i in range(62)]
         model = fit_transform(docs, TfidfConfig(n_min=1, n_max=1))[0]
-        assert sorted(model.vocabulary.doc_freq.values()) == list(range(1, 63))
+        assert len(set(model.idf.tolist())) == len(model.vocabulary) == 62  # each df once
         assert_same_model(model, reference.fit_tfidf(docs, TfidfConfig(n_min=1, n_max=1)))
 
     def test_ngrams_do_not_join_neighbouring_texts(self):
@@ -339,7 +339,7 @@ class TestMatchesStringReference:
         docs = ["the wall", "the gate", "the hill", "a wall"]
         config = TfidfConfig(n_min=1, n_max=2, max_df_ratio=0.5)
         model, x = fit_transform(docs, config)
-        assert "the" not in model.vocabulary.index and "the wall" in model.vocabulary.index
+        assert "the" not in model.vocabulary and "the wall" in model.vocabulary
         assert row_terms(model, x, 0).keys() == {"the wall", "wall"}
         assert_same_matrix(x, reference.transform(reference.fit_tfidf(docs, config), docs))
 

@@ -42,7 +42,7 @@ def crafted_classifiers() -> Classifier:
     """Classifiers with hand-set weights: the words low/mid/high score
     0.1/0.3/0.5 on toxicity; aggression and attack are pinned near zero."""
     tfidf = fit_transform(["low", "mid", "high"], TfidfConfig(n_min=1, n_max=1))[0]
-    idx = tfidf.vocabulary.index
+    idx = {term: j for j, term in enumerate(tfidf.vocabulary)}
     w = np.zeros(3)
     w[idx["low"]] = logit(0.1)
     w[idx["mid"]] = logit(0.3)
@@ -435,14 +435,22 @@ class TestProvokingClassifier:
                                                 test_fraction=fraction),
 ], ids=["aspects", "provoking"])
 def test_empty_test_side_raises_before_anything_is_fitted(train, monkeypatch):
-    """A test fraction that rounds to no test item leaves one side empty,
-    which has fewer than two classes and must raise before any fit."""
+    """A test fraction that rounds to no test item leaves the test side
+    empty, which must raise, named as such, before any fit."""
     fits = []
     monkeypatch.setattr(incivility, "fit_transform", lambda *a, **k: fits.append("tfidf"))
     monkeypatch.setattr(incivility, "train_logistic", lambda *a, **k: fits.append("logistic"))
-    with pytest.raises(ValueError, match="labels have a single class in the test split"):
+    with pytest.raises(ValueError, match=r"^the test split is empty: test_fraction 0\.01 of 40 texts$"):
         train(0.01)
     assert fits == []
+
+
+def test_empty_training_side_is_named():
+    """Each class of one item puts round(0.75) = 1 item of it in the test side."""
+    with pytest.raises(ValueError,
+                       match=r"^the training split is empty: test_fraction 0\.75 of 2 texts$"):
+        train_provoking_classifier(*make_articles(random.Random(0), 2, "zebra"),
+                                   test_fraction=0.75)
 
 
 class TestWeightsBySource:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from newsciv import lda
-from newsciv.lda import LdaConfig, LdaModel, fit_lda, topic_terms, topics_by_size
+from newsciv.lda import Bags, LdaConfig, LdaModel, fit_lda, topic_terms, topics_by_size
 
 import subtext_reference
 from lda_reference import bags_of, collapsed_sweeps, per_topic_sweeps
@@ -47,19 +48,35 @@ class TestBagsOf:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.lists(TERMS, max_size=6), min_size=1, max_size=8))
     def test_matches_the_string_vocabulary(self, docs):
-        """``bags_of`` builds the arrays and vocabulary that
-        ``build_vocabulary`` gave, doc_freq order included."""
+        """``bags_of`` builds the arrays, terms and document count that
+        ``build_vocabulary`` gave."""
         bags = bags_of(docs)
         words, doc_ids, vocabulary = subtext_reference.model_arrays(docs)
         assert bags.words.dtype == words.dtype and bags.words.tolist() == words.tolist()
         assert bags.docs.dtype == doc_ids.dtype and bags.docs.tolist() == doc_ids.tolist()
-        assert list(bags.vocabulary.index.items()) == list(vocabulary.index.items())
-        assert list(bags.vocabulary.doc_freq.items()) == list(vocabulary.doc_freq.items())
-        assert bags.vocabulary.n_docs == vocabulary.n_docs == len(docs)
+        assert bags.vocabulary == tuple(vocabulary.terms)
+        assert bags.n_docs == vocabulary.n_docs == len(docs)
 
     def test_zero_documents(self):
         with pytest.raises(ValueError, match="zero documents"):
             bags_of([])
+
+    def test_bags_built_from_their_fields_sample_as_the_reference(self):
+        """Bags given as ids over a term tuple, with two empty documents
+        that only ``n_docs`` counts, are the ``bags_of`` bags, and their
+        chain is the per-topic sampler's."""
+        docs = [["b", "a"], ["c", "a", "a"], [], []]
+        bags = Bags(words=np.array([1, 0, 2, 0, 0]), docs=np.array([0, 0, 1, 1, 1]),
+                    vocabulary=("a", "b", "c"), n_docs=4)
+        want = bags_of(docs)
+        assert (bags.vocabulary, bags.n_docs) == (want.vocabulary, want.n_docs)
+        assert bags.words.tolist() == want.words.tolist()
+        assert bags.docs.tolist() == want.docs.tolist()
+        config = LdaConfig(n_topics=2, seed=5, **UNIGRAM)
+        TestBlockedWeights.assert_same_chain(bags, config, 4)
+        model = fit_lda(bags, replace(config, iterations=4))
+        assert model.doc_topic.shape == (4, 2) and not model.doc_topic[2:].any()
+        assert {term for term, _ in topic_terms(model, 0, 3).terms} == {"a", "b", "c"}
 
 
 class TestFit:
@@ -69,7 +86,7 @@ class TestFit:
         assert (model.z == 0).all()
         counts = Counter(t for d in docs for t in d)
         for term, count in counts.items():
-            assert model.term_topic[model.vocabulary.index[term], 0] == count
+            assert model.term_topic[model.vocabulary.index(term), 0] == count
 
     def test_count_conservation_after_every_sweep(self):
         rng = random.Random(5)
@@ -93,7 +110,7 @@ class TestFit:
     def test_two_block_corpus_separates(self):
         docs, block_a, _ = two_block_corpus(random.Random(1))
         model = fit_lda(bags_of(docs), LdaConfig(n_topics=2, iterations=200, seed=3, **UNIGRAM))
-        idx_a = [model.vocabulary.index[w] for w in block_a]
+        idx_a = [model.vocabulary.index(w) for w in block_a]
         for k in range(2):
             mass_a = model.term_topic[idx_a, k].sum() / model.topic_totals[k]
             assert mass_a >= 0.9 or mass_a <= 0.1

@@ -6,7 +6,9 @@ models on a default-size corpus, and the demos cover running the API.
 The package root exports exactly the names that the quickstart and the
 demos import from it, so an export that nothing documents cannot return.
 README's config covering every stage loads as a ``RunConfig``, so a renamed
-or retyped config field fails here as well."""
+or retyped config field fails here as well. The keys and format version
+that README's data formats give for each model file are those that
+``save_tfidf`` and ``save_logistic`` write."""
 
 from __future__ import annotations
 
@@ -17,8 +19,12 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
+
 import newsciv
 from newsciv import cli
+from newsciv.features import fit_transform, save_tfidf
+from newsciv.linmodel import LogisticModel, save_logistic
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -69,3 +75,25 @@ def test_full_config_loads():
     assert FULL_CONFIG, "README has no full config block"
     data = json.loads(FULL_CONFIG[1])
     assert cli._from_dict(cli.RunConfig(), data).synthetic.n_articles == 400
+
+
+def _listed_model_file(name: str) -> tuple[str, list[str]]:
+    """The data formats bullet that starts with model file ``name``, and
+    the keys of the first ``{"key", ...}`` in it."""
+    bullet = re.search(rf"^ *\* `{re.escape(name)}`.*?(?=^ *\*|^$)", README, re.S | re.M)
+    assert bullet, f"README lists no model file {name}"
+    keys = re.search(r"`\{(.*?)\}`", bullet[0], re.S)
+    assert keys, f"README gives no keys for {name}"
+    return bullet[0], re.findall(r'"(\w+)"', keys[1])
+
+
+def test_model_file_keys_match_the_writers(tmp_path):
+    save_tfidf(fit_transform(["a b", "a c"])[0], tmp_path / "tfidf.json")
+    save_logistic(LogisticModel(weights=np.array([0.0, 1.5]), bias=0.5),
+                  tmp_path / "logistic.json")
+    for name, written in (("aspects_tfidf.json", "tfidf.json"),
+                          ("aspect_<name>.json", "logistic.json")):
+        payload = json.loads((tmp_path / written).read_text())
+        bullet, keys = _listed_model_file(name)
+        assert keys == list(payload), name
+        assert f"format {payload['format_version']}:" in bullet, name

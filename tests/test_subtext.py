@@ -107,13 +107,12 @@ def assert_same_bags(texts, config, exclude, min_df, stoplist):
     for got, want in ((bags.words, words), (bags.docs, docs)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-    assert bags.vocabulary.index == vocabulary.index
-    assert bags.vocabulary.doc_freq == vocabulary.doc_freq
-    assert bags.vocabulary.n_docs == vocabulary.n_docs
-    assert list(bags.vocabulary.doc_freq) == list(vocabulary.doc_freq)
+    assert bags.vocabulary == tuple(vocabulary.terms)
+    assert bags.n_docs == vocabulary.n_docs
     # The sampler reads nothing else, so two sweeps must agree bit for bit.
     if len(words):
-        want = Bags(words=words, docs=docs, vocabulary=vocabulary)
+        want = Bags(words=words, docs=docs, vocabulary=tuple(vocabulary.terms),
+                    n_docs=vocabulary.n_docs)
         got_model, want_model = LdaModel(bags, config), LdaModel(want, config)
         got_model.sweep(2)
         want_model.sweep(2)
@@ -173,7 +172,7 @@ class TestTopicTermsRanking:
         for k in range(n_topics):
             summary = topic_terms(model, k, t)
             assert list(summary.terms) == reference.ranked_terms(
-                model.topic_distribution(k), model.vocabulary.terms, t)
+                model.topic_distribution(k), model.vocabulary, t)
 
 
 class TestExtractTopicPhrases:

@@ -6,7 +6,9 @@ tokenizer: ``tokenize`` finds one regex match per token, and
 with a newline alternative that marks each text's end.
 
 The string helpers that ``newsciv.textproc`` had before its integer n-gram
-encoder: ``remove_stopwords``, ``ngrams`` and ``build_vocabulary``. The
+encoder: ``remove_stopwords``, ``ngrams`` and ``build_vocabulary``, with
+the ``Vocabulary`` record that ``build_vocabulary`` returns (the library's
+vocabulary is the tuple of its terms, ``Vocabulary.terms`` here as a list). The
 string-path oracles of ``features_reference`` and ``subtext_reference`` are
 built from them.
 """
@@ -15,9 +17,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-from newsciv.textproc import Vocabulary
 
 TokenSequence = list[str]
 
@@ -46,6 +47,24 @@ def tokenize_texts(texts: Sequence[str]) -> TokenSequence:
     if joined.count("\n") != len(texts):
         joined = "\n".join([*(t.replace("\n", " ") for t in texts), ""])
     return _TOKEN_OR_END_RE.findall(joined.lower())
+
+
+@dataclass(frozen=True)
+class Vocabulary:
+    """Term-to-index mapping with document frequencies, indices 0..V-1 in
+    lexicographic term order."""
+
+    index: dict[str, int]
+    doc_freq: dict[str, int]
+    n_docs: int
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @property
+    def terms(self) -> list[str]:
+        """Terms in index order."""
+        return sorted(self.index, key=self.index.__getitem__)
 
 
 def remove_stopwords(tokens: Sequence[str], stoplist: Iterable[str]) -> TokenSequence:
