@@ -179,7 +179,7 @@ def _select_articles(cfg: RunConfig):
     """The articles that ``score`` and ``mine-subtext`` work on: those carrying
     the tag, if set (an error when none does), and holding a keyword, if set."""
     articles = load_articles(cfg.articles)
-    if cfg.tag:
+    if cfg.tag is not None:
         articles = filter_by_tag(articles, cfg.tag)
         if not articles:
             raise ValueError(f"no articles carry tag {cfg.tag!r}")

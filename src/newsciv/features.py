@@ -4,10 +4,12 @@ The weighting variant is fixed: raw term counts, smoothed inverse document
 frequency ln((1 + N) / (1 + df)) + 1, and L2 normalization of each row.
 The smoothing keeps idf >= 1 for every vocabulary term.
 
-Each text is tokenized once and its n-grams found by integer keys with the
-encoder of :mod:`newsciv.textproc`; only the n-grams a vocabulary keeps are
-ever spelled out as strings. A vocabulary is the tuple of its terms in
-column order, which is lexicographic.
+Each text is tokenized once. A fit numbers the n-grams of its texts with
+:class:`newsciv.textproc.Ngrams` and spells out only those it keeps; a
+transform counts the n-grams of new texts through the ``Ngrams`` of the
+vocabulary terms. Only :mod:`newsciv.textproc` knows how n-grams are keyed.
+A vocabulary is the tuple of its terms in column order, which is
+lexicographic.
 """
 
 from __future__ import annotations
@@ -16,22 +18,13 @@ import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ._checks import check_field_types, is_finite_number, read_model_json
 from ._output import write_json
-from .textproc import (
-    DEFAULT_STOPLIST,
-    Ngrams,
-    chunks,
-    document_frequency,
-    gram_ids,
-    lookup_texts,
-    number_grams,
-    token_lookup,
-)
+from .textproc import DEFAULT_STOPLIST, Ngrams, chunks, document_frequency
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -39,7 +32,6 @@ if TYPE_CHECKING:
 TFIDF_FORMAT_VERSION = 2
 
 _INT32_MAX = np.iinfo(np.int32).max
-_KEY_MAX = np.iinfo(np.int64).max  # above every n-gram key
 
 
 @dataclass(frozen=True)
@@ -66,29 +58,17 @@ class TfidfConfig:
         return DEFAULT_STOPLIST if self.use_stoplist else frozenset()
 
 
-def _hits(grams: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and columns of the grams that are vocabulary terms, from
-    pairs (gram ids, column of each id). Each column array ends in an
-    extra -1, which gram id -1 indexes."""
-    pos, cols = [], []
-    for gram, column in grams:
-        col = column[gram]
-        hit = (col >= 0).nonzero()[0]
-        pos.append(hit)
-        cols.append(col[hit])
-    if not pos:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    return np.concatenate(pos), np.concatenate(cols)
-
-
 def _weighted_rows(
-    rows: np.ndarray, cols: np.ndarray, n_rows: int, idf: np.ndarray
+    docs: np.ndarray, ids: np.ndarray, column: np.ndarray, n_rows: int, idf: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row lengths, columns and values of the TF-IDF rows of (row, column)
-    term occurrences: raw count x idf per distinct column, columns sorted,
-    each row divided by its L2 norm."""
+    """Row lengths, columns and values of the TF-IDF rows of n-gram
+    occurrences, ``ids[i]`` in text ``docs[i]``, counting those whose
+    ``column`` is a term's (not -1): raw count x idf per distinct column,
+    columns sorted, each row divided by its L2 norm."""
+    cols = column[ids]
+    hit = cols >= 0
     dim = len(idf)
-    keys = rows * dim + cols
+    keys = docs[hit] * dim + cols[hit]
     keys.sort()
     edge = np.empty(len(keys) + 1, dtype=bool)
     edge[0] = edge[-1] = True
@@ -146,35 +126,21 @@ class TfidfModel:
         return len(self.vocabulary)
 
     @cached_property
-    def _tables(self) -> tuple[dict[str, int], dict[int, np.ndarray], list[np.ndarray]]:
-        """The token ids as a ``token_lookup``; per level k the sorted keys
-        of the k-grams inside the vocabulary terms (the token ids at level
-        1), then a key above every k-gram's; and per level the column of
-        each k-gram id, -1 for a k-gram that is not itself a term and at
-        the end.
+    def _tables(self) -> tuple[Ngrams, np.ndarray]:
+        """The n-grams of the vocabulary terms, and the column of each of
+        their ids, -1 for an id that is not itself a term.
 
-        The tokens are those of every term, not only the unigram terms:
-        ``max_df_ratio`` can drop a unigram and keep a bigram that holds it.
-        A term outside the n-gram range, or with an empty part, is left
-        out; no text can spell it."""
-        token_ids: dict[str, int] = {}
-        ids: list[int] = []
-        terms = []  # (position of the first token, token count, column)
-        for col, term in enumerate(self.vocabulary):
-            parts = term.split(" ")
-            if self.config.n_min <= len(parts) <= self.config.n_max and "" not in parts:
-                terms.append((len(ids), len(parts), col))
-                ids += [token_ids.setdefault(p, len(token_ids)) for p in parts]
-                ids.append(-1)
-        tables, grams = number_grams(
-            np.array(ids, dtype=np.int64), self.config.n_max, len(token_ids)
-        )
-        columns = [np.full(len(tables[k]) + 1, -1, dtype=np.int64)
-                   for k in range(1, len(grams) + 1)]
-        for at, n, col in terms:
-            columns[n - 1][grams[n - 1][at]] = col
-        lookup = token_lookup(token_ids, self.config.stoplist)
-        return lookup, {k: np.append(t, _KEY_MAX) for k, t in tables.items()}, columns
+        The words are those of every term, not only the unigram terms:
+        ``max_df_ratio`` can drop a unigram and keep a bigram that holds
+        it. Only the texts lose their stop words, so a term holding one
+        never matches. A term is looked up by its parts as written, so one
+        outside the n-gram range, or one that tokenizes to other parts (an
+        empty part, a capital, punctuation), has no column."""
+        grams = Ngrams(self.vocabulary, self.config.n_min, self.config.n_max)
+        found = np.array(grams.find(self.vocabulary), dtype=np.int64)
+        column = np.full(grams.n_ids, -1, dtype=np.int64)
+        column[found[found >= 0]] = (found >= 0).nonzero()[0]
+        return grams, column
 
     def transform(self, texts: Sequence[str]) -> sp.csr_matrix:
         """Vectorize ``texts`` into one row each: raw count x idf per term
@@ -185,21 +151,10 @@ class TfidfModel:
         """
         if isinstance(texts, str):
             raise TypeError("transform takes a sequence of texts, not one str")
-        lookup, tables, columns = self._tables
-        n_tokens = len(tables[1]) - 1  # every token id, then the end key
-
-        def find(k: int, keys: np.ndarray) -> np.ndarray:
-            at = tables[k].searchsorted(keys)
-            return np.where(tables[k][at] == keys, at, -1)
-
-        parts = []
-        for chunk in chunks(texts):
-            ids, ends = lookup_texts(chunk, lookup)
-            pos, cols = _hits((gram, columns[k - 1])
-                              for k, gram in gram_ids(ids, len(columns), n_tokens, find)
-                              if k >= self.config.n_min)
-            parts.append(_weighted_rows(ends.searchsorted(pos), cols, len(chunk), self.idf))
-        return _csr(parts, self.dimension)
+        grams, column = self._tables
+        return _csr([_weighted_rows(*grams.occurrences(chunk, self.config.stoplist),
+                                    column, len(chunk), self.idf)
+                     for chunk in chunks(texts)], self.dimension)
 
 
 def fit_transform(
@@ -226,9 +181,7 @@ def fit_transform(
     # math.log, not np.log: numpy's SIMD log can differ in the last bit by CPU.
     idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in term_df.tolist()])
     model = TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
-    cols = index[grams.ids]
-    hit = (cols >= 0).nonzero()[0]
-    return model, _csr([_weighted_rows(grams.docs[hit], cols[hit], n, idf)], len(vocabulary))
+    return model, _csr([_weighted_rows(grams.docs, grams.ids, index, n, idf)], len(vocabulary))
 
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:

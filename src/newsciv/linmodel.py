@@ -346,6 +346,8 @@ def load_logistic(path: str | Path) -> LogisticModel:
         raise ValueError(
             f"{path}: weights must be [index, finite value] pairs with index < {dimension}"
         )
+    if len({i for i, _ in pairs}) < len(pairs):
+        raise ValueError(f"{path}: weights repeat an index")
     try:
         w = np.zeros(dimension)
     except (MemoryError, ValueError):  # more floats than numpy or the machine can hold

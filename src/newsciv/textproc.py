@@ -27,6 +27,9 @@ the id of its first k - 1 tokens among the (k - 1)-grams of that level,
 ``token`` the id of its last token and ``U`` the number of distinct tokens.
 Ids stay below the number of distinct n-grams, so keys fit int64 for every
 n. Only the n-grams a caller keeps are ever spelled out as strings.
+
+No other module knows these keys: :class:`Ngrams` numbers the n-grams of
+texts, finds them in other texts and looks phrases up by them.
 """
 
 from __future__ import annotations
@@ -136,17 +139,11 @@ def encode_texts(
     return ids, ends, list(index)[base:]
 
 
-def token_lookup(token_ids: dict[str, int], stoplist: Iterable[str] = ()) -> dict[str, int]:
-    """``token_ids`` prepared for :func:`lookup_texts`: stop words are
-    dropped even where ``token_ids`` has them, as :func:`encode_texts`
-    drops them."""
-    return {**token_ids, **dict.fromkeys(stoplist, _STOP), "\n": _END}
-
-
-def lookup_texts(texts: Sequence[str], lookup: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of the tokens of ``texts`` under a fixed ``token_lookup``,
-    -1 for a token it lacks and after each text, and the positions of the
-    text ends."""
+def _lookup_texts(texts: Sequence[str], lookup: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the tokens of ``texts`` under a fixed ``lookup`` (stop
+    words at ``_STOP``, "\\n" at ``_END``), -1 for a token it lacks and
+    after each text, and the positions of the text ends. The token strings
+    are freed on return."""
     tokens = tokenize_texts(texts)
     return _mark_ends(np.fromiter(map(lookup.get, tokens, repeat(-1)), np.int64, len(tokens)))
 
@@ -217,30 +214,56 @@ class Ngrams:
         self.levels = range(n_min, len(grams) + 1)
         self.offsets = np.cumsum([0, *(len(self.tables[k]) for k in self.levels)])
         self.n_ids = int(self.offsets[-1])
-        ids, docs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for k, offset in zip(self.levels, self.offsets.tolist()):
-            pos = (grams[k - 1] >= 0).nonzero()[0]
-            ids.append(grams[k - 1][pos] + offset)
-            docs.append(ends.searchsorted(pos))
-        self.ids, self.docs = np.concatenate(ids), np.concatenate(docs)
+        self.docs, self.ids = self._collect(enumerate(grams, start=1), ends)
+
+    def _collect(self, grams: Iterable[tuple[int, np.ndarray]],
+                 ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The texts and ids of the known n-grams of the levels in
+        ``levels``, from pairs (k, level-k id at each position) and the
+        positions of the text ends."""
+        docs, ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for k, gram in grams:
+            if k in self.levels:
+                pos = (gram >= 0).nonzero()[0]
+                ids.append(gram[pos] + self.offsets[k - self.levels.start])
+                docs.append(ends.searchsorted(pos))
+        return np.concatenate(docs), np.concatenate(ids)
+
+    def _find(self, k: int, keys: np.ndarray) -> np.ndarray:
+        """The level-k ids of the k-gram ``keys``, -1 for a key no text holds."""
+        table = self.tables[k]
+        at = np.minimum(table.searchsorted(keys), len(table) - 1)
+        return np.where(table[at] == keys, at, -1)
+
+    def occurrences(self, texts: Sequence[str],
+                    stoplist: Iterable[str] = ()) -> tuple[np.ndarray, np.ndarray]:
+        """The texts and ids of this object's n-grams found in ``texts``,
+        one entry per occurrence, as ``docs`` and ``ids`` are for its own.
+        Stop words are dropped first, even where ``words`` holds them."""
+        lookup = {**dict(zip(self.words, range(len(self.words)))),
+                  **dict.fromkeys(stoplist, _STOP), "\n": _END}
+        tokens, ends = _lookup_texts(texts, lookup)
+        return self._collect(gram_ids(tokens, len(self.tables), len(self.words), self._find), ends)
 
     def find(self, phrases: Iterable[str]) -> list[int]:
         """The id of each n-gram given as tokens joined by single spaces,
-        or -1 for one that no text holds."""
-        token_id = {w: i for i, w in enumerate(self.words)}
+        or -1 for one that no text holds.
 
-        def find_one(tokens: list[str]) -> int:
-            if len(tokens) not in self.levels or not all(t in token_id for t in tokens):
-                return -1
-            gram = token_id[tokens[0]]
-            for k, token in enumerate(tokens[1:], start=2):
-                key = gram * len(self.words) + token_id[token]
-                gram = int(self.tables[k].searchsorted(key))
-                if gram == len(self.tables[k]) or self.tables[k][gram] != key:
-                    return -1
-            return int(self.offsets[len(tokens) - self.levels.start]) + gram
-
-        return [find_one(phrase.split(" ")) for phrase in phrases]
+        The phrases' parts are looked up as they are, -1 between phrases,
+        and each phrase's id is read at its first part on its own level."""
+        word_id = dict(zip(self.words, range(len(self.words))))
+        parts = [phrase.split(" ") for phrase in phrases]
+        sizes = np.array([len(p) for p in parts], dtype=np.int64)
+        at = np.cumsum(sizes + 1) - sizes - 1
+        # "" is no word, so -1 follows each phrase
+        tokens = np.array([word_id.get(t, -1) for p in parts for t in (*p, "")], dtype=np.int64)
+        found = np.full(len(parts), -1, dtype=np.int64)
+        for k, gram in gram_ids(tokens, len(self.tables), len(self.words), self._find):
+            if k in self.levels:
+                of_k = (sizes == k).nonzero()[0]
+                ids = gram[at[of_k]]
+                found[of_k] = np.where(ids >= 0, ids + self.offsets[k - self.levels.start], -1)
+        return found.tolist()
 
     def vocabulary(self, kept: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
         """The terms of the n-grams with the sorted ids ``kept``, in

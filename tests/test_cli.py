@@ -488,12 +488,16 @@ class TestScore:
             f"holding {on_tagged} of them\n")
 
 
-@pytest.mark.parametrize("command", ["score", "mine-subtext"])
-def test_tag_that_no_article_carries_exits_2(pipeline_dir, tmp_path, capsys, command):
+@pytest.mark.parametrize("command, tag", [
+    pytest.param(command, tag, id=command + suffix)
+    for tag, suffix in (("nosuchtag", ""), ("", "-empty-tag"))
+    for command in ("score", "mine-subtext")
+])
+def test_tag_that_no_article_carries_exits_2(pipeline_dir, tmp_path, capsys, command, tag):
     config = (pipeline_dir / "config_path.txt").read_text()
-    assert main([command, "--config", config, "--set", "tag=nosuchtag",
+    assert main([command, "--config", config, "--set", f"tag={tag}",
                  "--out", str(tmp_path / "out")]) == 2
-    assert "no articles carry tag 'nosuchtag'" in capsys.readouterr().err
+    assert f"no articles carry tag {tag!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

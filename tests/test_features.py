@@ -288,13 +288,15 @@ class TestMatchesStringReference:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(terms=st.lists(
-               st.lists(st.sampled_from(WORDS + ["", "A", "a b"]), min_size=1, max_size=4)
+               st.lists(st.sampled_from(WORDS + ["", "A", "a b", "x'", "a-b", "É", "a\nb"]),
+                        min_size=1, max_size=4)
                .map(" ".join), min_size=1, max_size=12, unique=True),
            idf=st.floats(0.5, 5.0), queries=texts_st, config=configs_st)
     def test_loaded_vocabulary_with_unspellable_terms_matches(self, tmp_path_factory, terms,
                                                               idf, queries, config):
         """Saved vocabularies may hold terms no tokenizer emits (upper case,
-        empty or doubled spaces, an n outside the range); they match nothing,
+        empty or doubled spaces, an n outside the range, punctuation or a
+        newline the tokenizer turns into other tokens); they match nothing,
         as they did on the string path."""
         path = tmp_path_factory.mktemp("tfidf") / "tfidf.json"
         path.write_text(json.dumps({

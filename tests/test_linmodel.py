@@ -477,6 +477,7 @@ class TestSerialization:
         ("weights", [[0, 10**400]], "weights must be [index, finite value] pairs"),
         ("weights", [[0]], "weights must be [index, finite value] pairs"),
         ("weights", {"0": 1.0}, "weights must be [index, finite value] pairs"),
+        ("weights", [[1, 2.0], [1, -5.0]], "weights repeat an index"),
     ])
     def test_damaged_file_raises_value_error_naming_it(self, tmp_path, key, value, message):
         path = tmp_path / "model.json"

@@ -5,7 +5,7 @@ directory is made on the first write into it, a JSONL row is the bytes
 files, makes directories or encodes JSON one value at a time with
 ``json.dumps``.
 The layering guard keeps the topic model and subtext mining off the corpus
-types: they take plain texts."""
+types: they take plain texts; and only ``textproc`` knows n-gram keys."""
 
 from __future__ import annotations
 
@@ -329,6 +329,49 @@ def test_topic_model_and_subtext_take_plain_texts():
 ])
 def test_import_guard_sees_each_way_to_import(source, found):
     assert _package_imports(ast.parse(source)) == found
+
+
+_NGRAM_ENCODER = ("gram_ids", "number_grams", "encode_texts")
+
+
+def _ngram_key_uses(tree: ast.AST) -> list[str]:
+    """Each use in ``tree`` of what only ``textproc`` should know of n-gram
+    keys: an import or attribute of an ``_NGRAM_ENCODER`` name, and a call
+    of ``searchsorted`` (method, ``np.searchsorted`` or imported by name)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [alias.name for alias in node.names if alias.name in _NGRAM_ENCODER]
+        elif isinstance(node, ast.Attribute) and node.attr in _NGRAM_ENCODER:
+            found.append(node.attr)
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "searchsorted"):
+            found.append("searchsorted")
+    return sorted(found)
+
+
+def test_only_textproc_knows_ngram_keys():
+    """One n-gram lookup: other modules go through ``textproc.Ngrams``, which
+    alone numbers, keys and looks up n-grams."""
+    uses = {path.name: _ngram_key_uses(ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(PACKAGE.glob("*.py"))}
+    assert uses.pop("textproc.py"), "the guard no longer sees textproc's own lookups"
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .textproc import Ngrams, gram_ids", ["gram_ids"]),
+    ("from newsciv.textproc import (\n    encode_texts,\n    number_grams as ng,\n)",
+     ["encode_texts", "number_grams"]),
+    ("from . import textproc\nids = textproc.encode_texts(texts)", ["encode_texts"]),
+    ("at = table.searchsorted(keys)", ["searchsorted"]),
+    ("def f(t, k):\n    return np.searchsorted(t, k)", ["searchsorted"]),
+    ("from numpy import searchsorted\nsearchsorted(t, k)", ["searchsorted"]),
+    ("from .textproc import DEFAULT_STOPLIST, Ngrams, chunks", []),
+    ("ids = grams.find(terms)", []),
+])
+def test_ngram_key_guard_sees_each_use(source, found):
+    assert _ngram_key_uses(ast.parse(source)) == found
 
 
 @pytest.mark.parametrize("source, flagged", [

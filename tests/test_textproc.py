@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import textproc_reference as reference
 from newsciv.textproc import (
     DEFAULT_STOPLIST,
+    Ngrams,
     document_frequency,
     encode_texts,
     tokenize,
@@ -128,6 +129,32 @@ class TestEncodeTexts:
             expected.append(None)
         assert [words[i] if i >= 0 else None for i in ids.tolist()] == expected
         assert ends.tolist() == [i for i, tok in enumerate(expected) if tok is None]
+
+
+class TestNgramsFind:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(texts=st.lists(st.lists(st.sampled_from(["a", "b", "c", "the"]), max_size=6)
+                          .map(" ".join), max_size=5),
+           phrases=st.lists(st.lists(st.sampled_from(["a", "b", "c", "the", "zz", "", "A"]),
+                                     max_size=6).map(" ".join), max_size=12),
+           n_min=st.integers(1, 3), extra=st.integers(0, 3),
+           stoplist=st.sampled_from([frozenset(), frozenset({"the"})]))
+    def test_found_ids_spell_their_phrases(self, texts, phrases, n_min, extra, stoplist):
+        """Phrases with an unknown token ("zz"), a stop word, an empty part
+        or a capital, and lengths outside [n_min, n_max] or past the longest
+        text: a found id spells its phrase, and -1 means no text holds it.
+        Every n-gram the texts hold is looked up among them."""
+        grams = Ngrams(texts, n_min, n_min + extra, stoplist)
+        held = {g for text in texts
+                for g in ngrams(remove_stopwords(reference.tokenize(text), stoplist),
+                                n_min, n_min + extra)}
+        phrases = [*phrases, *sorted(held)]
+        found = grams.find(phrases)
+        assert [type(i) for i in found] == [int] * len(phrases)
+        for phrase, i in zip(phrases, found):
+            assert (i >= 0) == (phrase in held), (phrase, i)
+            if i >= 0:
+                assert grams.vocabulary(np.array([i]))[0] == (phrase,)
 
 
 class TestDocumentFrequency:
