@@ -24,7 +24,7 @@ import numpy as np
 
 from ._checks import check_field_types, is_finite_number, read_model_json
 from ._output import write_json
-from .textproc import DEFAULT_STOPLIST, Ngrams, chunks, document_frequency
+from .textproc import DEFAULT_STOPLIST, Ngrams, chunks
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -173,7 +173,7 @@ def fit_transform(
         raise ValueError("cannot fit TF-IDF on an empty corpus")
     grams = Ngrams(documents, config.n_min, config.n_max, config.stoplist)
     n = grams.n_docs
-    df = document_frequency(grams.docs, grams.ids, grams.n_ids)
+    df = grams.document_frequency()
     keep = ((df >= config.min_df) & (df <= config.max_df_ratio * n)).nonzero()[0]
     vocabulary, index = grams.vocabulary(keep)
     term_df = np.empty(len(keep), dtype=np.int64)

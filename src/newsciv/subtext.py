@@ -3,16 +3,16 @@ their top phrases are then excluded from a second topic model fitted on the
 reader comments. Whatever surfaces in phase two is vocabulary the
 commenters use that the articles' own top phrases do not cover.
 
-Exclusion removes whole n-gram phrases from each document's bag before
-fitting; the words inside an excluded phrase still participate in other
-n-grams. Because phase two never sees the excluded phrases, the two phrase
-sets are disjoint by construction.
+A phase leaves the excluded phrases out of its vocabulary, as it leaves
+out the phrases in fewer than ``min_phrase_df`` texts; the words inside an
+excluded phrase still participate in other n-grams. Because phase two never
+sees the excluded phrases, the two phrase sets are disjoint by construction.
 
 A phase's phrase bags are integer ids from the n-gram encoder of
-:mod:`newsciv.textproc`. Exclusion looks phrases up by key, rare phrases
-are pruned by counting texts per id, and only the phrases that are kept are
-spelled out, sorted as strings and renumbered, so the topic model sees the
-same terms in the same lexicographic order as it would from string bags.
+:mod:`newsciv.textproc`. An excluded phrase counts as held by no text, and
+only the phrases that are kept are spelled out, sorted as strings and
+renumbered, so the topic model sees the same terms in the same
+lexicographic order as it would from string bags.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from ._output import write_json, write_lines
 from .lda import Bags, LdaConfig, TopicSummary, fit_lda, topic_terms, topics_by_size
-from .textproc import DEFAULT_STOPLIST, Ngrams, document_frequency, tokenize
+from .textproc import DEFAULT_STOPLIST, Ngrams, tokenize
 
 # Phrases rarer than this across the phase corpus are pruned as noise.
 DEFAULT_MIN_PHRASE_DF = 5
@@ -46,16 +46,22 @@ class SubtextReport:
     min_phrase_df: int
 
 
-def _bags(grams: Ngrams, ids: np.ndarray, docs: np.ndarray, min_df: int) -> Bags:
-    """The occurrences (``ids[i]`` in text ``docs[i]``) of the phrases in at
-    least ``min_df`` texts, ordered by text, then n, then position, over
-    their lexicographic vocabulary."""
-    df = document_frequency(docs, ids, grams.n_ids)
+def _bags(grams: Ngrams, min_df: int, exclude: Iterable[str] = ()) -> Bags:
+    """The occurrences of the phrases of ``grams`` in at least ``min_df``
+    texts, but of none of the phrases ``exclude`` (tokens joined by single
+    spaces), ordered by text, then n, then position, over their
+    lexicographic vocabulary."""
+    df = grams.document_frequency()
+    df[[i for i in grams.find(exclude) if i >= 0]] = 0
+    if grams.n_ids and not df.any():  # every id is in a text until excluded
+        raise ValueError("phrase exclusion removed every phrase in the corpus")
     vocabulary, index = grams.vocabulary((df >= max(min_df, 1)).nonzero()[0])
-    keep = index[ids] >= 0
-    order = docs[keep].argsort(kind="stable")
-    return Bags(words=index[ids[keep][order]], docs=docs[keep][order],
-                vocabulary=vocabulary, n_docs=grams.n_docs)
+    words = index[grams.ids]
+    keep = words >= 0
+    words, docs = words[keep], grams.docs[keep]
+    order = docs.argsort(kind="stable")
+    return Bags(words=words[order], docs=docs[order], vocabulary=vocabulary,
+                n_docs=grams.n_docs)
 
 
 def phrase_documents(
@@ -66,7 +72,7 @@ def phrase_documents(
     """Tokenize texts, drop stop words, and expand into n-gram bags: the
     integer bags the subtext phases model, spelled out."""
     grams = Ngrams(texts, config.n_min, config.n_max, stoplist)
-    bags = _bags(grams, grams.ids, grams.docs, 1)
+    bags = _bags(grams, 1)
     spelled = [bags.vocabulary[w] for w in bags.words.tolist()]
     bounds = np.bincount(bags.docs, minlength=grams.n_docs).cumsum().tolist()
     return [spelled[a:b] for a, b in zip([0, *bounds], bounds)]
@@ -82,15 +88,8 @@ def _phrase_bags(
     """The bags one phase models: phrase bags without the excluded phrases
     (normalized by ``tokenize``) and without phrases in fewer than
     ``min_phrase_df`` texts."""
-    excluded = {" ".join(tokenize(p)) for p in exclude}
     grams = Ngrams(texts, config.n_min, config.n_max, stoplist)
-    ids, docs = grams.ids, grams.docs
-    if excluded:
-        keep = ~np.isin(ids, grams.find(excluded))
-        ids, docs = ids[keep], docs[keep]
-        if len(ids) == 0:
-            raise ValueError("phrase exclusion removed every phrase in the corpus")
-    bags = _bags(grams, ids, docs, min_phrase_df)
+    bags = _bags(grams, min_phrase_df, {" ".join(tokenize(p)) for p in exclude})
     if len(bags.words) == 0:
         raise ValueError(
             "no phrases left to model (documents empty after pruning "
@@ -108,7 +107,7 @@ def extract_topic_phrases(
     """Fit LDA on phrase bags (stop words dropped) and collect the top
     ``TOP_TERMS`` terms of the top ``TOP_TOPICS`` topics.
 
-    Excluded phrases are removed from every document before fitting, so
+    Excluded phrases are left out of the vocabulary before fitting, so
     they can never reappear in the output. Topics are ranked by total
     assigned tokens; the deduplicated union of their top terms is returned
     together with the per-topic summaries.

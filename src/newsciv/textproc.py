@@ -29,7 +29,8 @@ Ids stay below the number of distinct n-grams, so keys fit int64 for every
 n. Only the n-grams a caller keeps are ever spelled out as strings.
 
 No other module knows these keys: :class:`Ngrams` numbers the n-grams of
-texts, finds them in other texts and looks phrases up by them.
+texts, counts the texts that hold each, finds them in other texts and looks
+phrases up by them.
 """
 
 from __future__ import annotations
@@ -168,34 +169,6 @@ def gram_ids(
         yield k, gram
 
 
-def document_frequency(docs: np.ndarray, ids: np.ndarray, n_ids: int) -> np.ndarray:
-    """For each id in [0, n_ids), the number of distinct documents that
-    hold it, given the document ``docs[i]`` of each occurrence ``ids[i]``.
-
-    Distinct (document, id) pairs are found by a sort and a comparison of
-    neighbours: on 200,000 pairs that took about 3 ms, and ``np.unique``,
-    which hashes them in numpy 2.4, about 65 ms (2-core x86 VM)."""
-    pairs = np.sort(docs * n_ids + ids)
-    first = np.ones(len(pairs), dtype=bool)
-    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
-    return np.bincount(pairs[first] % n_ids, minlength=n_ids)
-
-
-def number_grams(
-    ids: np.ndarray, n_max: int, n_tokens: int
-) -> tuple[dict[int, np.ndarray], list[np.ndarray]]:
-    """Number the distinct k-grams of token ids ``ids`` in key order, for
-    k = 1, 2, ..., n_max: per level the sorted distinct keys (the token ids
-    at level 1), and per level the id of the k-gram at each position."""
-    tables = {1: np.arange(n_tokens)}
-
-    def find(k: int, keys: np.ndarray) -> np.ndarray:
-        tables[k], inverse = np.unique(keys, return_inverse=True)
-        return inverse
-
-    return tables, [gram for _, gram in gram_ids(ids, n_max, n_tokens, find)]
-
-
 class Ngrams:
     """The n-grams of texts, for each n in [n_min, n_max], as integer ids,
     stop words removed before n-grams are formed.
@@ -203,18 +176,25 @@ class Ngrams:
     Occurrence i is n-gram ``ids[i]`` of text ``docs[i]``. Occurrences come
     level by level (n ascending), each level in position order. The
     n-grams of level ``levels[i]`` have the ids from ``offsets[i]`` on, in
-    the order of their ``number_grams`` keys.
+    the order of their keys in ``tables``.
     """
 
     def __init__(self, texts: Iterable[str], n_min: int, n_max: int,
                  stoplist: Iterable[str] = ()) -> None:
         tokens, ends, self.words = encode_texts(texts, stoplist)
         self.n_docs = len(ends)
-        self.tables, grams = number_grams(tokens, n_max, len(self.words))
+        self.tables = {1: np.arange(len(self.words))}
+        grams = [gram for _, gram in gram_ids(tokens, n_max, len(self.words), self._number)]
         self.levels = range(n_min, len(grams) + 1)
         self.offsets = np.cumsum([0, *(len(self.tables[k]) for k in self.levels)])
         self.n_ids = int(self.offsets[-1])
         self.docs, self.ids = self._collect(enumerate(grams, start=1), ends)
+
+    def _number(self, k: int, keys: np.ndarray) -> np.ndarray:
+        """Number the distinct level-k ``keys`` in key order: ``tables[k]``
+        holds them sorted, and the id of each key is returned."""
+        self.tables[k], inverse = np.unique(keys, return_inverse=True)
+        return inverse
 
     def _collect(self, grams: Iterable[tuple[int, np.ndarray]],
                  ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,6 +244,17 @@ class Ngrams:
                 ids = gram[at[of_k]]
                 found[of_k] = np.where(ids >= 0, ids + self.offsets[k - self.levels.start], -1)
         return found.tolist()
+
+    def document_frequency(self) -> np.ndarray:
+        """For each id, the number of distinct texts that hold it.
+
+        Distinct (text, id) pairs are found by a sort and a comparison of
+        neighbours: on 200,000 pairs that took about 3 ms, and ``np.unique``,
+        which hashes them in numpy 2.4, about 65 ms (2-core x86 VM)."""
+        pairs = np.sort(self.docs * self.n_ids + self.ids)
+        first = np.ones(len(pairs), dtype=bool)
+        np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+        return np.bincount(pairs[first] % self.n_ids, minlength=self.n_ids)
 
     def vocabulary(self, kept: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
         """The terms of the n-grams with the sorted ids ``kept``, in

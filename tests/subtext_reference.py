@@ -49,7 +49,7 @@ def modelled_documents(
     """The documents ``extract_topic_phrases`` handed to ``fit_lda``."""
     excluded = {" ".join(tokenize(p)) for p in exclude}
     documents = phrase_documents(texts, config, stoplist)
-    if excluded:
+    if excluded and any(documents):
         documents = [[p for p in doc if p not in excluded] for doc in documents]
         if not any(documents):
             raise ValueError("phrase exclusion removed every phrase in the corpus")

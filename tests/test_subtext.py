@@ -154,8 +154,8 @@ class TestMatchesStringReference:
                          DEFAULT_STOPLIST)
         with pytest.raises(ValueError, match="min_df=3"):
             _phrase_bags(["alpha beta", "gamma delta"], config, (), 3, DEFAULT_STOPLIST)
-        # Excluding only unknown phrases still goes through the exclusion check.
-        with pytest.raises(ValueError, match="exclusion"):
+        # A phase with no phrase to exclude reports the empty phase, not the exclusion.
+        with pytest.raises(ValueError, match="min_df=1"):
             _phrase_bags(["the", "!!!"], config, ["!!!"], 1, DEFAULT_STOPLIST)
 
 

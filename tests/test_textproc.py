@@ -12,7 +12,6 @@ import textproc_reference as reference
 from newsciv.textproc import (
     DEFAULT_STOPLIST,
     Ngrams,
-    document_frequency,
     encode_texts,
     tokenize,
     tokenize_each,
@@ -158,12 +157,19 @@ class TestNgramsFind:
 
 
 class TestDocumentFrequency:
-    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=30))
-    def test_counts_distinct_documents_per_id(self, occurrences):
-        docs = np.array([d for d, _ in occurrences], dtype=np.int64)
-        ids = np.array([i for _, i in occurrences], dtype=np.int64)
-        expected = [len({d for d, i in occurrences if i == w}) for w in range(6)]
-        assert document_frequency(docs, ids, 6).tolist() == expected
+    @settings(deadline=None)
+    @given(texts=st.lists(st.lists(st.sampled_from(["a", "b", "c", "the"]), max_size=6)
+                          .map(" ".join), max_size=6),
+           n_min=st.integers(1, 2), extra=st.integers(0, 2))
+    def test_counts_distinct_documents_per_id(self, texts, n_min, extra):
+        """Each id counts the texts whose reference n-grams hold its term,
+        a text that repeats it once."""
+        grams = Ngrams(texts, n_min, n_min + extra, {"the"})
+        held = [set(ngrams(remove_stopwords(reference.tokenize(t), {"the"}),
+                           n_min, n_min + extra)) for t in texts]
+        terms, index = grams.vocabulary(np.arange(grams.n_ids))
+        expected = [sum(terms[index[i]] in h for h in held) for i in range(grams.n_ids)]
+        assert grams.document_frequency().tolist() == expected
 
 
 class TestRemoveStopwords:
