@@ -91,17 +91,12 @@ def read_json(path: str | Path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def read_model_json(path: str | Path, version: int, keys: tuple[str, ...]) -> dict:
-    """The JSON object in model file ``path``, checked to carry format
-    ``version`` and every key in ``keys``."""
-    payload = read_json(path)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: a model file must hold a JSON object")
-    if payload.get("format_version") != version:
-        raise ValueError(
-            f"{path}: unsupported model format version: {payload.get('format_version')!r}"
-        )
-    missing = [key for key in keys if key not in payload]
+def check_object(value, keys: tuple[str, ...], where: str) -> dict:
+    """``value``, checked to be a JSON object holding every key in ``keys``;
+    otherwise ValueError naming ``where`` (a model file, or a part of one)."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: must be a JSON object")
+    missing = [key for key in keys if key not in value]
     if missing:
-        raise ValueError(f"{path}: missing keys {missing}")
-    return payload
+        raise ValueError(f"{where}: missing keys {missing}")
+    return value

@@ -6,7 +6,8 @@ Subcommands cover the whole pipeline: ``train-aspects``, ``score``,
 single JSON document (``--config``), then by ``--set dotted.key=value``
 items, then by the dedicated flags, each of which is shorthand for the
 config key(s) it names in ``_FLAGS``; all randomness comes from explicit seeds
-in that configuration.
+in that configuration. Only this module knows that each classifier is
+saved as one model file, ``model_dir/aspects.json`` or ``provoking.json``.
 
 Exit codes: 0 success, 1 internal error, 2 input or configuration error.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import incivility, textproc
-from ._checks import check_field_types, loads, read_json
+from ._checks import check_field_types, check_object, loads, read_json
 from ._output import write_json, write_jsonl, write_lines
 from .corpus import (
     comment_blocks,
@@ -188,24 +189,38 @@ def _select_articles(cfg: RunConfig):
     return articles
 
 
-# Each saved classifier: its vectorizer's file, then each model's file by name.
-_MODEL_FILES = {
-    "aspects": ("aspects_tfidf.json", {a: f"aspect_{a}.json" for a in incivility.ASPECTS}),
-    "provoking": ("provoking_tfidf.json", {"provoking": "provoking_model.json"}),
-}
+MODEL_FORMAT_VERSION = 3
+
+# Each classifier's model names, and the command that writes its one file,
+# so one write replaces the vectorizer and its models together.
+_CLASSIFIERS = {"aspects": (incivility.ASPECTS, "train-aspects"),
+                "provoking": (("provoking",), "label-train-provoking")}
 
 
 def _save_classifier(classifier: incivility.Classifier, kind: str, model_dir: Path) -> None:
-    tfidf_file, model_files = _MODEL_FILES[kind]
-    save_tfidf(classifier.tfidf, model_dir / tfidf_file)
-    for name, file in model_files.items():
-        save_logistic(classifier.models[name], model_dir / file)
+    write_json(model_dir / f"{kind}.json", {
+        "format_version": MODEL_FORMAT_VERSION,
+        "tfidf": save_tfidf(classifier.tfidf),
+        "models": {name: save_logistic(model) for name, model in classifier.models.items()},
+    })
 
 
 def _load_classifier(kind: str, model_dir: Path) -> incivility.Classifier:
-    tfidf_file, model_files = _MODEL_FILES[kind]
-    return incivility.Classifier(load_tfidf(model_dir / tfidf_file), {
-        name: load_logistic(model_dir / file) for name, file in model_files.items()})
+    names, command = _CLASSIFIERS[kind]
+    path = model_dir / f"{kind}.json"
+    if not path.exists():
+        raise ValueError(f"model file not found: {path} (run '{command}')")
+    payload = check_object(read_json(path), ("format_version",), str(path))
+    if (version := payload["format_version"]) != MODEL_FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported model format version: {version!r}")
+    check_object(payload, ("tfidf", "models"), str(path))
+    tfidf = load_tfidf(payload["tfidf"], f"{path}: tfidf")
+    models = check_object(payload["models"], names, f"{path}: models")
+    if len(models) > len(names):
+        raise ValueError(f"{path}: models: unknown names {sorted(set(models) - set(names))}")
+    return incivility.Classifier(tfidf, {
+        name: load_logistic(models[name], tfidf.dimension, f"{path}: models.{name}")
+        for name in names})
 
 
 # --- subcommands -----------------------------------------------------------

@@ -17,19 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._checks import check_field_types, is_finite_number, read_model_json
-from ._output import write_json
+from ._checks import check_field_types, check_object, is_finite_number
 from .textproc import DEFAULT_STOPLIST, Ngrams, chunks
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-TFIDF_FORMAT_VERSION = 2
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -184,34 +180,30 @@ def fit_transform(
     return model, _csr([_weighted_rows(grams.docs, grams.ids, index, n, idf)], len(vocabulary))
 
 
-def save_tfidf(model: TfidfModel, path: str | Path) -> None:
-    """Write a fitted model as versioned JSON."""
-    write_json(path, {
-        "format_version": TFIDF_FORMAT_VERSION,
-        "config": asdict(model.config),
-        "vocabulary": list(model.vocabulary),
-        "idf": [float(x) for x in model.idf],
-    })
+def save_tfidf(model: TfidfModel) -> dict:
+    """A fitted model as the JSON-ready ``tfidf`` part of a model file."""
+    return {"config": asdict(model.config), "vocabulary": list(model.vocabulary),
+            "idf": [float(x) for x in model.idf]}
 
 
-def load_tfidf(path: str | Path) -> TfidfModel:
-    """Read a model written by :func:`save_tfidf`; a damaged file raises
-    ValueError naming ``path``."""
-    payload = read_model_json(path, TFIDF_FORMAT_VERSION, ("config", "vocabulary", "idf"))
-    terms, idf, config = payload["vocabulary"], payload["idf"], payload["config"]
+def load_tfidf(part, where: str) -> TfidfModel:
+    """The model in a part written by :func:`save_tfidf`; a damaged part
+    raises ValueError naming ``where``."""
+    check_object(part, ("config", "vocabulary", "idf"), where)
+    terms, idf, config = part["vocabulary"], part["idf"], part["config"]
     if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)
             and len(set(terms)) == len(terms)):
-        raise ValueError(f"{path}: vocabulary must be a list of distinct strings")
+        raise ValueError(f"{where}: vocabulary must be a list of distinct strings")
     if not (isinstance(idf, list) and len(idf) == len(terms) and all(map(is_finite_number, idf))):
-        raise ValueError(f"{path}: idf must hold one valid number per vocabulary term")
+        raise ValueError(f"{where}: idf must hold one valid number per vocabulary term")
     known = [f.name for f in fields(TfidfConfig)]
     if not (isinstance(config, dict) and set(config) <= set(known)):
-        raise ValueError(f"{path}: config must be an object with keys from {sorted(known)}")
+        raise ValueError(f"{where}: config must be an object with keys from {sorted(known)}")
     missing = [key for key in known if key not in config]
     if missing:  # a default would silently change what transform counts
-        raise ValueError(f"{path}: config is missing keys {missing}")
+        raise ValueError(f"{where}: config is missing keys {missing}")
     try:
         config = TfidfConfig(**config)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
     return TfidfModel(vocabulary=tuple(terms), idf=np.array(idf, dtype=np.float64), config=config)

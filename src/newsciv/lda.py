@@ -103,10 +103,10 @@ class LdaModel:
         if not finite:
             raise ValueError(f"beta {config.beta:g} is too large for {n_terms} terms")
         # The count arrays hold (documents + terms + 1) x n_topics integers.
-        too_large = (f"n_topics {config.n_topics} is too large for {n_docs} documents "
-                     f"and {n_terms} terms")
+        self._too_large = (f"n_topics {config.n_topics} is too large for {n_docs} documents "
+                           f"and {n_terms} terms")
         if (n_docs + n_terms + 1) * config.n_topics > np.iinfo(np.intp).max:
-            raise ValueError(too_large)
+            raise ValueError(self._too_large)
         # A token's topic weights sum to at most n_topics * (alpha + the
         # longest document's length), give or take the spread of the gamma
         # draws. Unless that bound stays finite with a factor of 2 to spare,
@@ -131,7 +131,7 @@ class LdaModel:
         try:
             self._recount()
         except MemoryError:  # more counts than the machine can hold
-            raise ValueError(too_large) from None
+            raise ValueError(self._too_large) from None
 
     @property
     def n_topics(self) -> int:
@@ -155,6 +155,12 @@ class LdaModel:
 
     def sweep(self, n_sweeps: int = 1) -> None:
         """Draw theta and phi, then every token's topic, ``n_sweeps`` times."""
+        try:
+            self._sweeps(n_sweeps)
+        except MemoryError:  # topic-sized buffers larger than the machine can hold
+            raise ValueError(self._too_large) from None
+
+    def _sweeps(self, n_sweeps: int) -> None:
         # A token's current topic has a count of at least 1 in both draws,
         # so its weights are not all zero. They are formed once per sweep,
         # _BLOCK tokens at a time: a tokens x topics matrix would dominate

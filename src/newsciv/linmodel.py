@@ -13,18 +13,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._checks import check_field_types, is_finite_number, is_nonnegative_int, read_model_json
-from ._output import write_json
+from ._checks import check_field_types, check_object, is_finite_number, is_nonnegative_int
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-LOGISTIC_FORMAT_VERSION = 1
 DECISION_THRESHOLD = 0.5  # ``evaluate`` predicts positive strictly above this
 
 _MEMORY = 10  # curvature pairs kept by L-BFGS
@@ -317,41 +314,31 @@ def evaluate(
     )
 
 
-def save_logistic(model: LogisticModel, path: str | Path) -> None:
-    """Write a model as versioned JSON with sparse [index, value] weights."""
+def save_logistic(model: LogisticModel) -> dict:
+    """A model as a JSON-ready part of a model file, with its nonzero
+    weights as sparse [index, value] pairs."""
     nz = np.nonzero(model.weights)[0]
-    payload = {
-        "format_version": LOGISTIC_FORMAT_VERSION,
-        "dimension": model.dimension,
-        "bias": model.bias,
-        "weights": [[int(i), float(model.weights[i])] for i in nz],
-    }
-    write_json(path, payload)
+    return {"bias": model.bias, "weights": [[int(i), float(model.weights[i])] for i in nz]}
 
 
-def load_logistic(path: str | Path) -> LogisticModel:
-    """Read a model written by :func:`save_logistic`; a damaged file raises
-    ValueError naming ``path``."""
-    payload = read_model_json(path, LOGISTIC_FORMAT_VERSION, ("dimension", "bias", "weights"))
-    dimension, pairs = payload["dimension"], payload["weights"]
-    if not is_nonnegative_int(dimension):
-        raise ValueError(f"{path}: dimension must be a non-negative integer")
-    if not is_finite_number(payload["bias"]):
-        raise ValueError(f"{path}: bias must be a finite number")
+def load_logistic(part, dimension: int, where: str) -> LogisticModel:
+    """The ``dimension``-wide model in a part written by :func:`save_logistic`;
+    a damaged part raises ValueError naming ``where``."""
+    check_object(part, ("bias", "weights"), where)
+    pairs = part["weights"]
+    if not is_finite_number(part["bias"]):
+        raise ValueError(f"{where}: bias must be a finite number")
     if not (isinstance(pairs, list) and all(
         isinstance(pair, list) and len(pair) == 2
         and is_nonnegative_int(pair[0], dimension) and is_finite_number(pair[1])
         for pair in pairs
     )):
         raise ValueError(
-            f"{path}: weights must be [index, finite value] pairs with index < {dimension}"
+            f"{where}: weights must be [index, finite value] pairs with index < {dimension}"
         )
     if len({i for i, _ in pairs}) < len(pairs):
-        raise ValueError(f"{path}: weights repeat an index")
-    try:
-        w = np.zeros(dimension)
-    except (MemoryError, ValueError):  # more floats than numpy or the machine can hold
-        raise ValueError(f"{path}: dimension {dimension} is too large") from None
+        raise ValueError(f"{where}: weights repeat an index")
+    w = np.zeros(dimension)
     for i, v in pairs:
         w[i] = v
-    return LogisticModel(weights=w, bias=float(payload["bias"]))
+    return LogisticModel(weights=w, bias=float(part["bias"]))

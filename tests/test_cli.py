@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import os
@@ -68,6 +69,26 @@ def pipeline_dir(tmp_path_factory) -> Path:
     return root
 
 
+DELETE = object()  # as ``edited``'s value: remove the part
+
+
+def edited(payload, key: str, value):
+    """A copy of JSON ``payload`` with the part at dotted ``key`` set to
+    ``value``, or removed for ``DELETE``; the empty key is the whole."""
+    if not key:
+        return value
+    payload = copy.deepcopy(payload)
+    *parents, last = key.split(".")
+    node = payload
+    for part in parents:
+        node = node[part]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return payload
+
+
 def jsonl(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
 
@@ -117,11 +138,9 @@ class TestGenerateSynthetic:
 
 
 class TestTrainAspects:
-    def test_writes_five_files(self, pipeline_dir):
-        models = pipeline_dir / "models"
-        for name in ("aspects_tfidf.json", "aspect_toxicity.json",
-                     "aspect_aggression.json", "aspect_attack.json"):
-            assert (models / name).exists()
+    def test_writes_model_file_and_reports(self, pipeline_dir):
+        payload = json.loads((pipeline_dir / "models" / "aspects.json").read_text())
+        assert list(payload["models"]) == ["toxicity", "aggression", "attack"]
         report = json.loads((pipeline_dir / "out" / "aspect_reports.json").read_text())
         assert set(report) == {"toxicity", "aggression", "attack"}
         for aspect in report.values():
@@ -223,40 +242,59 @@ class TestScore:
         assert (out / "scores.jsonl").read_text() == ""
         assert (out / "article_weights.jsonl").read_text() == ""
 
-    @pytest.mark.parametrize("name, damage, message", [
-        ("aspect_attack.json", lambda m: {**m, "weights": m["weights"] + [[10**6, 1.0]]},
-         "weights must be [index, finite value] pairs"),
-        ("aspect_attack.json", lambda m: {**m, "weights": [["3", 0.5]]},
-         "weights must be [index, finite value] pairs"),
-        ("aspects_tfidf.json", lambda m: [1, 2], "a model file must hold a JSON object"),
-        ("aspects_tfidf.json", lambda m: {"format_version": 2}, "missing keys ['config'"),
-        ("aspects_tfidf.json", lambda m: {**m, "format_version": 1, "doc_freq": [], "n_docs": 1},
-         "unsupported model format version: 1"),
-        ("aspect_attack.json", lambda m: {**m, "dimension": 10**12},
-         "dimension 1000000000000 is too large"),
-    ], ids=["index-out-of-range", "string-index", "tfidf-list", "tfidf-no-keys",
-            "tfidf-format-1", "huge-dimension"])
-    def test_damaged_model_file_exits_2(self, pipeline_dir, tmp_path, capsys,
-                                        name, damage, message):
+    @pytest.mark.parametrize("key, value, message", [
+        ("models.attack.weights", [[10**6, 1.0]],
+         "models.attack: weights must be [index, finite value] pairs with index < "),
+        ("models.attack.weights", [["3", 0.5]],
+         "models.attack: weights must be [index, finite value] pairs"),
+        ("models.attack.weights", [[1, 2.0], [1, -5.0]], "models.attack: weights repeat an index"),
+        ("models.attack.bias", "0.5", "models.attack: bias must be a finite number"),
+        ("models.attack", 1.5, "models.attack: must be a JSON object"),
+        ("models.attack.bias", DELETE, "models.attack: missing keys ['bias']"),
+        ("models.attack", DELETE, "models: missing keys ['attack']"),
+        ("models.provoking", {"bias": 0.0, "weights": []}, "models: unknown names ['provoking']"),
+        ("models", [], "models: must be a JSON object"),
+        ("tfidf", [], "tfidf: must be a JSON object"),
+        ("tfidf.idf", DELETE, "tfidf: missing keys ['idf']"),
+        ("tfidf.config.n_min", DELETE, "tfidf: config is missing keys ['n_min']"),
+        ("tfidf.vocabulary", ["a", "a"], "tfidf: vocabulary must be a list of distinct strings"),
+        ("", [1, 2], "must be a JSON object"),
+        ("", {"format_version": 3}, "missing keys ['tfidf', 'models']"),
+        ("format_version", 2, "unsupported model format version: 2"),
+        ("", {"format_version": 1, "config": {}, "vocabulary": [], "idf": [], "doc_freq": [],
+              "n_docs": 1}, "unsupported model format version: 1"),
+        ("format_version", DELETE, "missing keys ['format_version']"),
+    ], ids=["index-out-of-range", "string-index", "repeated-index", "string-bias",
+            "model-not-object", "model-no-bias", "missing-model", "extra-model",
+            "models-not-object", "tfidf-not-object", "tfidf-no-idf", "tfidf-config-no-n_min",
+            "tfidf-repeated-term", "file-list", "file-no-parts", "format-2", "format-1",
+            "no-format"])
+    def test_damaged_model_file_exits_2_naming_the_part(self, pipeline_dir, tmp_path, capsys,
+                                                        key, value, message):
         models = tmp_path / "models"
         shutil.copytree(pipeline_dir / "models", models)
-        (models / name).write_text(json.dumps(damage(json.loads((models / name).read_text()))))
+        path = models / "aspects.json"
+        path.write_text(json.dumps(edited(json.loads(path.read_text()), key, value)))
         config = (pipeline_dir / "config_path.txt").read_text()
         assert main(["score", "--config", config, "--model-dir", str(models),
                      "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert f"{models / name}: {message}" in err
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_model_file_byte_not_utf8_names_the_file(self, pipeline_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: b"\xff" + text, "'utf-8' codec can't decode byte 0xff in position 0"),
+        (lambda text: text[:1], "Expecting property name enclosed in double quotes"),
+    ], ids=["byte-not-utf8", "not-json"])
+    def test_model_file_not_json_names_the_file(self, pipeline_dir, tmp_path, capsys,
+                                                damage, message):
         models = tmp_path / "models"
         shutil.copytree(pipeline_dir / "models", models)
-        path = models / "aspect_attack.json"
-        path.write_bytes(b"\xff" + path.read_bytes())
+        path = models / "aspects.json"
+        path.write_bytes(damage(path.read_bytes()))
         config = (pipeline_dir / "config_path.txt").read_text()
         assert main(["score", "--config", config, "--model-dir", str(models),
                      "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0" in err
+        assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field", ["id", "source"])
@@ -501,26 +539,34 @@ def test_tag_that_no_article_carries_exits_2(pipeline_dir, tmp_path, capsys, com
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv, model_file, name", [
-    (["score"], "aspect_attack.json", "attack"),
-    (["predict-provoking"], "provoking_model.json", "provoking"),
+# The model files of formats 1 and 2: a vectorizer and each model apart.
+OLD_MODEL_FILES = ("aspects_tfidf.json", "aspect_toxicity.json", "aspect_aggression.json",
+                   "aspect_attack.json", "provoking_tfidf.json", "provoking_model.json")
+
+
+@pytest.mark.parametrize("argv, kind, command", [
+    (["score"], "aspects", "train-aspects"),
+    (["predict-provoking"], "provoking", "label-train-provoking"),
+    (["evaluate", "--target", "aspects"], "aspects", "train-aspects"),
     (["evaluate", "--target", "provoking", "--labels", "{out}/article_labels.jsonl"],
-     "provoking_model.json", "provoking"),
+     "provoking", "label-train-provoking"),
 ])
-def test_model_wider_than_its_vectorizer_exits_2_naming_it(pipeline_dir, tmp_path, capsys,
-                                                             argv, model_file, name):
+@pytest.mark.parametrize("old_files", [False, True], ids=["empty", "old-files"])
+def test_missing_model_file_exits_2_naming_the_command(pipeline_dir, tmp_path, capsys,
+                                                       argv, kind, command, old_files):
+    """A model directory without the command's model file, one of the
+    previous formats' six files included, names the file and its writer."""
     models = tmp_path / "models"
-    shutil.copytree(pipeline_dir / "models", models)
-    payload = json.loads((models / model_file).read_text())
-    dimension = payload["dimension"]
-    payload["dimension"] = dimension + 1
-    (models / model_file).write_text(json.dumps(payload))
+    models.mkdir()
+    for name in OLD_MODEL_FILES if old_files else ():
+        (models / name).write_text('{"format_version": 2}')
     config = (pipeline_dir / "config_path.txt").read_text()
     argv = [arg.replace("{out}", str(pipeline_dir / "out")) for arg in argv]
     assert main([*argv, "--config", config, "--model-dir", str(models),
                  "--out", str(tmp_path / "out")]) == 2
-    assert (f"error: {name} model dimension {dimension + 1} does not match "
-            f"vectorizer dimension {dimension}") in capsys.readouterr().err
+    assert (f"error: model file not found: {models / f'{kind}.json'} (run '{command}')"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 class TestLabelTrainProvoking:
@@ -537,9 +583,11 @@ class TestLabelTrainProvoking:
         for row in labels:
             assert row["label"] == (row["weight"] > median)
 
-    def test_provoking_model_files_written(self, pipeline_dir):
-        assert (pipeline_dir / "models" / "provoking_tfidf.json").exists()
-        assert (pipeline_dir / "models" / "provoking_model.json").exists()
+    def test_one_model_file_per_classifier(self, pipeline_dir):
+        models = pipeline_dir / "models"
+        assert sorted(p.name for p in models.iterdir()) == ["aspects.json", "provoking.json"]
+        assert list(json.loads((models / "provoking.json").read_text())["models"]) \
+            == ["provoking"]
         report = json.loads((pipeline_dir / "out" / "provoking_report.json").read_text())
         assert report["tp"] + report["fp"] + report["tn"] + report["fn"] == 8
 
@@ -1148,11 +1196,11 @@ class TestDeepNesting:
     def test_model_file(self, pipeline_dir, tmp_path, capsys):
         models = tmp_path / "models"
         shutil.copytree(pipeline_dir / "models", models)
-        (models / "aspect_attack.json").write_text(DEEP)
+        (models / "aspects.json").write_text(DEEP)
         config = (pipeline_dir / "config_path.txt").read_text()
         assert main(["score", "--config", config, "--model-dir", str(models),
                      "--out", str(tmp_path / "out")]) == 2
-        assert f"error: {models / 'aspect_attack.json'}: JSON nested too deep" \
+        assert f"error: {models / 'aspects.json'}: JSON nested too deep" \
             in capsys.readouterr().err
 
     def test_config_file(self, tmp_path, capsys):
@@ -1285,6 +1333,44 @@ def test_only_a_feature_matrix_imports_scipy(tmp_path):
     assert run.stdout.split()[-2:] == ["False", "True"]
 
 
+# Run by a fresh interpreter: the address space is capped a few hundred MB
+# above its size after import, then the arguments go to ``main``.
+_CAPPED_MAIN = """
+import resource, sys
+from newsciv.cli import main
+
+with open("/proc/self/statm") as fh:
+    size = int(fh.read().split()[0]) * resource.getpagesize()
+limit = size + 400 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads /proc/self/statm")
+def test_lda_sweep_buffers_past_the_memory_limit_exit_2(tmp_path):
+    """On this corpus phase one has 40 documents, 142 terms and 1,610 tokens:
+    100,000 topics need count arrays of about 150 MB, which fit under the
+    cap, but a sweep's running sums of 1.2 GB do not. A sweep that cannot
+    allocate is the same input error as counts that do not fit."""
+    data = tmp_path / "data"
+    assert main(["generate-synthetic", "--out", str(data), "--n-articles", "40",
+                 "--comments-per-article", "6", "--n-annotated", "1"]) == 0
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "mine-subtext",
+         "--articles", str(data / "articles.jsonl"), "--comments", str(data / "comments.jsonl"),
+         "--out", str(tmp_path / "out"), "--set", "lda.n_topics=100000",
+         "--set", "lda.iterations=1"],
+        capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert run.returncode == 2, run.stderr
+    assert ("error: n_topics 100000 is too large for 40 documents and 142 terms"
+            in run.stderr)
+    assert not (tmp_path / "out").exists()
+
+
 
 # Each subcommand's options, written out so that an edit to cli._FLAGS or
 # cli._COMMANDS cannot add or drop one unnoticed.
@@ -1335,9 +1421,11 @@ JSON_VALUES = st.recursive(
 
 @st.composite
 def damaged(draw, value, depth=0):
-    """``value`` with one part, at most three levels down, replaced by
-    arbitrary JSON or (in an object) removed."""
-    if isinstance(value, (dict, list)) and value and depth < 3 and draw(st.booleans()):
+    """``value`` with one part, at most five levels down, replaced by
+    arbitrary JSON or (in an object) removed. Five levels reach the index
+    of a model file's weight pair (``models`` -> name -> ``weights`` ->
+    pair -> index)."""
+    if isinstance(value, (dict, list)) and value and depth < 5 and draw(st.booleans()):
         key = draw(st.sampled_from(sorted(value) if isinstance(value, dict)
                                    else range(len(value))))
         if isinstance(value, dict) and draw(st.booleans()):
@@ -1368,10 +1456,8 @@ FUZZ_READERS = {
     "data/articles.jsonl": ["predict-provoking", "--articles", "{input}"],
     "data/annotated.jsonl": ["evaluate", "--target", "aspects", "--annotated", "{input}"],
     "data/annotated.tsv": ["evaluate", "--target", "aspects", "--annotated", "{input}"],
-    "models/aspects_tfidf.json": ["evaluate", "--target", "aspects"],
-    "models/aspect_toxicity.json": ["evaluate", "--target", "aspects"],
-    "models/provoking_tfidf.json": ["predict-provoking"],
-    "models/provoking_model.json": ["predict-provoking"],
+    "models/aspects.json": ["evaluate", "--target", "aspects"],
+    "models/provoking.json": ["predict-provoking"],
 }
 
 

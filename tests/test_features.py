@@ -19,8 +19,11 @@ from hypothesis import strategies as st
 import features_reference as reference
 import newsciv
 from newsciv import textproc
+from newsciv._checks import read_json
+from newsciv._output import write_json
 from newsciv.features import (
     TfidfConfig,
+    TfidfModel,
     fit_transform,
     load_tfidf,
     save_tfidf,
@@ -172,12 +175,15 @@ class TestTransform:
         assert "wall" in model.vocabulary
 
 
+def round_trip(model: TfidfModel) -> TfidfModel:
+    """``model`` through its part of a model file, as JSON text."""
+    return load_tfidf(json.loads(json.dumps(save_tfidf(model))), "tfidf")
+
+
 class TestSerialization:
-    def test_round_trip_preserves_transforms(self, tmp_path):
+    def test_round_trip_preserves_transforms(self):
         model = fit_transform(["a b", "a c", "b c d"], TfidfConfig(n_min=1, n_max=2))[0]
-        path = tmp_path / "tfidf.json"
-        save_tfidf(model, path)
-        loaded = load_tfidf(path)
+        loaded = round_trip(model)
         assert type(loaded.vocabulary) is tuple and loaded.vocabulary == model.vocabulary
         assert loaded.idf.tobytes() == model.idf.tobytes()
         assert loaded.config == model.config
@@ -189,25 +195,18 @@ class TestSerialization:
         model = fit_transform(["café zürich", "naïve café", "東京 café"],
                               TfidfConfig(n_min=1, n_max=1))[0]
         path, escaped = tmp_path / "tfidf.json", tmp_path / "escaped.json"
-        save_tfidf(model, path)
+        write_json(path, save_tfidf(model))
         text = path.read_text(encoding="utf-8")
         assert "café" in text and "東京" in text
         escaped.write_text(json.dumps(json.loads(text)), encoding="ascii")
         for saved in (path, escaped):
-            assert load_tfidf(saved).vocabulary == model.vocabulary
-
-    def test_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "tfidf.json"
-        path.write_text('{"format_version": 99}')
-        with pytest.raises(ValueError):
-            load_tfidf(path)
+            assert load_tfidf(read_json(saved), str(saved)).vocabulary == model.vocabulary
 
     @pytest.mark.parametrize("key, value, message", [
         ("vocabulary", ["a", "a", "b"], "vocabulary must be a list of distinct strings"),
         ("vocabulary", ["a", 2, "b"], "vocabulary must be a list of distinct strings"),
         ("idf", [1.0, 2.0], "idf must hold one valid number per vocabulary term"),
         ("idf", [1.0, float("nan"), 1.0], "idf must hold one valid number"),
-        ("format_version", 1, "unsupported model format version: 1"),
         ("config", {"n_max": 1, "max_df_ratio": 1.0, "use_stoplist": False},
          "config is missing keys ['n_min', 'min_df']"),
         ("idf", "abc", "idf must hold one valid number"),
@@ -216,14 +215,20 @@ class TestSerialization:
          "invalid n-gram range"),
         ("config", [1, 2], "config must be an object with keys"),
     ])
-    def test_damaged_file_raises_value_error_naming_it(self, tmp_path, key, value, message):
-        path = tmp_path / "tfidf.json"
-        save_tfidf(fit_transform(["a b", "a c"], TfidfConfig(n_min=1, n_max=1))[0], path)
-        payload = json.loads(path.read_text())
-        assert len(payload["vocabulary"]) == 3
-        path.write_text(json.dumps({**payload, key: value}))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
-            load_tfidf(path)
+    def test_damaged_part_raises_value_error_naming_it(self, key, value, message):
+        part = save_tfidf(fit_transform(["a b", "a c"], TfidfConfig(n_min=1, n_max=1))[0])
+        assert len(part["vocabulary"]) == 3
+        with pytest.raises(ValueError, match=f"^m.json: tfidf: {re.escape(message)}"):
+            load_tfidf({**part, key: value}, "m.json: tfidf")
+
+    @pytest.mark.parametrize("part, message", [
+        ([], "must be a JSON object"),
+        (None, "must be a JSON object"),
+        ({"config": {}, "idf": []}, "missing keys ['vocabulary']"),
+    ])
+    def test_part_not_an_object_or_missing_keys_raises_naming_it(self, part, message):
+        with pytest.raises(ValueError, match=f"^m.json: tfidf: {re.escape(message)}"):
+            load_tfidf(part, "m.json: tfidf")
 
 
 # Words for the reference comparison: Unicode letters, apostrophes inside
@@ -269,8 +274,7 @@ class TestMatchesStringReference:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(docs=texts_st, queries=texts_st, config=configs_st,
            chunk=st.sampled_from([1, 2, 3, 4096]))
-    def test_fit_transform_and_transform_match(self, tmp_path_factory, docs, queries,
-                                               config, chunk):
+    def test_fit_transform_and_transform_match(self, docs, queries, config, chunk):
         docs = docs or [""]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(textproc, "_CHUNK", chunk)
@@ -279,9 +283,7 @@ class TestMatchesStringReference:
             assert_same_model(model, expected)
             assert_same_model(fit_transform(docs, config)[0], expected)
             assert_same_matrix(x, reference.transform(expected, docs))
-            path = tmp_path_factory.mktemp("tfidf") / "tfidf.json"
-            save_tfidf(model, path)
-            for fitted in (model, load_tfidf(path)):
+            for fitted in (model, round_trip(model)):
                 for batch in (queries, docs + queries, []):
                     assert_same_matrix(fitted.transform(batch),
                                        reference.transform(expected, batch))
@@ -292,18 +294,16 @@ class TestMatchesStringReference:
                         min_size=1, max_size=4)
                .map(" ".join), min_size=1, max_size=12, unique=True),
            idf=st.floats(0.5, 5.0), queries=texts_st, config=configs_st)
-    def test_loaded_vocabulary_with_unspellable_terms_matches(self, tmp_path_factory, terms,
-                                                              idf, queries, config):
+    def test_loaded_vocabulary_with_unspellable_terms_matches(self, terms, idf, queries,
+                                                              config):
         """Saved vocabularies may hold terms no tokenizer emits (upper case,
         empty or doubled spaces, an n outside the range, punctuation or a
         newline the tokenizer turns into other tokens); they match nothing,
         as they did on the string path."""
-        path = tmp_path_factory.mktemp("tfidf") / "tfidf.json"
-        path.write_text(json.dumps({
-            "format_version": 2, "config": dataclasses.asdict(config), "vocabulary": terms,
+        model = load_tfidf(json.loads(json.dumps({
+            "config": dataclasses.asdict(config), "vocabulary": terms,
             "idf": [idf + i for i in range(len(terms))],
-        }), encoding="utf-8")
-        model = load_tfidf(path)
+        })), "tfidf")
         batch = queries + [" ".join(terms)]
         assert_same_matrix(model.transform(batch), reference.transform(model, batch))
 

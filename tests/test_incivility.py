@@ -112,6 +112,17 @@ class TestBinarize:
             binarize_aspect(self.make(), "sarcasm")
 
 
+@pytest.mark.parametrize("width", [2, 4])
+def test_model_of_another_width_than_its_vectorizer_raises_naming_it(crafted_classifiers, width):
+    """A library caller can pair a vectorizer with a model of another width;
+    a model file cannot, as it stores no width of its own."""
+    models = {**crafted_classifiers.models,
+              "attack": LogisticModel(weights=np.zeros(width), bias=0.0)}
+    with pytest.raises(ValueError, match=f"^attack model dimension {width} does not match "
+                                         "vectorizer dimension 3$"):
+        Classifier(crafted_classifiers.tfidf, models)
+
+
 class TestScoreComment:
     def test_value_is_max_of_components(self, crafted_classifiers):
         score = score_comment(crafted_classifiers, "high")

@@ -445,29 +445,15 @@ class TestEvaluate:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         model = LogisticModel(weights=np.array([0.0, -1.5, 2.25]), bias=0.125)
-        path = tmp_path / "model.json"
-        save_logistic(model, path)
-        loaded = load_logistic(path)
+        part = save_logistic(model)
+        assert part == {"bias": 0.125, "weights": [[1, -1.5], [2, 2.25]]}
+        loaded = load_logistic(json.loads(json.dumps(part)), 3, "model")
         assert loaded.weights.tolist() == model.weights.tolist()
         assert loaded.bias == model.bias
 
-    def test_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"format_version": 0, "dimension": 1, "bias": 0, "weights": []}')
-        with pytest.raises(ValueError):
-            load_logistic(path)
-
-    def test_file_that_is_not_json_raises_value_error_naming_it(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text("{")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Expecting"):
-            load_logistic(path)
-
     @pytest.mark.parametrize("key, value, message", [
-        ("dimension", -1, "dimension must be a non-negative integer"),
-        ("dimension", 2.0, "dimension must be a non-negative integer"),
         ("bias", "0.5", "bias must be a finite number"),
         ("bias", float("inf"), "bias must be a finite number"),
         ("weights", [[3, 1.0]], "weights must be [index, finite value] pairs with index < 3"),
@@ -479,9 +465,16 @@ class TestSerialization:
         ("weights", {"0": 1.0}, "weights must be [index, finite value] pairs"),
         ("weights", [[1, 2.0], [1, -5.0]], "weights repeat an index"),
     ])
-    def test_damaged_file_raises_value_error_naming_it(self, tmp_path, key, value, message):
-        path = tmp_path / "model.json"
-        save_logistic(LogisticModel(weights=np.array([0.0, -1.5, 2.25]), bias=0.125), path)
-        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
-            load_logistic(path)
+    def test_damaged_part_raises_value_error_naming_it(self, key, value, message):
+        part = save_logistic(LogisticModel(weights=np.array([0.0, -1.5, 2.25]), bias=0.125))
+        with pytest.raises(ValueError, match=f"^m.json: models.a: {re.escape(message)}"):
+            load_logistic({**part, key: value}, 3, "m.json: models.a")
+
+    @pytest.mark.parametrize("part, message", [
+        ([], "must be a JSON object"),
+        ({"weights": []}, "missing keys ['bias']"),
+        ({"bias": 0.0}, "missing keys ['weights']"),
+    ])
+    def test_part_not_an_object_or_missing_keys_raises_naming_it(self, part, message):
+        with pytest.raises(ValueError, match=f"^m.json: models.a: {re.escape(message)}"):
+            load_logistic(part, 3, "m.json: models.a")

@@ -331,7 +331,7 @@ def test_import_guard_sees_each_way_to_import(source, found):
     assert _package_imports(ast.parse(source)) == found
 
 
-_NGRAM_ENCODER = ("gram_ids", "number_grams", "encode_texts")
+_NGRAM_ENCODER = ("gram_ids", "_number", "encode_texts")
 
 
 def _ngram_key_uses(tree: ast.AST) -> list[str]:
@@ -361,8 +361,9 @@ def test_only_textproc_knows_ngram_keys():
 
 @pytest.mark.parametrize("source, found", [
     ("from .textproc import Ngrams, gram_ids", ["gram_ids"]),
-    ("from newsciv.textproc import (\n    encode_texts,\n    number_grams as ng,\n)",
-     ["encode_texts", "number_grams"]),
+    ("from newsciv.textproc import (\n    encode_texts,\n    _number as ng,\n)",
+     ["_number", "encode_texts"]),
+    ("ids = grams._number(k, keys)", ["_number"]),
     ("from . import textproc\nids = textproc.encode_texts(texts)", ["encode_texts"]),
     ("at = table.searchsorted(keys)", ["searchsorted"]),
     ("def f(t, k):\n    return np.searchsorted(t, k)", ["searchsorted"]),

@@ -7,8 +7,8 @@ The package root exports exactly the names that the quickstart and the
 demos import from it, so an export that nothing documents cannot return.
 README's config covering every stage loads as a ``RunConfig``, so a renamed
 or retyped config field fails here as well. The keys and format version
-that README's data formats give for each model file are those that
-``save_tfidf`` and ``save_logistic`` write."""
+that README's data formats give for the model files, and for their parts,
+are those that ``cli`` writes."""
 
 from __future__ import annotations
 
@@ -23,8 +23,9 @@ import numpy as np
 
 import newsciv
 from newsciv import cli
-from newsciv.features import fit_transform, save_tfidf
-from newsciv.linmodel import LogisticModel, save_logistic
+from newsciv.features import fit_transform
+from newsciv.incivility import Classifier
+from newsciv.linmodel import LogisticModel
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -77,23 +78,23 @@ def test_full_config_loads():
     assert cli._from_dict(cli.RunConfig(), data).synthetic.n_articles == 400
 
 
-def _listed_model_file(name: str) -> tuple[str, list[str]]:
+def _listed_model_file(name: str) -> tuple[str, list[list[str]]]:
     """The data formats bullet that starts with model file ``name``, and
-    the keys of the first ``{"key", ...}`` in it."""
+    the keys of each ``{"key", ...}`` in it, in order."""
     bullet = re.search(rf"^ *\* `{re.escape(name)}`.*?(?=^ *\*|^$)", README, re.S | re.M)
     assert bullet, f"README lists no model file {name}"
-    keys = re.search(r"`\{(.*?)\}`", bullet[0], re.S)
-    assert keys, f"README gives no keys for {name}"
-    return bullet[0], re.findall(r'"(\w+)"', keys[1])
+    return bullet[0], [re.findall(r'"(\w+)"', keys)
+                       for keys in re.findall(r"`\{(.*?)\}`", bullet[0], re.S)]
 
 
 def test_model_file_keys_match_the_writers(tmp_path):
-    save_tfidf(fit_transform(["a b", "a c"])[0], tmp_path / "tfidf.json")
-    save_logistic(LogisticModel(weights=np.array([0.0, 1.5]), bias=0.5),
-                  tmp_path / "logistic.json")
-    for name, written in (("aspects_tfidf.json", "tfidf.json"),
-                          ("aspect_<name>.json", "logistic.json")):
-        payload = json.loads((tmp_path / written).read_text())
-        bullet, keys = _listed_model_file(name)
-        assert keys == list(payload), name
-        assert f"format {payload['format_version']}:" in bullet, name
+    """The bullet gives the file's keys, then its ``tfidf`` part's, then a
+    model part's."""
+    tfidf = fit_transform(["a b", "a c"])[0]
+    model = LogisticModel(weights=np.arange(tfidf.dimension) / 2, bias=0.5)
+    cli._save_classifier(Classifier(tfidf, {"provoking": model}), "provoking", tmp_path)
+    payload = json.loads((tmp_path / "provoking.json").read_text())
+    bullet, keys = _listed_model_file("aspects.json")
+    assert keys == [list(payload), list(payload["tfidf"]),
+                    list(payload["models"]["provoking"])]
+    assert f"format {payload['format_version']}:" in bullet
