@@ -18,8 +18,12 @@ import argparse
 import dataclasses
 import gc
 import json
+import os
+import pickle
 import sys
+from contextlib import closing, suppress
 from dataclasses import dataclass
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -223,6 +227,95 @@ def _load_classifier(kind: str, model_dir: Path) -> incivility.Classifier:
         for name in names})
 
 
+def _fork_worker(work, workers: list) -> tuple:
+    """Fork a worker that answers each item on its pipe with ``(True,
+    work(item))`` or ``(False, exception)`` until EOF. It closes the pipe
+    ends it inherits to and from the earlier ``workers``, so a pipe that
+    the parent closes ends there and then."""
+    tasks, to_worker = os.pipe()
+    from_worker, results = os.pipe()
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        stream.flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (tasks, to_worker, from_worker, results):
+            os.close(fd)
+        raise
+    if pid:
+        os.close(tasks)
+        os.close(results)
+        return pid, os.fdopen(to_worker, "wb"), os.fdopen(from_worker, "rb")
+    code = 1  # in the worker, which never returns
+    try:
+        for fd in (to_worker, from_worker, *(f.fileno() for _, *ends in workers for f in ends)):
+            os.close(fd)
+        reader, writer = os.fdopen(tasks, "rb"), os.fdopen(results, "wb")
+        while reader.peek(1):
+            try:
+                result = True, work(pickle.load(reader))
+            except Exception as exc:  # noqa: BLE001 - raised again in the parent
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:  # noqa: BLE001 - sent as its kind, type and message
+                    exc = (ValueError if isinstance(exc, (ValueError, OSError))
+                           else RuntimeError)(f"{type(exc).__name__}: {exc}")
+                result = False, exc
+            pickle.dump(result, writer)
+            writer.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _result(worker: tuple):
+    """The next result that ``worker`` sends, or the exception it sends, raised."""
+    ok, value = pickle.load(worker[2])
+    if not ok:
+        raise value
+    return value
+
+
+def _in_workers(work, items):
+    """``work(item)`` for each of ``items``, in order: inline on one usable
+    core, on one item or without ``os.fork``, else in forked workers, one
+    per core. A worker gets its next item once its last result is read, so
+    at most one item per worker is in flight. A worker's exception is raised
+    in item order, and a worker that dies is a ``RuntimeError``; on any exit
+    the pipes are closed and every worker is reaped."""
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    items = iter(items)
+    head = list(islice(items, 2)) if cores > 1 else []
+    items = chain(head, items)
+    if len(head) < 2:
+        yield from map(work, items)
+        return
+    del head  # the chain drops the first two items once it passes them
+    workers: list[tuple] = []  # (pid, pipe to it, pipe from it), in order forked
+    busy: list[tuple] = []  # the workers holding an item, in the order they got it
+    try:
+        for item in items:
+            if len(workers) < cores:
+                workers.append(worker := _fork_worker(work, workers))
+            else:
+                yield _result(worker := busy.pop(0))
+            pickle.dump(item, worker[1])
+            worker[1].flush()
+            busy.append(worker)
+        while busy:
+            yield _result(busy.pop(0))
+    except (EOFError, pickle.UnpicklingError, BrokenPipeError) as exc:
+        raise RuntimeError("a worker ended without its result") from exc
+    finally:
+        for _, to_worker, from_worker in workers:
+            with suppress(OSError):  # a dead worker leaves bytes unsent
+                to_worker.close()
+            from_worker.close()
+        for pid, _, _ in workers:
+            os.waitpid(pid, 0)
+
+
 # --- subcommands -----------------------------------------------------------
 
 def cmd_train_aspects(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -252,17 +345,29 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     classifiers = _load_classifier("aspects", Path(cfg.model_dir))
     articles = _select_articles(cfg)
     out_dir = Path(cfg.out_dir)
-    # Comment blocks stream from reader to writer; only the article scores stay.
-    by_article: dict[str, list[float]] = {}
     # Ids are strings, for which json.dumps is exactly encode_basestring_ascii.
     line = ('{"comment_id": %s, "toxicity": %.6f, "aggression": %.6f, "attack": %.6f, '
             '"incivility": %.6f}')
-    write_lines(out_dir / "scores.jsonl", (
-        line % row
-        for ids, article_ids, texts in comment_blocks(cfg.comments, cfg.min_comment_words)
-        for row in zip(map(encode_basestring_ascii, ids),
-                       *incivility.fold_scores(classifiers, texts, article_ids, by_article))
-    ))
+
+    def score(block):
+        """A block's article ids, incivility column and scores.jsonl lines."""
+        ids, article_ids, texts = block
+        columns = incivility._score_columns(classifiers, texts)
+        return article_ids, columns[3], [
+            line % row for row in zip(map(encode_basestring_ascii, ids), *columns)]
+
+    # Blocks stream from reader to workers to writer; the parent folds each
+    # block's incivility, in file order, and only the article scores stay.
+    by_article: dict[str, list[float]] = {}
+
+    def lines(scored):
+        for article_ids, values, block_lines in scored:
+            incivility._fold(by_article, article_ids, values)
+            yield from block_lines
+
+    blocks = comment_blocks(cfg.comments, cfg.min_comment_words)
+    with closing(_in_workers(score, blocks)) as scored:
+        write_lines(out_dir / "scores.jsonl", lines(scored))
     weight_of = {w.article_id: w for w in incivility.article_means(by_article)}
     kept = [(a, weight_of[a.id]) for a in articles if a.id in weight_of]
     write_jsonl(out_dir / "article_weights.jsonl", _WEIGHT_FIELDS,

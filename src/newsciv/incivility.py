@@ -208,9 +208,14 @@ def fold_scores(classifiers: Classifier, texts: Sequence[str],
     if len(texts) != len(article_ids):
         raise ValueError(f"got {len(texts)} texts but {len(article_ids)} article ids")
     columns = _score_columns(classifiers, texts)
-    for article_id, value in zip(article_ids, columns[3]):
-        by_article.setdefault(article_id, []).append(value)
+    _fold(by_article, article_ids, columns[3])
     return columns
+
+
+def _fold(by_article: dict[str, list[float]], article_ids, values) -> None:
+    """Append each of ``values`` to the list of its article in ``by_article``."""
+    for article_id, value in zip(article_ids, values):
+        by_article.setdefault(article_id, []).append(value)
 
 
 def article_means(by_article: Mapping[str, Sequence[float]]) -> list[ArticleIncivility]:

@@ -117,6 +117,36 @@ def many_comments(pipeline_dir: Path, path: Path, n: int, bad: dict | None = Non
     return path
 
 
+# A comment text of the second block, on which a test's scorer fails.
+MARK = "the marked comment"
+
+
+def marked_comments(pipeline_dir: Path, path: Path) -> Path:
+    return many_comments(pipeline_dir, path, LATE_ROWS, bad={textproc._CHUNK + 10: {"text": MARK}})
+
+
+def force_cores(monkeypatch, n: int) -> list[int]:
+    """Make ``score`` see ``n`` usable cores; the list returned fills with
+    the pid of each worker that it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    forked, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def assert_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 class TestGenerateSynthetic:
     def test_writes_three_files_with_requested_counts(self, tmp_path):
         out = tmp_path / "corpus"
@@ -395,21 +425,36 @@ class TestScore:
     def test_scores_one_block_of_comments_at_a_time(self, pipeline_dir, tmp_path,
                                                     monkeypatch):
         """No scoring call gets more than one block of texts, so ``score``
-        holds one block of comments however long the file is."""
-        sizes = []
-        original = incivility._score_columns
+        holds one block of comments however long the file is. The blocks
+        are recorded as the parent hands them to the workers, and each
+        scoring call's size through a file, from whichever process scores."""
+        forked = force_cores(monkeypatch, 2)
+        handed, calls = [], tmp_path / "calls.txt"
+        hand_out, original = cli._in_workers, incivility._score_columns
+
+        def recording_hand_out(work, blocks):
+            def handing(blocks):
+                for block in blocks:
+                    handed.append(len(block[2]))
+                    yield block
+            return hand_out(work, handing(blocks))
 
         def recording(classifiers, texts):
-            sizes.append(len(texts))
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write(f"{len(texts)}\n")
             return original(classifiers, texts)
 
+        monkeypatch.setattr(cli, "_in_workers", recording_hand_out)
         monkeypatch.setattr(incivility, "_score_columns", recording)
         path = many_comments(pipeline_dir, tmp_path / "comments.jsonl", LATE_ROWS)
         config = (pipeline_dir / "config_path.txt").read_text()
         assert main(["score", "--config", config, "--comments", str(path),
                      "--out", str(tmp_path / "out")]) == 0
         block = textproc._CHUNK
-        assert sizes == [block, block, LATE_ROWS - 2 * block]
+        assert handed == [block, block, LATE_ROWS - 2 * block]
+        assert sorted(map(int, calls.read_text().split())) == sorted(handed)
+        assert len(forked) == 2
+        assert_reaped(forked)
         assert len(jsonl(tmp_path / "out" / "scores.jsonl")) == LATE_ROWS
 
     @pytest.mark.parametrize("bad, message", [
@@ -418,10 +463,10 @@ class TestScore:
     ], ids=["bad-type", "repeated-id"])
     @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
     def test_bad_row_in_a_late_block_exits_2_and_writes_nothing(
-            self, pipeline_dir, tmp_path, capsys, bad, message, existing):
-        """A bad row found after two blocks were scored and written is named
-        as before, and leaves no new directory, no temp file and an older
-        ``scores.jsonl`` byte for byte."""
+            self, pipeline_dir, tmp_path, capsys, monkeypatch, bad, message, existing):
+        """A bad row found after two blocks went to the workers is named as
+        before, and leaves no new directory, no temp file, no unreaped worker
+        and an older ``scores.jsonl`` byte for byte."""
         lineno = 2 * textproc._CHUNK + 50
         path = many_comments(pipeline_dir, tmp_path / "comments.jsonl", LATE_ROWS,
                              bad={lineno - 1: bad})
@@ -430,13 +475,134 @@ class TestScore:
             out.mkdir()
             (out / "scores.jsonl").write_text("older scores\n")
         config = (pipeline_dir / "config_path.txt").read_text()
+        forked = force_cores(monkeypatch, 2)
         assert main(["score", "--config", config, "--comments", str(path),
                      "--out", str(out)]) == 2
         assert f"line {lineno}: {message}" in capsys.readouterr().err
+        assert len(forked) == 2
+        assert_reaped(forked)
         assert sorted(os.listdir(tmp_path)) == ["comments.jsonl"] + ["out"] * existing
         if existing:
             assert os.listdir(out) == ["scores.jsonl"]
             assert (out / "scores.jsonl").read_bytes() == b"older scores\n"
+
+    def test_worker_count_changes_no_output_byte(self, pipeline_dir, tmp_path):
+        """On four blocks holding a non-ASCII id and a lone-surrogate id, with
+        short comments dropped, the files are the same bytes on 1, 2 and 3
+        cores and without ``os.fork``, and hold the library's
+        ``article_weights`` of the comments kept."""
+        block = textproc._CHUNK
+        short = {i: {"text": "short"} for i in (5, block + 7, 3 * block + 1)}
+        path = many_comments(pipeline_dir, tmp_path / "comments.jsonl", 3 * block + 10, bad={
+            0: {"id": "caf\u00e9 \u4e2d"}, block + 1: {"id": "\ud800 lone"}, **short})
+        config = (pipeline_dir / "config_path.txt").read_text()
+        names = ("scores.jsonl", "article_weights.jsonl")
+        files, forks = {}, {}
+        for cores in (1, 2, 3, "no fork"):
+            with pytest.MonkeyPatch.context() as mp:
+                forked = force_cores(mp, 2 if cores == "no fork" else cores)
+                if cores == "no fork":
+                    mp.delattr(os, "fork")
+                out = tmp_path / f"out-{cores}"
+                assert main(["score", "--config", config, "--comments", str(path),
+                             "--min-comment-words", "2", "--out", str(out)]) == 0
+            assert_reaped(forked)
+            forks[cores] = len(forked)
+            files[cores] = [(out / name).read_bytes() for name in names]
+        assert forks == {1: 0, 2: 2, 3: 3, "no fork": 0}
+        assert files[2] == files[1] and files[3] == files[1] and files["no fork"] == files[1]
+
+        kept = [row for row in jsonl(path) if len(tokenize(row["text"])) >= 2]
+        assert len(kept) == 3 * block + 7
+        columns, weights = incivility.article_weights(
+            cli._load_classifier("aspects", pipeline_dir / "models"),
+            [row["text"] for row in kept], [row["article_id"] for row in kept])
+        scores = jsonl(tmp_path / "out-1" / names[0])
+        assert [s["comment_id"] for s in scores] == [row["id"] for row in kept]
+        for name, column in zip(("toxicity", "aggression", "attack", "incivility"), columns):
+            assert [s[name] for s in scores] == [float(f"{v:.6f}") for v in column], name
+        assert ({w["article_id"]: (w["weight"], w["n_comments"])
+                 for w in jsonl(tmp_path / "out-1" / names[1])}
+                == {w.article_id: (w.weight, w.n_comments) for w in weights})
+
+    def test_one_block_is_scored_without_a_fork(self, pipeline_dir, tmp_path, monkeypatch):
+        forked = force_cores(monkeypatch, 2)
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert forked == []
+        for name in ("scores.jsonl", "article_weights.jsonl"):
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (pipeline_dir / "out" / name).read_bytes())
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ValueError, 2, "error"), (RuntimeError, 1, "internal error")])
+    def test_worker_exception_exits_as_it_does_inline(self, pipeline_dir, tmp_path, capsys,
+                                                      monkeypatch, error, code, prefix):
+        """An exception raised while scoring block 2 in a worker ends ``score``
+        with the exit code and message it has inline, and leaves no file, no
+        directory and no unreaped worker."""
+        score = incivility._score_columns
+
+        def failing(classifiers, texts):
+            if MARK in texts:
+                raise error(f"{error.__name__} on block 2")
+            return score(classifiers, texts)
+
+        monkeypatch.setattr(incivility, "_score_columns", failing)
+        path = marked_comments(pipeline_dir, tmp_path / "comments.jsonl")
+        config = (pipeline_dir / "config_path.txt").read_text()
+        for cores in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                forked = force_cores(mp, cores)
+                assert main(["score", "--config", config, "--comments", str(path),
+                             "--out", str(tmp_path / "out")]) == code
+            assert capsys.readouterr().err == f"{prefix}: {error.__name__} on block 2\n"
+            assert len(forked) == (2 if cores == 2 else 0)
+            assert_reaped(forked)
+            assert os.listdir(tmp_path) == ["comments.jsonl"]
+
+    def test_worker_exception_pickle_cannot_carry_keeps_its_exit_code(
+            self, pipeline_dir, tmp_path, capsys, monkeypatch):
+        """An exception that pickle cannot send comes back as its type and
+        message, with the exit code of its kind."""
+        class Unpicklable(ValueError):  # a local class pickles by no name
+            pass
+
+        score = incivility._score_columns
+
+        def failing(classifiers, texts):
+            if MARK in texts:
+                raise Unpicklable("raised on block 2")
+            return score(classifiers, texts)
+
+        monkeypatch.setattr(incivility, "_score_columns", failing)
+        forked = force_cores(monkeypatch, 2)
+        path = marked_comments(pipeline_dir, tmp_path / "comments.jsonl")
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--comments", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: Unpicklable: raised on block 2\n"
+        assert len(forked) == 2
+        assert_reaped(forked)
+        assert os.listdir(tmp_path) == ["comments.jsonl"]
+
+    def test_killed_worker_exits_1(self, pipeline_dir, tmp_path):
+        """A worker killed on block 2 is an internal error, not a hang: run in
+        a fresh interpreter under a timeout, ``score`` exits 1 and leaves no
+        file, no directory and no unreaped worker."""
+        path = marked_comments(pipeline_dir, tmp_path / "comments.jsonl")
+        config = (pipeline_dir / "config_path.txt").read_text()
+        src = str(Path(cli.__file__).parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-c", _DYING_WORKER, MARK, "score", "--config", config,
+             "--comments", str(path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120, check=False)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr == "internal error: a worker ended without its result\n"
+        assert run.stdout == "forked 2\n"
+        assert os.listdir(tmp_path) == ["comments.jsonl"]
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 50), n_articles=st.integers(1, 5),
@@ -1331,6 +1497,43 @@ def test_only_a_feature_matrix_imports_scipy(tmp_path):
                          capture_output=True, text=True, env=env, timeout=120, check=False)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split()[-2:] == ["False", "True"]
+
+
+# Run by a fresh interpreter with two usable cores: the worker that gets
+# the comment text argv[1] kills itself; the rest of argv goes to ``main``.
+# Prints how many workers were forked and each one left unreaped.
+_DYING_WORKER = """
+import os, signal, sys
+from newsciv import cli, incivility
+
+os.sched_getaffinity = lambda pid: {0, 1}
+forked, fork = [], os.fork
+
+
+def recording_fork():
+    pid = fork()
+    if pid:
+        forked.append(pid)
+    return pid
+
+
+def dying(classifiers, texts, score=incivility._score_columns):
+    if sys.argv[1] in texts:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return score(classifiers, texts)
+
+
+os.fork, incivility._score_columns = recording_fork, dying
+code = cli.main(sys.argv[2:])
+for pid in forked:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+        print("unreaped", pid)
+    except ChildProcessError:
+        pass
+print("forked", len(forked))
+sys.exit(code)
+"""
 
 
 # Run by a fresh interpreter: the address space is capped a few hundred MB

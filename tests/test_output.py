@@ -5,7 +5,8 @@ directory is made on the first write into it, a JSONL row is the bytes
 files, makes directories or encodes JSON one value at a time with
 ``json.dumps``.
 The layering guard keeps the topic model and subtext mining off the corpus
-types: they take plain texts; and only ``textproc`` knows n-gram keys."""
+types: they take plain texts; only ``textproc`` knows n-gram keys; and
+no module imports a thread or process pool, nor forks outside ``cli``."""
 
 from __future__ import annotations
 
@@ -373,6 +374,65 @@ def test_only_textproc_knows_ngram_keys():
 ])
 def test_ngram_key_guard_sees_each_use(source, found):
     assert _ngram_key_uses(ast.parse(source)) == found
+
+
+_CONCURRENCY = ("threading", "multiprocessing", "concurrent")
+
+
+def _concurrency_uses(tree: ast.AST) -> list[str]:
+    """Each import in ``tree`` of a ``_CONCURRENCY`` module or one of its
+    submodules, and each call of ``os.fork`` (``"os.fork"``): through the
+    module under any name or imported by its own."""
+    found, modules, forks = [], {"os"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] in _CONCURRENCY]
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "os")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] in _CONCURRENCY:
+                found.append(node.module)
+            elif node.module == "os":
+                forks.update(alias.asname or alias.name for alias in node.names
+                             if alias.name == "fork")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr == "fork"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
+                or isinstance(node.func, ast.Name) and node.func.id in forks):
+            found.append("os.fork")
+    return sorted(found)
+
+
+def test_no_module_starts_threads_and_only_cli_forks():
+    """``score``'s workers are plain forks driven by ``cli``: no module
+    imports a thread or process pool, and no other module forks."""
+    uses = {path.name: _concurrency_uses(ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(PACKAGE.glob("*.py"))}
+    assert uses.pop("cli.py") == ["os.fork"], "the guard no longer sees the workers' fork"
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import threading", ["threading"]),
+    ("import multiprocessing.pool as pools", ["multiprocessing.pool"]),
+    ("from concurrent.futures import ProcessPoolExecutor", ["concurrent.futures"]),
+    ("from concurrent import futures", ["concurrent"]),
+    ("def f():\n    import threading as t\n    return t.Thread", ["threading"]),
+    ("import os\npid = os.fork()", ["os.fork"]),
+    ("import os as o\nif o.fork() == 0:\n    pass", ["os.fork"]),
+    ("from os import fork\nfork()", ["os.fork"]),
+    ("from os import fork as spawn\nspawn()", ["os.fork"]),
+    ("import os\nr, w = os.pipe()", []),
+    ("pid = os.getpid()", []),
+    ("fork = os.fork", []),
+    ("fork()", []),
+    ("from .threading import x", []),
+    ("import subprocess, pickle", []),
+])
+def test_concurrency_guard_sees_each_way_to_use_it(source, found):
+    assert _concurrency_uses(ast.parse(source)) == found
 
 
 @pytest.mark.parametrize("source, flagged", [
