@@ -32,9 +32,12 @@ from . import incivility, textproc
 from ._checks import check_field_types, check_object, loads, read_json
 from ._output import write_json, write_jsonl, write_lines
 from .corpus import (
+    CorpusError,
+    block_comments,
     comment_blocks,
     filter_by_keywords,
     filter_by_tag,
+    line_blocks,
     load_annotated,
     load_articles,
     read_rows,
@@ -350,24 +353,43 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
             '"incivility": %.6f}')
 
     def score(block):
-        """A block's article ids, incivility column and scores.jsonl lines."""
-        ids, article_ids, texts = block
+        """A line block's ids, dropped ones too, its comments' incivility
+        by article and their scores.jsonl lines, decoded and checked here."""
+        seen: set = set()
+        ids, article_ids, texts = block_comments(block, seen, cfg.min_comment_words)
         columns = incivility._score_columns(classifiers, texts)
-        return article_ids, columns[3], [
+        by_block_article: dict[str, list[float]] = {}
+        incivility._fold(by_block_article, article_ids, columns[3])
+        return list(seen), by_block_article, [
             line % row for row in zip(map(encode_basestring_ascii, ids), *columns)]
 
-    # Blocks stream from reader to workers to writer; the parent folds each
-    # block's incivility, in file order, and only the article scores stay.
+    # Line blocks stream from the file to workers to writer; the parent
+    # checks each block's ids against those of the blocks before it and
+    # folds its incivility, in file order, and only the article scores stay.
     by_article: dict[str, list[float]] = {}
+    seen: set = set()  # the ids of the blocks folded so far
+    folded = 0  # blocks
 
     def lines(scored):
-        for article_ids, values, block_lines in scored:
-            incivility._fold(by_article, article_ids, values)
+        nonlocal folded
+        for ids, by_block_article, block_lines in scored:
+            if not seen.isdisjoint(ids):
+                raise CorpusError("an id repeats an earlier block's")  # named below
+            seen.update(ids)
+            folded += 1
+            for article_id, values in by_block_article.items():
+                by_article.setdefault(article_id, []).extend(values)
             yield from block_lines
 
-    blocks = comment_blocks(cfg.comments, cfg.min_comment_words)
-    with closing(_in_workers(score, blocks)) as scored:
-        write_lines(out_dir / "scores.jsonl", lines(scored))
+    try:
+        with closing(_in_workers(score, line_blocks(cfg.comments))) as scored:
+            write_lines(out_dir / "scores.jsonl", lines(scored))
+    except Exception:
+        # Checked inline after the blocks before it, the first block not
+        # folded raises the error that reading the file in order names first.
+        for block in islice(line_blocks(cfg.comments), folded, folded + 1):
+            block_comments(block, seen)
+        raise
     weight_of = {w.article_id: w for w in incivility.article_means(by_article)}
     kept = [(a, weight_of[a.id]) for a in articles if a.id in weight_of]
     write_jsonl(out_dir / "article_weights.jsonl", _WEIGHT_FIELDS,

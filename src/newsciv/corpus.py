@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -196,6 +196,51 @@ def _checked(linenos: list[int], rows: list, fields: dict[str, str | None],
         yield [lineno], [row]
 
 
+# What ``_decode`` gives for a blank line.
+_BLANK = object()
+_scan = json.JSONDecoder().scan_once
+
+
+def _decode(line: str, lineno: int):
+    """The JSON value on ``line``, line ``lineno`` of a file read with
+    errors="surrogateescape": ``_BLANK`` if the line is blank, else the
+    value, or the ValueError naming the line if it is not one JSON value or
+    holds a byte that is not UTF-8, for ``_check_row`` to raise in turn."""
+    try:  # the fast path: one value from column 0, then the line end
+        row, end = _scan(line, 0)
+        _check_utf8(line, lineno)
+        if line[end:] in ("\n", ""):
+            return row
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    if not line.strip():
+        return _BLANK
+    try:
+        _check_utf8(line, lineno)
+        return loads(line, f"line {lineno}")
+    except ValueError as exc:
+        return exc
+
+
+def _numbered_chunks(numbered: Iterator[tuple[int, str]], fields: dict[str, str | None],
+                     key: str | None, seen: set) -> Iterator[tuple[list[int], list]]:
+    """(line numbers, objects) of the non-blank lines of ``numbered``, (line
+    number, line) pairs, as ``_chunks`` hands them out, ``seen`` holding the
+    ``key`` values of the rows before them."""
+    while True:
+        linenos: list[int] = []
+        rows: list = []
+        for lineno, line in numbered:
+            if (row := _decode(line, lineno)) is not _BLANK:
+                linenos.append(lineno)
+                rows.append(row)
+                if len(rows) == _CHUNK:
+                    break
+        if not rows:
+            return
+        yield from _checked(linenos, rows, fields, key, seen)
+
+
 def _chunks(path: str | Path, fields: dict[str, str | None],
             key: str | None = None) -> Iterator[tuple[list[int], list[dict]]]:
     """(line numbers, objects) of the non-blank lines of JSONL file ``path``,
@@ -206,35 +251,8 @@ def _chunks(path: str | Path, fields: dict[str, str | None],
     Lines are decoded one at a time and checked a chunk at a time; an error
     names the same line, with the same message, as checking each row as it
     is read would."""
-    seen: set = set()
-    scan = json.JSONDecoder().scan_once
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        numbered = enumerate(fh, start=1)
-        while True:
-            linenos: list[int] = []
-            rows: list = []
-            for lineno, line in numbered:
-                try:  # the fast path: one value from column 0, then the line end
-                    row, end = scan(line, 0)
-                    _check_utf8(line, lineno)
-                    clean = line[end:] in ("\n", "")
-                except (StopIteration, ValueError, RecursionError):
-                    clean = False
-                if not clean:
-                    if not line.strip():
-                        continue
-                    try:
-                        _check_utf8(line, lineno)
-                        row = loads(line, f"line {lineno}")
-                    except ValueError as exc:
-                        row = exc
-                linenos.append(lineno)
-                rows.append(row)
-                if len(rows) == _CHUNK:
-                    break
-            if not rows:
-                return
-            yield from _checked(linenos, rows, fields, key, seen)
+        yield from _numbered_chunks(enumerate(fh, start=1), fields, key, set())
 
 
 def _rows(path: str | Path, fields: dict[str, str | None],
@@ -276,6 +294,22 @@ def load_articles(path: str | Path) -> list[Article]:
     return _load_rows(_rows(path, _ARTICLE_FIELDS, key="id"), _ARTICLE_FIELDS, Article)
 
 
+def _comment_chunks(chunks: Iterable[tuple[list[int], list[dict]]], min_words: int
+                    ) -> Iterator[list[list[str]]]:
+    """The ids, article ids and texts of each of the comment reader's
+    ``chunks``, (line numbers, rows) of rows checked for their fields and
+    ids, each row checked as :class:`Comment` checks it. ``min_words`` is as
+    for :func:`comment_blocks`."""
+    for linenos, rows in chunks:
+        chunk = [list(map(itemgetter(name), rows)) for name in _COMMENT_FIELDS]
+        if not (all(chunk[0]) and all(chunk[2])):  # name the first empty id or text
+            _load_rows(zip(linenos, rows), _COMMENT_FIELDS, Comment)
+        if min_words > 0:
+            keep = [len(tokens) >= min_words for tokens in textproc.tokenize_each(chunk[2])]
+            chunk = [list(compress(column, keep)) for column in chunk]
+        yield chunk
+
+
 def comment_blocks(path: str | Path, min_words: int = 0
                    ) -> Iterator[tuple[list[str], list[str], list[str]]]:
     """The ids, article ids and texts of a comments.jsonl file, in file order,
@@ -283,13 +317,7 @@ def comment_blocks(path: str | Path, min_words: int = 0
     checked as :class:`Comment` checks it and no id repeated in the file.
     ``min_words`` optionally drops comments with fewer tokens (off by default)."""
     held: tuple[list[str], list[str], list[str]] = ([], [], [])
-    for linenos, rows in _chunks(path, _COMMENT_FIELDS, key="id"):
-        chunk = [list(map(itemgetter(name), rows)) for name in _COMMENT_FIELDS]
-        if not (all(chunk[0]) and all(chunk[2])):  # name the first empty id or text
-            _load_rows(zip(linenos, rows), _COMMENT_FIELDS, Comment)
-        if min_words > 0:
-            keep = [len(tokens) >= min_words for tokens in textproc.tokenize_each(chunk[2])]
-            chunk = [list(compress(column, keep)) for column in chunk]
+    for chunk in _comment_chunks(_chunks(path, _COMMENT_FIELDS, key="id"), min_words):
         for column, part in zip(held, chunk):
             column += part
         while len(held[0]) >= (size := textproc._CHUNK):
@@ -297,6 +325,32 @@ def comment_blocks(path: str | Path, min_words: int = 0
             held = tuple(column[size:] for column in held)
     if held[0]:
         yield held
+
+
+def line_blocks(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """The lines of ``path``, read with errors="surrogateescape" and not yet
+    decoded as JSON, ``textproc._CHUNK`` at a time, each block with its
+    first line number, for :func:`block_comments` to decode where it runs."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        first = 1
+        while lines := list(islice(fh, textproc._CHUNK)):
+            yield first, lines
+            first += len(lines)
+
+
+def block_comments(block: tuple[int, list[str]], seen: set, min_words: int = 0
+                   ) -> list[list[str]]:
+    """The ids, article ids and texts of the comments of one of
+    :func:`line_blocks`' blocks, checked and dropped as :func:`comment_blocks`
+    checks and drops the same lines when ``seen`` holds the ids of the
+    lines before them; every row's id, a dropped one's too, is added to ``seen``."""
+    first, lines = block
+    chunks = _numbered_chunks(enumerate(lines, start=first), _COMMENT_FIELDS, "id", seen)
+    columns: list[list[str]] = [[], [], []]
+    for chunk in _comment_chunks(chunks, min_words):
+        for column, part in zip(columns, chunk):
+            column += part
+    return columns
 
 
 def load_comments(path: str | Path, min_words: int = 0) -> list[Comment]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import io
 import json
 import os
 import re
@@ -425,9 +426,9 @@ class TestScore:
     def test_scores_one_block_of_comments_at_a_time(self, pipeline_dir, tmp_path,
                                                     monkeypatch):
         """No scoring call gets more than one block of texts, so ``score``
-        holds one block of comments however long the file is. The blocks
-        are recorded as the parent hands them to the workers, and each
-        scoring call's size through a file, from whichever process scores."""
+        holds one block of comments however long the file is. The raw line
+        blocks are recorded as the parent hands them to the workers, and
+        each scoring call's size through a file, from whichever process scores."""
         forked = force_cores(monkeypatch, 2)
         handed, calls = [], tmp_path / "calls.txt"
         hand_out, original = cli._in_workers, incivility._score_columns
@@ -435,7 +436,7 @@ class TestScore:
         def recording_hand_out(work, blocks):
             def handing(blocks):
                 for block in blocks:
-                    handed.append(len(block[2]))
+                    handed.append(len(block[1]))  # (first line number, lines)
                     yield block
             return hand_out(work, handing(blocks))
 
@@ -456,6 +457,95 @@ class TestScore:
         assert len(forked) == 2
         assert_reaped(forked)
         assert len(jsonl(tmp_path / "out" / "scores.jsonl")) == LATE_ROWS
+
+    def test_parent_decodes_no_comment_row(self, pipeline_dir, tmp_path, monkeypatch):
+        """With workers, each comment line is decoded in a worker, once, and
+        the parent only cuts the file into line blocks: every call of the
+        shared line decoder is recorded with its process through a file."""
+        forked = force_cores(monkeypatch, 2)
+        calls, decode = tmp_path / "decoded.jsonl", corpus._decode
+
+        def recording(line, lineno):
+            with open(calls, "a", encoding="utf-8", errors="surrogateescape") as fh:
+                fh.write(json.dumps([os.getpid(), line]) + "\n")
+            return decode(line, lineno)
+
+        monkeypatch.setattr(corpus, "_decode", recording)
+        path = many_comments(pipeline_dir, tmp_path / "comments.jsonl", LATE_ROWS)
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["score", "--config", config, "--comments", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(forked) == 2
+        assert_reaped(forked)
+        comment_lines = path.read_text().splitlines(True)
+        lookup = set(comment_lines)
+        by_pid: dict[int, list[str]] = {}
+        for pid, line in jsonl(calls):
+            if line in lookup:
+                by_pid.setdefault(pid, []).append(line)
+        assert os.getpid() not in by_pid
+        assert set(by_pid) <= set(forked)
+        assert sorted(sum(by_pid.values(), [])) == sorted(comment_lines)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data(), block=st.sampled_from([2, 3, 4]))
+    def test_bad_comment_file_is_named_as_the_serial_reader_names_it(
+            self, pipeline_dir, data, block):
+        """A comment file with a duplicate id across blocks, an empty text or
+        a line that is not JSON in the duplicate's block, blank lines at a
+        block edge and rows that ``--min-comment-words`` drops exits 2 on 1
+        and 2 cores with the message ``comment_blocks`` raises reading it in
+        order, and leaves no file, no temp file and no unreaped worker."""
+        base = jsonl(pipeline_dir / "data" / "comments.jsonl")
+        n = data.draw(st.integers(3 * block, 5 * block), label="lines")
+        kinds = data.draw(st.lists(st.sampled_from(["row", "row", "short", "blank"]),
+                                   min_size=n, max_size=n), label="kinds")
+        edge = data.draw(st.sampled_from([block - 1, block]), label="edge")
+        kinds[edge] = "blank"
+        kinds[0] = "row"
+        # The repeated id: a row of a later block than the row it repeats.
+        later = [i for i in range(block, n) if kinds[i] != "blank"] or [n - 1]
+        dup = data.draw(st.sampled_from(later), label="duplicate")
+        if kinds[dup] == "blank":
+            kinds[dup] = "row"
+        earlier = [i for i in range(dup - dup % block) if kinds[i] != "blank"]
+        original = data.draw(st.sampled_from(earlier), label="original")
+        lines = []
+        for i, kind in enumerate(kinds):
+            row = {**base[i % len(base)], "id": f"c{i}"}
+            if kind == "short":
+                row["text"] = "short"
+            lines.append("" if kind == "blank" else json.dumps(row))
+        lines[dup] = json.dumps({**json.loads(lines[dup]), "id": f"c{original}"})
+        # Another fault in the duplicate's block, before or after it.
+        start = dup - dup % block
+        spots = [i for i in range(start, min(start + block, n)) if i not in (dup, edge)]
+        fault = data.draw(st.sampled_from(["none", "empty text", "not JSON"] if spots
+                                          else ["none"]), label="fault")
+        if fault != "none":
+            at = data.draw(st.sampled_from(spots), label="at")
+            lines[at] = ('{"id": "x"' if fault == "not JSON" else
+                         json.dumps({**base[0], "id": f"e{at}", "text": ""}))
+        config = (pipeline_dir / "config_path.txt").read_text()
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            path = root / "comments.jsonl"
+            path.write_text("".join(line + "\n" for line in lines))
+            with pytest.raises(corpus.CorpusError) as inline:
+                list(corpus.comment_blocks(path, 2))
+            for cores in (1, 2):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(textproc, "_CHUNK", block)
+                    forked = force_cores(mp, cores)
+                    err = io.StringIO()
+                    mp.setattr(sys, "stderr", err)
+                    assert main(["score", "--config", config, "--comments", str(path),
+                                 "--min-comment-words", "2",
+                                 "--out", str(root / "out")]) == 2
+                assert err.getvalue() == f"error: {inline.value}\n", cores
+                assert len(forked) == (2 if cores == 2 else 0)
+                assert_reaped(forked)
+                assert os.listdir(root) == ["comments.jsonl"]
 
     @pytest.mark.parametrize("bad, message", [
         ({"text": None}, "invalid text None, must be a string"),
