@@ -356,7 +356,9 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
         """A line block's ids, dropped ones too, its comments' incivility
         by article and their scores.jsonl lines, decoded and checked here."""
         seen: set = set()
-        ids, article_ids, texts = block_comments(block, seen, cfg.min_comment_words)
+        first, block_lines = block
+        ids, article_ids, texts = block_comments(enumerate(block_lines, start=first), seen,
+                                                 cfg.min_comment_words)
         columns = incivility._score_columns(classifiers, texts)
         by_block_article: dict[str, list[float]] = {}
         incivility._fold(by_block_article, article_ids, columns[3])
@@ -387,8 +389,8 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     except Exception:
         # Checked inline after the blocks before it, the first block not
         # folded raises the error that reading the file in order names first.
-        for block in islice(line_blocks(cfg.comments), folded, folded + 1):
-            block_comments(block, seen)
+        for first, block_lines in islice(line_blocks(cfg.comments), folded, folded + 1):
+            block_comments(enumerate(block_lines, start=first), seen)
         raise
     weight_of = {w.article_id: w for w in incivility.article_means(by_article)}
     kept = [(a, weight_of[a.id]) for a in articles if a.id in weight_of]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -132,7 +132,8 @@ def _require(obj: dict, fields: dict[str, str | None], lineno: int) -> None:
             raise CorpusError(f"line {lineno}: invalid {name} {obj[name]!r}, must be {what}")
 
 
-# Rows that ``_rows`` checks a column at a time; only one chunk is held.
+# Rows that ``_numbered_chunks`` decodes, then checks a column at a time,
+# for ``_rows`` and ``block_comments``; only one chunk of rows is held.
 _CHUNK = 1024
 
 
@@ -226,7 +227,8 @@ def _numbered_chunks(numbered: Iterator[tuple[int, str]], fields: dict[str, str 
                      key: str | None, seen: set) -> Iterator[tuple[list[int], list]]:
     """(line numbers, objects) of the non-blank lines of ``numbered``, (line
     number, line) pairs, as ``_chunks`` hands them out, ``seen`` holding the
-    ``key`` values of the rows before them."""
+    ``key`` values of the rows before them. The comment readers come here
+    only through :func:`block_comments`."""
     while True:
         linenos: list[int] = []
         rows: list = []
@@ -294,37 +296,41 @@ def load_articles(path: str | Path) -> list[Article]:
     return _load_rows(_rows(path, _ARTICLE_FIELDS, key="id"), _ARTICLE_FIELDS, Article)
 
 
-def _comment_chunks(chunks: Iterable[tuple[list[int], list[dict]]], min_words: int
-                    ) -> Iterator[list[list[str]]]:
-    """The ids, article ids and texts of each of the comment reader's
-    ``chunks``, (line numbers, rows) of rows checked for their fields and
-    ids, each row checked as :class:`Comment` checks it. ``min_words`` is as
-    for :func:`comment_blocks`."""
-    for linenos, rows in chunks:
+def block_comments(numbered: Iterator[tuple[int, str]], seen: set, min_words: int = 0
+                   ) -> tuple[list[str], list[str], list[str]]:
+    """The ids, article ids and texts of the comments on the lines of
+    ``numbered``, (line number, line) pairs, each row checked as
+    :class:`Comment` checks it and its id checked against ``seen``, the ids
+    of the lines before them; every row's id, a dropped one's too, is added
+    to ``seen``. ``min_words`` is as for :func:`comment_blocks`."""
+    columns: tuple[list[str], list[str], list[str]] = ([], [], [])
+    for linenos, rows in _numbered_chunks(numbered, _COMMENT_FIELDS, "id", seen):
         chunk = [list(map(itemgetter(name), rows)) for name in _COMMENT_FIELDS]
         if not (all(chunk[0]) and all(chunk[2])):  # name the first empty id or text
             _load_rows(zip(linenos, rows), _COMMENT_FIELDS, Comment)
         if min_words > 0:
             keep = [len(tokens) >= min_words for tokens in textproc.tokenize_each(chunk[2])]
             chunk = [list(compress(column, keep)) for column in chunk]
-        yield chunk
+        for column, part in zip(columns, chunk):
+            column += part
+    return columns
 
 
 def comment_blocks(path: str | Path, min_words: int = 0
                    ) -> Iterator[tuple[list[str], list[str], list[str]]]:
     """The ids, article ids and texts of a comments.jsonl file, in file order,
-    as three lists of at most ``textproc._CHUNK`` rows at a time, each row
-    checked as :class:`Comment` checks it and no id repeated in the file.
-    ``min_words`` optionally drops comments with fewer tokens (off by default)."""
-    held: tuple[list[str], list[str], list[str]] = ([], [], [])
-    for chunk in _comment_chunks(_chunks(path, _COMMENT_FIELDS, key="id"), min_words):
-        for column, part in zip(held, chunk):
-            column += part
-        while len(held[0]) >= (size := textproc._CHUNK):
-            yield tuple(column[:size] for column in held)
-            held = tuple(column[size:] for column in held)
-    if held[0]:
-        yield held
+    as three lists for each block of ``textproc._CHUNK`` lines, so at most
+    that many rows, each row checked as :class:`Comment` checks it and no id
+    repeated in the file. ``min_words`` optionally drops comments with fewer
+    tokens (off by default); a block that keeps no row is not handed out."""
+    seen: set = set()
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        numbered = enumerate(fh, start=1)
+        for first in numbered:  # the block's lines go from the file to the decoder
+            ids, article_ids, texts = block_comments(
+                chain([first], islice(numbered, textproc._CHUNK - 1)), seen, min_words)
+            if ids:
+                yield ids, article_ids, texts
 
 
 def line_blocks(path: str | Path) -> Iterator[tuple[int, list[str]]]:
@@ -336,21 +342,6 @@ def line_blocks(path: str | Path) -> Iterator[tuple[int, list[str]]]:
         while lines := list(islice(fh, textproc._CHUNK)):
             yield first, lines
             first += len(lines)
-
-
-def block_comments(block: tuple[int, list[str]], seen: set, min_words: int = 0
-                   ) -> list[list[str]]:
-    """The ids, article ids and texts of the comments of one of
-    :func:`line_blocks`' blocks, checked and dropped as :func:`comment_blocks`
-    checks and drops the same lines when ``seen`` holds the ids of the
-    lines before them; every row's id, a dropped one's too, is added to ``seen``."""
-    first, lines = block
-    chunks = _numbered_chunks(enumerate(lines, start=first), _COMMENT_FIELDS, "id", seen)
-    columns: list[list[str]] = [[], [], []]
-    for chunk in _comment_chunks(chunks, min_words):
-        for column, part in zip(columns, chunk):
-            column += part
-    return columns
 
 
 def load_comments(path: str | Path, min_words: int = 0) -> list[Comment]:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus_reference
 from newsciv import cli, corpus, incivility, textproc
 from newsciv.cli import RunConfig, _load_run_config, build_parser, main
 from newsciv.corpus import Article, save_articles
@@ -494,8 +495,9 @@ class TestScore:
         """A comment file with a duplicate id across blocks, an empty text or
         a line that is not JSON in the duplicate's block, blank lines at a
         block edge and rows that ``--min-comment-words`` drops exits 2 on 1
-        and 2 cores with the message ``comment_blocks`` raises reading it in
-        order, and leaves no file, no temp file and no unreaped worker."""
+        and 2 cores with the message the per-line reader of
+        ``corpus_reference`` raises reading it in order, and leaves no file,
+        no temp file and no unreaped worker."""
         base = jsonl(pipeline_dir / "data" / "comments.jsonl")
         n = data.draw(st.integers(3 * block, 5 * block), label="lines")
         kinds = data.draw(st.lists(st.sampled_from(["row", "row", "short", "blank"]),
@@ -532,7 +534,7 @@ class TestScore:
             path = root / "comments.jsonl"
             path.write_text("".join(line + "\n" for line in lines))
             with pytest.raises(corpus.CorpusError) as inline:
-                list(corpus.comment_blocks(path, 2))
+                corpus_reference.load_comments(path, 2)
             for cores in (1, 2):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(textproc, "_CHUNK", block)
@@ -624,13 +626,17 @@ class TestScore:
             assert ((tmp_path / "out" / name).read_bytes()
                     == (pipeline_dir / "out" / name).read_bytes())
 
-    @pytest.mark.parametrize("error, code, prefix", [
-        (ValueError, 2, "error"), (RuntimeError, 1, "internal error")])
+    @pytest.mark.parametrize("error, code, prefix, tail", [
+        (ValueError, 2, "error", ""), (RuntimeError, 1, "internal error", ""),
+        (ValueError, 2, "error", "{not json\n"), (RuntimeError, 1, "internal error", "{not json\n")],
+        ids=["ValueError-2-error", "RuntimeError-1-internal error",
+             "ValueError-2-error-bad-line-in-block-3", "RuntimeError-1-internal error-bad-line-in-block-3"])
     def test_worker_exception_exits_as_it_does_inline(self, pipeline_dir, tmp_path, capsys,
-                                                      monkeypatch, error, code, prefix):
+                                                      monkeypatch, error, code, prefix, tail):
         """An exception raised while scoring block 2 in a worker ends ``score``
-        with the exit code and message it has inline, and leaves no file, no
-        directory and no unreaped worker."""
+        with the exit code and message it has inline, not with the error of a
+        line in a later block, and leaves no file, no directory and no
+        unreaped worker."""
         score = incivility._score_columns
 
         def failing(classifiers, texts):
@@ -640,6 +646,8 @@ class TestScore:
 
         monkeypatch.setattr(incivility, "_score_columns", failing)
         path = marked_comments(pipeline_dir, tmp_path / "comments.jsonl")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(tail)
         config = (pipeline_dir / "config_path.txt").read_text()
         for cores in (1, 2):
             with pytest.MonkeyPatch.context() as mp:

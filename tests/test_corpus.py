@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import corpus_reference
 import textproc_reference as reference
 from newsciv import corpus as corpus_module
+from newsciv import textproc
 from newsciv.corpus import (
     AnnotatedComment,
     Article,
@@ -429,8 +430,11 @@ class TestColumnReader:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(data=st.data(), chunk=st.sampled_from([2, 3]))
-    def test_matches_the_per_line_reader(self, case, data, chunk):
+    @given(data=st.data(), chunk=st.sampled_from([2, 3]),
+           block=st.sampled_from([2, 3, 5, 4096]))
+    def test_matches_the_per_line_reader(self, case, data, chunk, block):
+        """With ``block`` lines to a comment block, the ids of the whole file
+        and the line numbers of every block are checked too."""
         lines = data.draw(st.lists(st.tuples(
             st.sampled_from(CASES[case][3] * 2 + DAMAGE),
             st.sampled_from(["\n", "\n", "\r\n", "\r", ""])), max_size=12))
@@ -438,8 +442,25 @@ class TestColumnReader:
             path = Path(tmp) / "rows.jsonl"
             path.write_bytes("".join(line + end for line, end in lines)
                              .encode("utf-8", "surrogateescape"))
-            with mock.patch.object(corpus_module, "_CHUNK", chunk):
+            with mock.patch.object(corpus_module, "_CHUNK", chunk), \
+                    mock.patch.object(textproc, "_CHUNK", block):
                 assert outcomes(case, path) == reference_outcomes(case, path)
+
+    def test_no_comment_block_is_empty(self, tmp_path, monkeypatch):
+        """A line block that is all blank, or whose rows ``min_words``
+        drops, hands out no block; the rows kept are the per-line reader's."""
+        monkeypatch.setattr(textproc, "_CHUNK", 3)
+        short = [comment_line(f"s{i}", text="one") for i in range(4)]
+        lines = [comment_line("c1", text="two words"), short[0], "",  # blocks of 3 lines
+                 "", " ", "\t",
+                 *short[1:],
+                 "", comment_line("c2", text="three more words")]
+        path = tmp_path / "comments.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        blocks = list(comment_blocks(path, 2))
+        assert [block[0] for block in blocks] == [["c1"], ["c2"]]
+        assert (tuple(sum(column, []) for column in zip(*blocks))
+                == corpus_reference.load_comment_columns(path, 2))
 
     @pytest.mark.parametrize("text, chunk, message", [
         # Each line fails on its own, though joined into one JSON array the

@@ -5,7 +5,8 @@ directory is made on the first write into it, a JSONL row is the bytes
 files, makes directories or encodes JSON one value at a time with
 ``json.dumps``.
 The layering guard keeps the topic model and subtext mining off the corpus
-types: they take plain texts; only ``textproc`` knows n-gram keys; and
+types: they take plain texts; only ``textproc`` knows n-gram keys;
+comment lines are decoded only in ``corpus.block_comments``; and
 no module imports a thread or process pool, nor forks outside ``cli``."""
 
 from __future__ import annotations
@@ -226,6 +227,55 @@ def test_one_train_path_splits_and_fits():
 ])
 def test_train_path_guard_sees_each_call(source, found):
     assert _train_step_calls(ast.parse(source)) == found
+
+
+# The readers through which a row reaches ``corpus._numbered_chunks``.
+_DECODERS = ("_numbered_chunks", "_chunks", "_rows", "read_rows")
+
+
+def _comment_decodes(tree: ast.AST) -> list[tuple[str, str]]:
+    """Each call in ``tree`` of a ``_DECODERS`` name or attribute that is
+    passed ``_COMMENT_FIELDS`` (a name or an attribute, by position or by
+    keyword), with its enclosing top-level definition (``"<module>"``
+    outside one)."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                args = node.args + [kw.value for kw in node.keywords]
+                if name in _DECODERS and any(
+                        getattr(arg, "attr", getattr(arg, "id", None)) == "_COMMENT_FIELDS"
+                        for arg in args):
+                    found.append((name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_one_comment_decode_path():
+    """Comment lines are decoded and checked only inside
+    ``corpus.block_comments``, which every comment reader calls."""
+    calls = {path.name: _comment_decodes(ast.parse(path.read_text("utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert calls.pop("corpus.py") == [("_numbered_chunks", "block_comments")]
+    assert {name: found for name, found in calls.items() if found} == {}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("rows = _numbered_chunks(lines, _COMMENT_FIELDS, 'id', seen)",
+     [("_numbered_chunks", "<module>")]),
+    ("def block_comments(n, s):\n    return list(_numbered_chunks(n, _COMMENT_FIELDS, 'id', s))",
+     [("_numbered_chunks", "block_comments")]),
+    ("def f(p):\n    return corpus._rows(p, corpus._COMMENT_FIELDS, key='id')",
+     [("_rows", "f")]),
+    ("class C:\n    def m(self, p):\n        return read_rows(p, fields=_COMMENT_FIELDS)",
+     [("read_rows", "C")]),
+    ("def f(p):\n    def block_comments():\n        return _chunks(p, _COMMENT_FIELDS)",
+     [("_chunks", "f")]),
+    ("rows = _chunks(path, _ARTICLE_FIELDS, key='id')", []),
+    ("names = list(_COMMENT_FIELDS)", []),
+])
+def test_comment_decode_guard_sees_each_call(source, found):
+    assert _comment_decodes(ast.parse(source)) == found
 
 
 def _dumps_calls(tree: ast.AST) -> list[str]:
