@@ -230,11 +230,15 @@ def _load_classifier(kind: str, model_dir: Path) -> incivility.Classifier:
         for name in names})
 
 
+# The exceptions that ``main`` reports as input errors, with exit code 2.
+_INPUT_ERRORS = (ValueError, OSError)
+
+
 def _fork_worker(work, workers: list) -> tuple:
     """Fork a worker that answers each item on its pipe with ``(True,
-    work(item))`` or ``(False, exception)`` until EOF. It closes the pipe
-    ends it inherits to and from the earlier ``workers``, so a pipe that
-    the parent closes ends there and then."""
+    work(item))``, or ``(False, (is_input_error, message))`` if it raises,
+    until EOF. It closes the pipe ends it inherits to and from the earlier
+    ``workers``, so a pipe that the parent closes ends there and then."""
     tasks, to_worker = os.pipe()
     from_worker, results = os.pipe()
     for stream in filter(None, (sys.stdout, sys.stderr)):
@@ -258,12 +262,7 @@ def _fork_worker(work, workers: list) -> tuple:
             try:
                 result = True, work(pickle.load(reader))
             except Exception as exc:  # noqa: BLE001 - raised again in the parent
-                try:
-                    pickle.loads(pickle.dumps(exc))
-                except Exception:  # noqa: BLE001 - sent as its kind, type and message
-                    exc = (ValueError if isinstance(exc, (ValueError, OSError))
-                           else RuntimeError)(f"{type(exc).__name__}: {exc}")
-                result = False, exc
+                result = False, (isinstance(exc, _INPUT_ERRORS), str(exc))
             pickle.dump(result, writer)
             writer.flush()
         code = 0
@@ -272,10 +271,12 @@ def _fork_worker(work, workers: list) -> tuple:
 
 
 def _result(worker: tuple):
-    """The next result that ``worker`` sends, or the exception it sends, raised."""
+    """The next result that ``worker`` sends; an exception it sends is raised
+    as a ``ValueError`` or ``RuntimeError``, which ``main`` reports as inline."""
     ok, value = pickle.load(worker[2])
     if not ok:
-        raise value
+        input_error, message = value
+        raise (ValueError if input_error else RuntimeError)(message)
     return value
 
 
@@ -284,8 +285,8 @@ def _in_workers(work, items):
     core, on one item or without ``os.fork``, else in forked workers, one
     per core. A worker gets its next item once its last result is read, so
     at most one item per worker is in flight. A worker's exception is raised
-    in item order, and a worker that dies is a ``RuntimeError``; on any exit
-    the pipes are closed and every worker is reaped."""
+    in item order, by ``_result``, and a worker that dies is a ``RuntimeError``;
+    on any exit the pipes are closed and every worker is reaped."""
     cores = (len(os.sched_getaffinity(0))
              if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
     items = iter(items)
@@ -359,9 +360,8 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
         first, block_lines = block
         ids, article_ids, texts = block_comments(enumerate(block_lines, start=first), seen,
                                                  cfg.min_comment_words)
-        columns = incivility._score_columns(classifiers, texts)
         by_block_article: dict[str, list[float]] = {}
-        incivility._fold(by_block_article, article_ids, columns[3])
+        columns = incivility.fold_scores(classifiers, texts, article_ids, by_block_article)
         return list(seen), by_block_article, [
             line % row for row in zip(map(encode_basestring_ascii, ids), *columns)]
 
@@ -583,7 +583,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             import scipy.sparse  # noqa: F401
         command = globals()["cmd_" + args.command.replace("-", "_")]
         return command(_load_run_config(args), args)
-    except (ValueError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

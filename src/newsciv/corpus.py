@@ -226,9 +226,12 @@ def _decode(line: str, lineno: int):
 def _numbered_chunks(numbered: Iterator[tuple[int, str]], fields: dict[str, str | None],
                      key: str | None, seen: set) -> Iterator[tuple[list[int], list]]:
     """(line numbers, objects) of the non-blank lines of ``numbered``, (line
-    number, line) pairs, as ``_chunks`` hands them out, ``seen`` holding the
-    ``key`` values of the rows before them. The comment readers come here
-    only through :func:`block_comments`."""
+    number, line) pairs, up to ``_CHUNK`` rows at a time, each row checked to
+    hold ``fields`` (see ``_require``) and, with ``key``, to have a ``key``
+    value not in ``seen``, which holds those of the rows before. Lines are
+    decoded one at a time and checked a chunk at a time; an error names the
+    line, with the message, that checking each row as it is read would.
+    :func:`_rows` reads files here; comments come only via :func:`block_comments`."""
     while True:
         linenos: list[int] = []
         rows: list = []
@@ -243,25 +246,14 @@ def _numbered_chunks(numbered: Iterator[tuple[int, str]], fields: dict[str, str 
         yield from _checked(linenos, rows, fields, key, seen)
 
 
-def _chunks(path: str | Path, fields: dict[str, str | None],
-            key: str | None = None) -> Iterator[tuple[list[int], list[dict]]]:
-    """(line numbers, objects) of the non-blank lines of JSONL file ``path``,
-    up to ``_CHUNK`` rows at a time, each row checked to hold ``fields`` (see
-    ``_require``). With ``key``, a string field of ``fields``, a row whose
-    ``key`` value an earlier row had is rejected.
-
-    Lines are decoded one at a time and checked a chunk at a time; an error
-    names the same line, with the same message, as checking each row as it
-    is read would."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        yield from _numbered_chunks(enumerate(fh, start=1), fields, key, set())
-
-
 def _rows(path: str | Path, fields: dict[str, str | None],
           key: str | None = None) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each row that ``_chunks`` hands out."""
-    for linenos, rows in _chunks(path, fields, key):
-        yield from zip(linenos, rows)
+    """(line number, object) of each non-blank line of JSONL file ``path``,
+    checked by :func:`_numbered_chunks` to hold ``fields`` and, with ``key``,
+    to repeat no earlier row's ``key`` value."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for linenos, rows in _numbered_chunks(enumerate(fh, start=1), fields, key, set()):
+            yield from zip(linenos, rows)
 
 
 def read_rows(path: str | Path, fields: dict[str, str], key: str | None = None) -> list[dict]:

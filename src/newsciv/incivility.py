@@ -204,18 +204,14 @@ def fold_scores(classifiers: Classifier, texts: Sequence[str],
                 article_ids: Sequence[str], by_article: dict[str, list[float]]):
     """Score one block of ``texts`` (see :func:`article_weights`), append each
     incivility to its article's list in ``by_article`` and return the block's
-    four score columns; folding blocks in file order keeps the lists in order."""
+    four score columns; folding blocks in file order keeps the lists in order.
+    :func:`article_weights` and each block of the ``score`` command run this."""
     if len(texts) != len(article_ids):
         raise ValueError(f"got {len(texts)} texts but {len(article_ids)} article ids")
     columns = _score_columns(classifiers, texts)
-    _fold(by_article, article_ids, columns[3])
-    return columns
-
-
-def _fold(by_article: dict[str, list[float]], article_ids, values) -> None:
-    """Append each of ``values`` to the list of its article in ``by_article``."""
-    for article_id, value in zip(article_ids, values):
+    for article_id, value in zip(article_ids, columns[3]):
         by_article.setdefault(article_id, []).append(value)
+    return columns
 
 
 def article_means(by_article: Mapping[str, Sequence[float]]) -> list[ArticleIncivility]:

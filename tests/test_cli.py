@@ -127,6 +127,12 @@ def marked_comments(pipeline_dir: Path, path: Path) -> Path:
     return many_comments(pipeline_dir, path, LATE_ROWS, bad={textproc._CHUNK + 10: {"text": MARK}})
 
 
+def unpicklable_value_error() -> type:
+    class Unpicklable(ValueError):  # a local class pickles by no name
+        pass
+    return Unpicklable
+
+
 def force_cores(monkeypatch, n: int) -> list[int]:
     """Make ``score`` see ``n`` usable cores; the list returned fills with
     the pid of each worker that it forks."""
@@ -628,15 +634,17 @@ class TestScore:
 
     @pytest.mark.parametrize("error, code, prefix, tail", [
         (ValueError, 2, "error", ""), (RuntimeError, 1, "internal error", ""),
-        (ValueError, 2, "error", "{not json\n"), (RuntimeError, 1, "internal error", "{not json\n")],
+        (ValueError, 2, "error", "{not json\n"), (RuntimeError, 1, "internal error", "{not json\n"),
+        (OSError, 2, "error", ""), (unpicklable_value_error(), 2, "error", "")],
         ids=["ValueError-2-error", "RuntimeError-1-internal error",
-             "ValueError-2-error-bad-line-in-block-3", "RuntimeError-1-internal error-bad-line-in-block-3"])
+             "ValueError-2-error-bad-line-in-block-3", "RuntimeError-1-internal error-bad-line-in-block-3",
+             "OSError-2-error", "Unpicklable-2-error"])
     def test_worker_exception_exits_as_it_does_inline(self, pipeline_dir, tmp_path, capsys,
                                                       monkeypatch, error, code, prefix, tail):
         """An exception raised while scoring block 2 in a worker ends ``score``
-        with the exit code and message it has inline, not with the error of a
-        line in a later block, and leaves no file, no directory and no
-        unreaped worker."""
+        with the exit code and message it has inline, one that pickle cannot
+        carry too, not with the error of a line in a later block, and leaves
+        no file, no directory and no unreaped worker."""
         score = incivility._score_columns
 
         def failing(classifiers, texts):
@@ -658,31 +666,6 @@ class TestScore:
             assert len(forked) == (2 if cores == 2 else 0)
             assert_reaped(forked)
             assert os.listdir(tmp_path) == ["comments.jsonl"]
-
-    def test_worker_exception_pickle_cannot_carry_keeps_its_exit_code(
-            self, pipeline_dir, tmp_path, capsys, monkeypatch):
-        """An exception that pickle cannot send comes back as its type and
-        message, with the exit code of its kind."""
-        class Unpicklable(ValueError):  # a local class pickles by no name
-            pass
-
-        score = incivility._score_columns
-
-        def failing(classifiers, texts):
-            if MARK in texts:
-                raise Unpicklable("raised on block 2")
-            return score(classifiers, texts)
-
-        monkeypatch.setattr(incivility, "_score_columns", failing)
-        forked = force_cores(monkeypatch, 2)
-        path = marked_comments(pipeline_dir, tmp_path / "comments.jsonl")
-        config = (pipeline_dir / "config_path.txt").read_text()
-        assert main(["score", "--config", config, "--comments", str(path),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == "error: Unpicklable: raised on block 2\n"
-        assert len(forked) == 2
-        assert_reaped(forked)
-        assert os.listdir(tmp_path) == ["comments.jsonl"]
 
     def test_killed_worker_exits_1(self, pipeline_dir, tmp_path):
         """A worker killed on block 2 is an internal error, not a hang: run in
@@ -872,6 +855,15 @@ class TestLabelTrainProvoking:
         assert "contain a single class" in capsys.readouterr().err
         assert not (tmp_path / "out" / "thresholds.json").exists()
         assert not (tmp_path / "out" / "article_labels.jsonl").exists()
+
+    def test_missing_weights_file_exits_2_naming_score(self, pipeline_dir, tmp_path, capsys):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        assert main(["label-train-provoking", "--config", config,
+                     "--out", str(tmp_path / "out"), "--model-dir", str(tmp_path / "models")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: article weights file not found: {tmp_path / 'out' / 'article_weights.jsonl'}"
+            " (run 'score' first)\n")
+        assert os.listdir(tmp_path) == []
 
     def test_warns_when_the_fit_is_capped(self, pipeline_dir, tmp_path, capsys):
         config = (pipeline_dir / "config_path.txt").read_text()
@@ -1154,6 +1146,20 @@ class TestEvaluate:
         assert "no annotated path configured" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "labels file not found: {path}"), ("", "no labeled articles to evaluate")],
+        ids=["missing", "empty"])
+    def test_missing_or_empty_labels_file_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                                  content, message):
+        config = (pipeline_dir / "config_path.txt").read_text()
+        labels = tmp_path / "labels.jsonl"
+        if content is not None:
+            labels.write_text(content)
+        assert main(["evaluate", "--target", "provoking", "--config", config,
+                     "--labels", str(labels), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=labels)}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_labels_row_without_label_exits_2(self, pipeline_dir, tmp_path, capsys):
         config = (pipeline_dir / "config_path.txt").read_text()
         labels = tmp_path / "labels.jsonl"
@@ -1273,10 +1279,23 @@ class TestConfigHandling:
         ("synthetic.sources=daily", "sources must be a list of strings"),
         ("lda.seed=-1", "seed must be >= 0, got -1"),
         ("synthetic.seed=-3", "seed must be >= 0, got -3"),
+        ("train.tolerance=0", "tolerance must be > 0, got 0"),
+        ("train.l2_lambda=-1", "l2_lambda must be >= 0, got -1"),
+        ("train.max_iterations=-1", "max_iterations must be >= 0, got -1"),
+        ("aspect_tfidf.min_df=0", "min_df must be >= 1, got 0"),
+        ("aspect_tfidf.max_df_ratio=0", "max_df_ratio must be in (0, 1], got 0"),
+        ("synthetic.n_annotators=0", "need at least one annotator"),
+        ("lda=5", "config key 'lda' must be an object"),
     ])
     def test_mistyped_sub_config_set_exits_2(self, tmp_path, capsys, item, message):
         assert main(["mine-subtext", "--out", str(tmp_path / "o"), "--set", item]) == 2
         assert message in capsys.readouterr().err
+
+    def test_set_below_a_non_object_exits_2(self, tmp_path, capsys):
+        assert main(["mine-subtext", "--out", str(tmp_path / "o"),
+                     "--set", "lda=5", "--set", "lda.seed=1"]) == 2
+        assert (capsys.readouterr().err
+                == "error: config key 'lda.seed' descends into a non-object value\n")
 
     @pytest.mark.parametrize("item, message", [
         ("keywords=5", "keywords must be a list of strings"),

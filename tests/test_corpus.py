@@ -247,6 +247,18 @@ class TestLoadAnnotated:
         assert ac.attack_flags == (True, False)
 
 
+    @pytest.mark.parametrize("suffix, text", [
+        (".jsonl", '{"id": "w1", "text": "x", "toxicity": 2, "aggression": 1, "attack": 1}\n'
+                   '{"id": "w1", "text": "x", "toxicity": [3], "aggression": 3, "attack": [0]}\n'),
+        (".tsv", f"{TSV_HEADER}\nw1\tx\t2\t1\t1\n\n \t \nw1\tx\t3\t3\t0\n"),
+    ], ids=["jsonl-integer-flags", "tsv-blank-lines"])
+    def test_integer_flags_and_blank_tsv_lines_are_read(self, tmp_path, suffix, text):
+        path = tmp_path / f"annotated{suffix}"
+        path.write_text(text)
+        (ac,) = load_annotated(path)
+        assert (ac.toxicity_ratings, ac.aggression_ratings, ac.attack_flags) \
+            == ((2, 3), (1, 3), (True, False))
+
     @pytest.mark.parametrize("row, columns", [
         ("w1\thello\tthere\t2\t1\t1", 6),  # a tab inside the text
         ("w1\thello there\t2\t1", 4),
@@ -403,18 +415,11 @@ REFERENCE_LOADERS = {"comments": corpus_reference.load_comments,
                      "comment columns": corpus_reference.load_comment_columns}
 
 
-def reference_chunks(path, fields, key=None):
-    """The per-line reader's rows, each as a chunk of one, as ``_chunks``
-    hands out a chunk that fails its column checks."""
-    for lineno, row in corpus_reference._rows(path, fields, key):
-        yield [lineno], [row]
-
-
 def reference_outcomes(case: str, path) -> tuple[str, str]:
     """What the per-line reader, and the loader on top of it, make of ``path``."""
     loader, fields, key, _ = CASES[case]
     rows = read_outcome(lambda p: list(corpus_reference._rows(p, fields, key)), path)
-    with mock.patch.object(corpus_module, "_chunks", reference_chunks):
+    with mock.patch.object(corpus_module, "_rows", corpus_reference._rows):
         return rows, read_outcome(REFERENCE_LOADERS.get(case, loader), path)
 
 

@@ -6,8 +6,10 @@ files, makes directories or encodes JSON one value at a time with
 ``json.dumps``.
 The layering guard keeps the topic model and subtext mining off the corpus
 types: they take plain texts; only ``textproc`` knows n-gram keys;
-comment lines are decoded only in ``corpus.block_comments``; and
-no module imports a thread or process pool, nor forks outside ``cli``."""
+comment lines are decoded only in ``corpus.block_comments``; no module
+imports a thread or process pool, nor forks outside ``cli``; ``cli`` reads
+no private name of another module; and no private top-level name is left
+unread."""
 
 from __future__ import annotations
 
@@ -276,6 +278,113 @@ def test_one_comment_decode_path():
 ])
 def test_comment_decode_guard_sees_each_call(source, found):
     assert _comment_decodes(ast.parse(source)) == found
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads(tree: ast.AST) -> list[tuple[str, str]]:
+    """(module, name) for each ``_``-prefixed name of another newsciv module
+    that ``tree`` reads: imported by ``from .module import _name`` (or
+    ``from newsciv.module``), or read as ``module._name`` through a module
+    that ``from . import module`` or ``import newsciv.module as m`` binds."""
+    modules: dict[str, str] = {}  # the local name of each newsciv module
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "newsciv"
+                                                 or node.module.startswith("newsciv.")):
+            module = (node.module or "").removeprefix("newsciv").lstrip(".")
+            for alias in node.names:
+                if not module:
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.append((module, alias.name))
+        elif isinstance(node, ast.Import):
+            modules.update((alias.asname, alias.name.removeprefix("newsciv."))
+                           for alias in node.names
+                           if alias.asname and alias.name.startswith("newsciv."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append((modules[node.value.id], node.attr))
+    return found
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    """``cli`` goes through the other modules' public names, so a helper
+    behind them can change without a second caller to keep in step."""
+    assert _private_reads(ast.parse((PACKAGE / "cli.py").read_text("utf-8"))) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from . import incivility\nincivility._fold(b, a, v)", [("incivility", "_fold")]),
+    ("from . import incivility as inc\ndef f(c, t):\n    return inc._score_columns(c, t)",
+     [("incivility", "_score_columns")]),
+    ("from .corpus import _rows, read_rows", [("corpus", "_rows")]),
+    ("from newsciv.corpus import _rows as rows", [("corpus", "_rows")]),
+    ("import newsciv.textproc as tp\nn = tp._CHUNK", [("textproc", "_CHUNK")]),
+    ("from ._checks import loads\nfrom . import _output\n_output.write_json(p, x)", []),
+    ("from . import incivility\nincivility.fold_scores(c, t, a, b)", []),
+    ("from . import incivility\nname = incivility.__name__", []),
+    ("import os\nos._exit(1)", []),
+    ("self._cache = args._x", []),
+])
+def test_private_read_guard_sees_each_read(source, found):
+    assert _private_reads(ast.parse(source)) == found
+
+
+def _dead_private_names(trees: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """(file, name) for each ``_``-prefixed top-level name defined in
+    ``trees``, by file name, that no other top-level statement of any of
+    them reads, as a name, an attribute or an imported name."""
+    readers: dict[str, set] = {}  # name -> each (file, statement index) reading it
+    defined: list[tuple[str, int, str]] = []
+    for file, tree in trees.items():
+        for i, top in enumerate(tree.body):
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((file, i, top.name))
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                defined.extend((file, i, node.id)
+                               for target in ([top.target] if isinstance(top, ast.AnnAssign)
+                                              else top.targets)
+                               for node in ast.walk(target) if isinstance(node, ast.Name))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    readers.setdefault(name, set()).add((file, i))
+    return [(file, name) for file, i, name in defined
+            if _private(name) and not readers.get(name, set()) - {(file, i)}]
+
+
+def test_no_private_top_level_name_is_dead():
+    """Every private helper, constant and class of the package is read
+    somewhere besides its own definition."""
+    trees = {path.name: ast.parse(path.read_text("utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert _dead_private_names(trees) == []
+
+
+@pytest.mark.parametrize("sources, found", [
+    ({"a.py": "def _f():\n    return _f()"}, [("a.py", "_f")]),
+    ({"a.py": "def _f():\n    pass\ndef g():\n    return _f()"}, []),
+    ({"a.py": "_X = 1\ndef g():\n    return _X"}, []),
+    ({"a.py": "_X: int = 1\nclass _C:\n    pass"}, [("a.py", "_X"), ("a.py", "_C")]),
+    ({"a.py": "_A, _B = 1, 2\nprint(_A)"}, [("a.py", "_B")]),
+    ({"a.py": "def _f():\n    pass", "b.py": "from .a import _f"}, []),
+    ({"a.py": "def _f():\n    pass", "b.py": "a._f()"}, []),
+    ({"a.py": "def f():\n    _local = 1\n    return _local"}, []),
+    ({"a.py": "def __getattr__(name):\n    pass\n__all__ = []"}, []),
+])
+def test_dead_private_guard_sees_each_name(sources, found):
+    assert _dead_private_names({f: ast.parse(s) for f, s in sources.items()}) == found
 
 
 def _dumps_calls(tree: ast.AST) -> list[str]:
